@@ -42,9 +42,11 @@ print("flat (1,2) =", A.tensor(C).flatten((1, 2)))
 B1 = SpaceLabel.base("B", 1)
 M = LinMap(QQ, A, B1, [[QQ.one, QQ.one]])
 target = LinMap(QQ, B1, B1, [[QQ.one]])
-x = rref_solve(M, target)
-print("\nsolve x+y=1 ->", [str(row[0]) for row in x.entries])
+sol = rref_solve(M, target)
+print("\nsolve x+y=1 ->", [str(row[0]) for row in sol.particular.entries])
+# The same elimination gives the rank of M and the basis of its kernel.
+print("rank", sol.rank, "kernel", [[str(c) for c in v] for v in sol.kernel.basis])
 
 # Singular systems come back with a certificate, not an exception.
-bad = rref_solve(LinMap.zero(QQ, A, B1), target)
+bad = rref_solve(LinMap.zero(QQ, A, B1), target).particular
 print("0 = 1 is    ", bad)

@@ -15,6 +15,7 @@ from .scalars import Field, FieldDescriptor, Scalar, make_field, parse_scalar
 from .linmaps import (
     Infeasible,
     LinMap,
+    Solution,
     SpaceLabel,
     Subspace,
     basis_vector,

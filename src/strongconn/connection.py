@@ -29,6 +29,7 @@ from .errors import (
     InternalContradiction,
     NoGrouplikeUnit,
     NotGalois,
+    ShapeError,
     TooLarge,
 )
 from .extensions import EntwinedExtension, lifted_canonical
@@ -37,7 +38,6 @@ from .linmaps import (
     LinMap,
     SpaceLabel,
     Subspace,
-    kernel_basis,
     kron_all,
     map_from_vector,
     map_kron,
@@ -101,22 +101,77 @@ def verify_cointegral(delta: LinMap, coa: StructureCoalgebra) -> VerificationRep
     return rep
 
 
-def _linear_solve_by_probing(field, n_unknowns, probe, rhs_vec):
-    """Solve the linear condition F(x) = rhs by evaluating F on the
-    standard basis of the unknown space.  Returns (solution-coefficient
-    vector | Infeasible, kernel dimension).
+def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
+    """Linear conditions on an unknown map X (dom_dim -> cod_dim) as one
+    matrix over its entries.
+
+    A condition is a pair (lhs, rhs) of term lists and stands for the
+    sum of its lhs terms minus the sum of its rhs terms.  A term
+    (L, p, q, R) is the map L o (I_p (x) X (x) I_q) o R, where None is an
+    identity; all terms of a condition have one shape.  Each condition
+    contributes a block of rows in the column-major order of
+    map_vectorize, and unknown k is entry (k % cod_dim, k // cod_dim) of
+    X, as in map_from_vector.  The coefficients come straight from the
+    nonzeros of L and R:
+
+        [L o (I (x) X (x) I) o R](o, i)
+            = sum L(o, (a, e, b)) X(e, d) R((a, d, b), i).
     """
-    cols = SpaceLabel.base("unknowns", n_unknowns)
-    rows_label = SpaceLabel.base("constraints", len(rhs_vec))
-    columns = [probe(k) for k in range(n_unknowns)]
-    entries = [[columns[c][r] for c in range(n_unknowns)] for r in range(len(rhs_vec))]
-    system = LinMap(field, cols, rows_label, entries)
-    target = vector(field, rows_label, rhs_vec)
-    sol = rref_solve(system, target)
-    if isinstance(sol, Infeasible):
-        return sol, kernel_basis(system).dim
-    coeffs = tuple(row[0] for row in sol.entries)
-    return coeffs, kernel_basis(system).dim
+    z, one = field.zero, field.one
+    n = dom_dim * cod_dim
+
+    def columns(m, dim, sign):
+        """Signed nonzeros of each column of m; None is the identity."""
+        if m is None:
+            return [[(j, sign)] for j in range(dim)]
+        return [[(r, row[c] if sign is one else -row[c])
+                 for r, row in enumerate(m.entries) if row[c]]
+                for c in range(m.ncols)]
+
+    rows = []
+    for lhs, rhs in conditions:
+        block = None
+        for sign, (L, p, q, R) in [(one, t) for t in lhs] + [(-one, t) for t in rhs]:
+            if (L is not None and L.ncols != p * cod_dim * q) or \
+                    (R is not None and R.nrows != p * dom_dim * q):
+                raise ShapeError("term does not fit around the unknown")
+            l_cols = columns(L, p * cod_dim * q, sign)
+            r_cols = columns(R, p * dom_dim * q, one)
+            out_dim = p * cod_dim * q if L is None else L.nrows
+            if block is None:
+                block = [[z] * n for _ in range(out_dim * len(r_cols))]
+            for i, r_col in enumerate(r_cols):
+                base = i * out_dim
+                for r_idx, rv in r_col:
+                    a, rest = divmod(r_idx, dom_dim * q)
+                    d, b = divmod(rest, q)
+                    for e in range(cod_dim):
+                        col = d * cod_dim + e
+                        for o, lv in l_cols[(a * cod_dim + e) * q + b]:
+                            row = block[base + o]
+                            v = lv * rv
+                            row[col] = row[col] + v if row[col] else v
+        rows.extend(block)
+    return LinMap(field, SpaceLabel.base("unknowns", n),
+                  SpaceLabel.base("constraints", len(rows)), rows)
+
+
+def _with_target(system: LinMap, rhs) -> tuple[LinMap, LinMap]:
+    """The system and its right-hand side, zero past the given values."""
+    rhs = list(rhs) + [system.field.zero] * (system.nrows - len(rhs))
+    return system, vector(system.field, system.codomain, rhs)
+
+
+def cointegral_system(coa: StructureCoalgebra) -> tuple[LinMap, LinMap]:
+    """delta o comul = counit and the centrality law, on delta: C (x) C -> k."""
+    c = coa.dim
+    ic = coa.identity()
+    system = linear_system(coa.field, c * c, 1, [
+        ([(None, 1, 1, coa.comul)], []),
+        ([(None, c, 1, map_kron(coa.comul, ic))],
+         [(None, 1, c, map_kron(ic, coa.comul))]),
+    ])
+    return _with_target(system, map_vectorize(coa.counit))
 
 
 def solve_cointegral(coa: StructureCoalgebra):
@@ -125,29 +180,15 @@ def solve_cointegral(coa: StructureCoalgebra):
     Infeasibility means C is not coseparable over this field; over a
     larger field the system could in principle become solvable.
     """
-    field = coa.field
-    c = coa.dim
+    sol = rref_solve(*cointegral_system(coa))
+    if isinstance(sol.particular, Infeasible):
+        return sol.particular
     cc = coa.space.tensor(coa.space)
-    ic = coa.identity()
-
-    def probe(k):
-        delta_k = map_from_vector(field, cc, SpaceLabel.scalar(),
-                                  [field.one if i == k else field.zero
-                                   for i in range(c * c)])
-        counit_part = map_vectorize(delta_k @ coa.comul)
-        central = map_kron(ic, delta_k) @ map_kron(coa.comul, ic) - \
-            map_kron(delta_k, ic) @ map_kron(ic, coa.comul)
-        return counit_part + map_vectorize(central)
-
-    rhs = list(map_vectorize(coa.counit)) + \
-        [field.zero] * (c * c * c)
-    sol, free_dim = _linear_solve_by_probing(field, c * c, probe, rhs)
-    if isinstance(sol, Infeasible):
-        return sol
-    delta = map_from_vector(field, cc, SpaceLabel.scalar(), sol)
+    delta = map_from_vector(coa.field, cc, SpaceLabel.scalar(),
+                            sol.particular.column(0))
     if not verify_cointegral(delta, coa).passed:
         raise InternalContradiction("solved cointegral fails its defining laws")
-    return Cointegral(delta, free_dim)
+    return Cointegral(delta, sol.kernel.dim)
 
 
 def verify_integral(lam: LinMap, hopf: HopfAlgebra) -> VerificationReport:
@@ -163,29 +204,27 @@ def verify_integral(lam: LinMap, hopf: HopfAlgebra) -> VerificationReport:
     return rep
 
 
+def integral_system(hopf: HopfAlgebra) -> tuple[LinMap, LinMap]:
+    """Invariance and normalisation, on lam: C -> k."""
+    c = hopf.dim
+    unit = hopf.algebra.unit
+    system = linear_system(hopf.field, c, 1, [
+        ([(None, c, 1, hopf.coalgebra.comul)], [(unit, 1, 1, None)]),
+        ([(None, 1, 1, unit)], []),
+    ])
+    return _with_target(system, [hopf.field.zero] * (c * c) + [hopf.field.one])
+
+
 def solve_integral(hopf: HopfAlgebra):
     """Deterministic normalised integral on a Hopf algebra, or Infeasible."""
-    field = hopf.field
-    c = hopf.dim
-    coa = hopf.coalgebra
-    ic = coa.identity()
-
-    def probe(k):
-        lam_k = map_from_vector(field, coa.space, SpaceLabel.scalar(),
-                                [field.one if i == k else field.zero
-                                 for i in range(c)])
-        invariance = map_kron(ic, lam_k) @ coa.comul - hopf.algebra.unit @ lam_k
-        normal = lam_k @ hopf.algebra.unit
-        return map_vectorize(invariance) + map_vectorize(normal)
-
-    rhs = [field.zero] * (c * c) + [field.one]
-    sol, free_dim = _linear_solve_by_probing(field, c, probe, rhs)
-    if isinstance(sol, Infeasible):
-        return sol
-    lam = map_from_vector(field, coa.space, SpaceLabel.scalar(), sol)
+    sol = rref_solve(*integral_system(hopf))
+    if isinstance(sol.particular, Infeasible):
+        return sol.particular
+    lam = map_from_vector(hopf.field, hopf.space, SpaceLabel.scalar(),
+                          sol.particular.column(0))
     if not verify_integral(lam, hopf).passed:
         raise InternalContradiction("solved integral fails its defining laws")
-    return Integral(lam, free_dim)
+    return Integral(lam, sol.kernel.dim)
 
 
 def integral_to_cointegral(hopf: HopfAlgebra, integral: Integral) -> Cointegral:
@@ -211,14 +250,13 @@ def solve_section(ext: EntwinedExtension) -> SectionMap:
     """Deterministic right-inverse of the canonical map on the slice 1 (x) C."""
     alg, coa = ext.algebra, ext.coalgebra
     lcan = lifted_canonical(alg, coa, ext.coaction.rho)
-    if lcan.rank() != alg.dim * coa.dim:
+    sol = rref_solve(lcan, map_kron(alg.unit, coa.identity()))
+    if sol.rank != alg.dim * coa.dim:
         raise NotGalois("lifted canonical map is not surjective")
-    target = map_kron(alg.unit, coa.identity())
-    sigma = rref_solve(lcan, target)
-    if isinstance(sigma, Infeasible):  # pragma: no cover - rank was checked
+    if isinstance(sol.particular, Infeasible):  # pragma: no cover - rank was checked
         raise NotGalois("no section exists")
-    free_dim = kernel_basis(lcan).dim * coa.dim
-    return SectionMap(sigma, normalized=False, solution_dim=free_dim)
+    return SectionMap(sol.particular, normalized=False,
+                      solution_dim=sol.kernel.dim * coa.dim)
 
 
 def normalize_section(section: SectionMap, grouplike: LinMap,
@@ -395,57 +433,55 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
 # -- the independent oracle ----------------------------------------------
 
 
+def oracle_system(ext: EntwinedExtension) -> tuple[LinMap, LinMap]:
+    """The three defining conditions on ell: C -> A (x) A, stacked:
+    (a) lifted_canonical o ell = 1 (x) C, (b) right and (c) left
+    C-colinearity."""
+    alg, coa = ext.algebra, ext.coalgebra
+    ia = alg.identity()
+    c = coa.dim
+    system = linear_system(ext.field, c, alg.dim * alg.dim, [
+        ([(lifted_canonical(alg, coa, ext.coaction.rho), 1, 1, None)], []),
+        ([(None, 1, c, coa.comul)],
+         [(map_kron(ia, ext.coaction.rho), 1, 1, None)]),
+        ([(None, c, 1, coa.comul)],
+         [(map_kron(ext.coaction.rho_left, ia), 1, 1, None)]),
+    ])
+    return _with_target(system, map_vectorize(map_kron(alg.unit, coa.identity())))
+
+
 def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
     """Stack the three defining conditions as one linear system in the
     entries of ell and solve it outright.
 
     Returns the affine solution set (particular solution plus kernel) or
-    an Infeasible certificate.  Cost grows with the cube of the unknown
-    count, hence the cap.
+    an Infeasible certificate.  Assembly writes each coefficient from the
+    nonzeros of the structure maps, so besides allocating the dense grid
+    it is linear in those nonzeros; only the single elimination grows
+    with the cube of the unknown count, hence the cap.
     """
     alg, coa = ext.algebra, ext.coalgebra
     field = ext.field
     n = coa.dim * alg.dim * alg.dim
     if n > cap:
         raise TooLarge(f"{n} unknowns exceed the oracle cap {cap}")
-    ia, ic = alg.identity(), coa.identity()
-    aa = alg.space.tensor(alg.space)
-    lcan = lifted_canonical(alg, coa, ext.coaction.rho)
-    rho, lam = ext.coaction.rho, ext.coaction.rho_left
-
-    def conditions(ell: LinMap):
-        cond_a = lcan @ ell
-        cond_b = map_kron(ell, ic) @ coa.comul - map_kron(ia, rho) @ ell
-        cond_c = map_kron(ic, ell) @ coa.comul - map_kron(lam, ia) @ ell
-        return map_vectorize(cond_a) + map_vectorize(cond_b) + map_vectorize(cond_c)
-
-    def probe(k):
-        unit_vec = [field.one if i == k else field.zero for i in range(n)]
-        return conditions(map_from_vector(field, coa.space, aa, unit_vec))
-
-    rhs = list(map_vectorize(map_kron(alg.unit, ic)))
-    pad = coa.dim * (alg.dim * alg.dim * coa.dim + coa.dim * alg.dim * alg.dim)
-    rhs += [field.zero] * pad
-    cols = SpaceLabel.base("unknowns", n)
-    rows_label = SpaceLabel.base("constraints", len(rhs))
-    columns = [probe(k) for k in range(n)]
-    entries = [[columns[c][r] for c in range(n)] for r in range(len(rhs))]
-    system = LinMap(field, cols, rows_label, entries)
-    sol = rref_solve(system, vector(field, rows_label, rhs))
-    if isinstance(sol, Infeasible):
+    system, target = oracle_system(ext)
+    sol = rref_solve(system, target)
+    if isinstance(sol.particular, Infeasible):
         # attribute the obstruction: is the section condition alone feasible?
-        block_a = coa.dim * alg.dim * coa.dim
-        a_label = SpaceLabel.base("constraints", block_a)
-        a_system = LinMap(field, cols, a_label, entries[:block_a])
-        a_sol = rref_solve(a_system, vector(field, a_label, rhs[:block_a]))
-        which = ("the section condition (a)" if isinstance(a_sol, Infeasible)
+        block_a = SpaceLabel.base("constraints", coa.dim * alg.dim * coa.dim)
+        a_sol = rref_solve(
+            LinMap(field, system.domain, block_a, system.entries[:block_a.dim]),
+            LinMap(field, target.domain, block_a, target.entries[:block_a.dim]))
+        which = ("the section condition (a)"
+                 if isinstance(a_sol.particular, Infeasible)
                  else "the colinearity conditions")
-        return Infeasible(sol.row, sol.column,
+        return Infeasible(sol.particular.row, sol.particular.column,
                           detail=f"no map satisfies the stacked conditions; "
                                  f"first obstruction lies in {which}")
-    particular = map_from_vector(field, coa.space, aa,
-                                 tuple(row[0] for row in sol.entries))
-    return BruteForceSolutions(particular, kernel_basis(system))
+    aa = alg.space.tensor(alg.space)
+    particular = map_from_vector(field, coa.space, aa, sol.particular.column(0))
+    return BruteForceSolutions(particular, sol.kernel)
 
 
 def membership_check(conn: ConnectionForm, oracle: BruteForceSolutions) -> bool:

@@ -33,6 +33,9 @@ Designation roles and their required shapes:
     c_antipode, c_antipode_inv: C -> C      (optional Hopf data on C)
     a_comul: A -> A(x)A       a_counit: A -> k
     a_antipode, a_antipode_inv: A -> A      (optional Hopf data on A)
+
+mul and unit are required, and so are comul and counit whenever psi or
+rho is designated.
 """
 
 from __future__ import annotations
@@ -180,7 +183,10 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
             raise ParseError(
                 f"designation {role!r}: tensor {tname!r} has shape "
                 f"{got_dom} -> {got_cod}, expected {want_dom} -> {want_cod}")
-    for role in ("mul", "unit"):
+    required = ["mul", "unit"]
+    if "psi" in desig or "rho" in desig:
+        required += ["comul", "counit"]  # psi and rho act through C's coalgebra
+    for role in required:
         if role not in desig:
             raise ParseError(f"missing required designation {role!r}")
     grouplike = None

@@ -22,6 +22,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ShapeError
 from .scalars import Field, Scalar
@@ -346,11 +347,27 @@ def _rref_inplace(rows: list[list[Scalar]], ncols: int) -> list[int]:
     return pivots
 
 
-def rref_solve(M: LinMap, target: LinMap):
-    """Deterministic X with M o X = target, or an Infeasible certificate.
+class Solution(NamedTuple):
+    """What one elimination of a system [M | target] yields.
 
-    Pivots are chosen leftmost, free variables are zero.  The returned
-    map is post-verified against the system exactly.
+    ``particular`` is the solution with free variables zero, or the
+    Infeasible certificate; ``rank`` and ``kernel`` are those of M.
+    """
+
+    particular: LinMap | Infeasible
+    rank: int
+    kernel: Subspace
+
+
+def rref_solve(M: LinMap, target: LinMap) -> Solution:
+    """One elimination of [M | target]: the deterministic X with
+    M o X = target (or an Infeasible certificate), the rank of M and the
+    canonical echelon basis of ker M.
+
+    Pivots are chosen leftmost, free variables are zero.  The left block
+    of the reduced form of [M | target] is the reduced form of M, so the
+    rank and kernel need no second elimination.  The returned map is
+    post-verified against the system exactly.
     """
     if M.codomain != target.codomain:
         raise ShapeError("target codomain must match the system codomain")
@@ -358,10 +375,12 @@ def rref_solve(M: LinMap, target: LinMap):
     t = target.ncols
     rows = [list(mr) + list(tr) for mr, tr in zip(M.entries, target.entries)]
     pivots = _rref_inplace(rows, n + t)
-    for i, p in enumerate(pivots):
-        if p >= n:
-            return Infeasible(row=i, column=p - n,
-                              detail="echelon row reduces to 0 = nonzero")
+    rank = sum(1 for p in pivots if p < n)
+    kernel = _kernel(M.field, M.domain, rows, pivots[:rank])
+    if rank < len(pivots):
+        return Solution(Infeasible(row=rank, column=pivots[rank] - n,
+                                   detail="echelon row reduces to 0 = nonzero"),
+                        rank, kernel)
     z = M.field.zero
     xs = [[z] * t for _ in range(n)]
     for i, p in enumerate(pivots):
@@ -371,27 +390,12 @@ def rref_solve(M: LinMap, target: LinMap):
     X = LinMap(M.field, target.domain, M.domain, xs)
     if M @ X != target:
         raise AssertionError("solver post-check failed")  # pragma: no cover
-    return X
+    return Solution(X, rank, kernel)
 
 
-def kernel_basis(M: LinMap) -> "Subspace":
-    """Canonical echelon basis of ker M."""
-    return stacked_kernel([M])
-
-
-def stacked_kernel(maps: list[LinMap]) -> "Subspace":
-    """Kernel of several maps out of a common domain, solved jointly."""
-    if not maps:
-        raise ShapeError("need at least one map")
-    dom = maps[0].domain
-    field = maps[0].field
-    rows = []
-    for m in maps:
-        if m.domain != dom:
-            raise ShapeError("stacked maps must share their domain")
-        rows.extend(list(r) for r in m.entries)
-    n = dom.dim
-    pivots = _rref_inplace(rows, n)
+def _kernel(field: Field, space: SpaceLabel, rows, pivots) -> "Subspace":
+    """ker of a reduced system: one vector per free column of ``space``."""
+    n = space.dim
     pivset = set(pivots)
     z, o = field.zero, field.one
     vecs = []
@@ -404,7 +408,25 @@ def stacked_kernel(maps: list[LinMap]) -> "Subspace":
             if rows[i][f]:
                 v[p] = -rows[i][f]
         vecs.append(v)
-    return Subspace.from_vectors(field, dom, vecs)
+    return Subspace.from_vectors(field, space, vecs)
+
+
+def kernel_basis(M: LinMap) -> "Subspace":
+    """Canonical echelon basis of ker M."""
+    return stacked_kernel([M])
+
+
+def stacked_kernel(maps: list[LinMap]) -> "Subspace":
+    """Kernel of several maps out of a common domain, solved jointly."""
+    if not maps:
+        raise ShapeError("need at least one map")
+    dom = maps[0].domain
+    rows = []
+    for m in maps:
+        if m.domain != dom:
+            raise ShapeError("stacked maps must share their domain")
+        rows.extend(list(r) for r in m.entries)
+    return _kernel(maps[0].field, dom, rows, _rref_inplace(rows, dom.dim))
 
 
 class Subspace:
@@ -522,7 +544,7 @@ def try_inverse(M: LinMap):
     """Exact matrix inverse, or None when M is singular or not square."""
     if M.nrows != M.ncols:
         raise ShapeError("only square maps can be inverted")
-    X = rref_solve(M, LinMap.identity(M.field, M.codomain))
+    X = rref_solve(M, LinMap.identity(M.field, M.codomain)).particular
     if isinstance(X, Infeasible):
         return None
     return X.relabel(domain=M.codomain, codomain=M.domain)

@@ -213,13 +213,11 @@ def _one_sided_section(ext, side):
     rhs = list(map_vectorize(map_kron(alg.unit, ic)))
     rhs += [field.zero] * (len(columns[0]) - len(rhs))
     sol = rref_solve(system, vector(field, rows_label, rhs))
-    assert not isinstance(sol, Infeasible)
-    sigma0 = map_from_vector(field, coa.space, aa,
-                             tuple(r[0] for r in sol.entries))
+    assert not isinstance(sol.particular, Infeasible)
+    sigma0 = map_from_vector(field, coa.space, aa, sol.particular.column(0))
     if not other(sigma0).is_zero():
         return SectionMap(sigma0)
-    from strongconn.linmaps import kernel_basis
-    for kv in kernel_basis(system).basis:
+    for kv in sol.kernel.basis:
         cand = sigma0 + map_from_vector(field, coa.space, aa, kv)
         if not other(cand).is_zero():
             assert keep(cand).is_zero()

@@ -1,0 +1,74 @@
+"""The committed golden files through the command line.
+
+Their JSON reports are pinned byte for byte, and deleting any single
+designation from any of them ends in a documented exit code, never in a
+traceback.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from strongconn.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+
+# sha256 of `strongconn golden/NAME.json --format json`
+REPORT_SHA256 = {
+    "graded_n2_t2": "f4ecae2ac355131c0e6e9dbcd5513b0ef2d4eb15f24e11e27c9ca30d34e88f5f",
+    "graded_n3_t1_cyclotomic":
+        "912f03b26e5866e7e1a57e487c711ad00fa7219c710b051c3d1632ed1afcbbbc",
+    "group_self_z2": "ff6d20401bd18085bf8e14c0d5cd977eef9e559880fc1443f1bda1154faafd3d",
+    "group_self_z4": "a1eed4947af9aba2604861941a7be1e5a50b3dddcc9a0e924f90f7111f9b292b",
+    "homogeneous_z4_z2":
+        "110e12f8b0a100400205a017a407649d10fb20e405dfc73f959b1869a1691bda",
+    "sweedler_h4": "21bef2f602c96101edf7341d0835073feb086c647666f4cc66a866cd5061b9ca",
+    "trivial_dim2": "eaa3b615079921478e4dd87d48d834bf4d99f5d68b0a635355610ae98ae5681d",
+}
+
+
+def test_every_golden_file_is_pinned():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(REPORT_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_golden_report_bytes(name, capsys):
+    rc = main([str(GOLDEN_DIR / f"{name}.json"), "--format", "json"])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert rc == (1 if name == "sweedler_h4" else 0)
+    assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[name]
+
+
+def single_deletions():
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for role in sorted(doc["designations"]):
+            yield path.stem, role
+
+
+# psi and rho need C's coalgebra; only the homogeneous file has neither.
+MISSING_COALGEBRA = {(name, role) for name in REPORT_SHA256
+                     if name != "homogeneous_z4_z2"
+                     for role in ("comul", "counit")}
+
+
+@pytest.mark.parametrize("name,role", list(single_deletions()))
+def test_deleted_designation_ends_in_exit_code(name, role, tmp_path, capsys):
+    doc = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    del doc["designations"][role]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main([str(path), "--format", "json"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if (name, role) in MISSING_COALGEBRA:
+        assert rc == 2
+        assert err == f"error: missing required designation {role!r}\n"
+
+
+def test_deletion_cases_cover_the_coalgebra_roles():
+    assert MISSING_COALGEBRA <= set(single_deletions())
+    assert len(MISSING_COALGEBRA) == 12

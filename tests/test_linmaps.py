@@ -98,7 +98,7 @@ def test_scalar_space_label_absorbed_by_kron():
 
 def test_rref_solve_identity():
     t = mat([[1, 2], [3, 4]], A2, A2)
-    x = rref_solve(LinMap.identity(QQ, A2), t)
+    x = rref_solve(LinMap.identity(QQ, A2), t).particular
     assert x == t
 
 
@@ -106,7 +106,7 @@ def test_rref_solve_free_variable_zeroed():
     B1 = SpaceLabel.base("B", 1)
     M = mat([[1, 1]], A2, B1)
     t = mat([[1]], B1, B1)
-    x = rref_solve(M, t)
+    x = rref_solve(M, t).particular
     assert vector_coeffs(x.relabel(domain=SpaceLabel.scalar())) == \
         (QQ.one, QQ.zero)
 
@@ -115,7 +115,7 @@ def test_rref_solve_infeasible_with_witness():
     B1 = SpaceLabel.base("B", 1)
     M = LinMap.zero(QQ, A2, B1)
     t = mat([[1]], B1, B1)
-    out = rref_solve(M, t)
+    out = rref_solve(M, t).particular
     assert isinstance(out, Infeasible)
     assert out.row == 0
 
@@ -123,8 +123,8 @@ def test_rref_solve_infeasible_with_witness():
 def test_rref_solve_deterministic():
     M = mat([[1, 1, 0], [0, 0, 1]], C3, A2)
     t = mat([[2], [5]], SpaceLabel.base("T", 1), A2)
-    x1 = rref_solve(M, t)
-    x2 = rref_solve(M, t)
+    x1 = rref_solve(M, t).particular
+    x2 = rref_solve(M, t).particular
     assert x1 == x2
     assert M @ x1 == t
 

@@ -69,13 +69,13 @@ def test_rref_solve_solves_or_certifies(m, n, t, data):
     tdom = SpaceLabel.base("T", t)
     M = LinMap(QQ, dom, cod, [[QQ.scalar(e) for e in r] for r in rows])
     T = LinMap(QQ, tdom, cod, [[QQ.scalar(e) for e in r] for r in tgt])
-    out = rref_solve(M, T)
+    out = rref_solve(M, T).particular
     if isinstance(out, Infeasible):
         # certify: re-solve after appending the target as extra columns
         # must stay infeasible for at least one target column
         assert any(
             isinstance(rref_solve(M, LinMap(QQ, SpaceLabel.base("T1", 1), cod,
-                                            [[r[j]] for r in T.entries])),
+                                            [[r[j]] for r in T.entries])).particular,
                        Infeasible)
             for j in range(t))
     else:

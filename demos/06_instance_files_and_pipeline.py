@@ -9,6 +9,7 @@ report; the CLI wraps exactly this.
 """
 
 import json
+import os
 import tempfile
 
 from strongconn import parse_instance, run_pipeline, write_instance
@@ -28,6 +29,7 @@ print(json.dumps(json.loads(open(path).read())["designations"], indent=2))
 # Parse and run; stage order and dependencies are fixed, and a failed
 # hypothesis skips downstream stages instead of crashing the run.
 parsed = parse_instance(path)
+os.remove(path)
 report = run_pipeline(parsed)
 print("\nexit code:", report.exit_code)
 print("derived objects:", sorted(report.derived))

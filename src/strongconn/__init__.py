@@ -21,11 +21,8 @@ from .linmaps import (
     basis_vector,
     flip_map,
     kernel_basis,
-    map_compose,
     map_kron,
     rref_solve,
-    subspace_ops,
-    tensor_index,
     vector,
 )
 from .report import Check, VerificationReport

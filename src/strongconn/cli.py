@@ -7,7 +7,8 @@ Usage::
                [--dim-cap N] [--oracle-cap N]
 
 Exit codes: 0 = every check passed, 1 = at least one FAIL entry,
-2 = usage, parse or dependency error.
+2 = usage, parse or dependency error, or an internal error (reported
+on one stderr line, without a traceback).
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except StrongConnError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a program fault: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return rep.exit_code
 

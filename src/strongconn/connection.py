@@ -38,6 +38,7 @@ from .linmaps import (
     LinMap,
     SpaceLabel,
     Subspace,
+    basis_vector,
     kron_all,
     map_from_vector,
     map_kron,
@@ -117,16 +118,18 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
         [L o (I (x) X (x) I) o R](o, i)
             = sum L(o, (a, e, b)) X(e, d) R((a, d, b), i).
     """
-    z, one = field.zero, field.one
+    one = field.one
     n = dom_dim * cod_dim
 
     def columns(m, dim, sign):
         """Signed nonzeros of each column of m; None is the identity."""
         if m is None:
             return [[(j, sign)] for j in range(dim)]
-        return [[(r, row[c] if sign is one else -row[c])
-                 for r, row in enumerate(m.entries) if row[c]]
-                for c in range(m.ncols)]
+        cols = [[] for _ in range(m.ncols)]
+        for r, row in enumerate(m.rows):
+            for c, v in row.items():
+                cols[c].append((r, v if sign is one else -v))
+        return cols
 
     rows = []
     for lhs, rhs in conditions:
@@ -139,7 +142,7 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
             r_cols = columns(R, p * dom_dim * q, one)
             out_dim = p * cod_dim * q if L is None else L.nrows
             if block is None:
-                block = [[z] * n for _ in range(out_dim * len(r_cols))]
+                block = [{} for _ in range(out_dim * len(r_cols))]
             for i, r_col in enumerate(r_cols):
                 base = i * out_dim
                 for r_idx, rv in r_col:
@@ -150,10 +153,11 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
                         for o, lv in l_cols[(a * cod_dim + e) * q + b]:
                             row = block[base + o]
                             v = lv * rv
-                            row[col] = row[col] + v if row[col] else v
-        rows.extend(block)
-    return LinMap(field, SpaceLabel.base("unknowns", n),
-                  SpaceLabel.base("constraints", len(rows)), rows)
+                            old = row.get(col)
+                            row[col] = v if old is None else old + v
+        rows.extend({c: v for c, v in row.items() if v} for row in block)
+    return LinMap._from_rows(field, SpaceLabel.base("unknowns", n),
+                             SpaceLabel.base("constraints", len(rows)), tuple(rows))
 
 
 def _with_target(system: LinMap, rhs) -> tuple[LinMap, LinMap]:
@@ -307,11 +311,17 @@ def build_connection(section: SectionMap, delta: Cointegral,
                      ext: EntwinedExtension) -> ConnectionForm:
     """Assemble the explicit strong connection form from sigma and delta."""
     coa = ext.coalgebra
-    ic = coa.identity()
+    ia, ic = ext.algebra.identity(), coa.identity()
     gamma = gamma_map(delta, ext)
     alpha = alpha_map(delta, ext)
-    ell = map_kron(gamma, alpha) @ kron_all(ic, section.sigma, ic) @ \
-        map_kron(coa.comul, ic) @ coa.comul
+    # gamma (x) alpha = (gamma (x) A) o (C (x) A (x) alpha): each factor
+    # pads one of them with identities, so kron(gamma, alpha) is never
+    # formed.  Applied right to left, every intermediate map has dim C
+    # columns.
+    ell = map_kron(coa.comul, ic) @ coa.comul
+    ell = kron_all(ic, section.sigma, ic) @ ell
+    ell = kron_all(ic, ia, alpha) @ ell
+    ell = map_kron(gamma, ia) @ ell
     return ConnectionForm(ell, provenance="formula")
 
 
@@ -404,10 +414,10 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
     check_map_equal(rep, "splitting-sections-product", alg.mul @ s, ia)
     b_tensor_a = Subspace.from_vectors(
         field, alg.space.tensor(alg.space),
-        [tuple(map_vectorize(map_kron(vector(field, alg.space, b),
-                                      vector(field, alg.space, a_row))))
+        [map_vectorize(map_kron(vector(field, alg.space, b),
+                                basis_vector(field, alg.space, i)))
          for b in ext.coinvariants.basis
-         for a_row in LinMap.identity(field, alg.space).entries])
+         for i in range(alg.dim)])
     bad = None
     for j in range(alg.dim):
         if not b_tensor_a.contains_vector(s.column(j)):
@@ -456,9 +466,9 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
 
     Returns the affine solution set (particular solution plus kernel) or
     an Infeasible certificate.  Assembly writes each coefficient from the
-    nonzeros of the structure maps, so besides allocating the dense grid
-    it is linear in those nonzeros; only the single elimination grows
-    with the cube of the unknown count, hence the cap.
+    nonzeros of the structure maps and stores only the nonzeros of the
+    system, so it is linear in those nonzeros; only the single
+    elimination grows with the cube of the unknown count, hence the cap.
     """
     alg, coa = ext.algebra, ext.coalgebra
     field = ext.field
@@ -471,8 +481,8 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
         # attribute the obstruction: is the section condition alone feasible?
         block_a = SpaceLabel.base("constraints", coa.dim * alg.dim * coa.dim)
         a_sol = rref_solve(
-            LinMap(field, system.domain, block_a, system.entries[:block_a.dim]),
-            LinMap(field, target.domain, block_a, target.entries[:block_a.dim]))
+            LinMap._from_rows(field, system.domain, block_a, system.rows[:block_a.dim]),
+            LinMap._from_rows(field, target.domain, block_a, target.rows[:block_a.dim]))
         which = ("the section condition (a)"
                  if isinstance(a_sol.particular, Infeasible)
                  else "the colinearity conditions")
@@ -486,6 +496,5 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
 
 def membership_check(conn: ConnectionForm, oracle: BruteForceSolutions) -> bool:
     """True iff the connection lies in the oracle's affine solution set."""
-    diff = [a - b for a, b in zip(map_vectorize(conn.ell),
-                                  map_vectorize(oracle.particular))]
-    return oracle.kernel.contains_vector(diff)
+    return oracle.kernel.contains_vector(
+        map_vectorize(conn.ell - oracle.particular))

@@ -38,6 +38,7 @@ from .linmaps import (
     stacked_kernel,
     try_inverse,
     vector,
+    vector_coeffs,
 )
 from .report import VerificationReport, check_map_equal
 from .structures import (
@@ -268,14 +269,14 @@ def coinvariants(alg: StructureAlgebra, rho: LinMap) -> Subspace:
         right = map_kron(alg.mul, ic) @ map_kron(ia, rho_aj)
         maps.append(left - right)
     sub = stacked_kernel(maps)
-    one = tuple(row[0] for row in alg.unit.entries)
+    one = vector_coeffs(alg.unit)
     if not sub.contains_vector(one):
         raise InternalContradiction("coinvariants do not contain the unit")
     for u in sub.basis:
         for v in sub.basis:
             prod = alg.mul @ map_kron(vector(field, a_space, u),
                                       vector(field, a_space, v))
-            if not sub.contains_vector(tuple(row[0] for row in prod.entries)):
+            if not sub.contains_vector(vector_coeffs(prod)):
                 raise InternalContradiction("coinvariants are not closed under product")
     return sub
 

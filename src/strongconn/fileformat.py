@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ParseError, TooLarge
-from .linmaps import LinMap, SpaceLabel, Subspace, vector
+from .linmaps import LinMap, SpaceLabel, Subspace, vector, vector_coeffs
 from .scalars import Field, parse_scalar
 
 
@@ -114,8 +114,7 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
     dom = _space_label(obj.get("domain", []), spaces, f"tensor {name!r}")
     cod = _space_label(obj.get("codomain", []), spaces, f"tensor {name!r}")
     n_idx = len(dom.factors) + len(cod.factors)
-    z = fld.zero
-    rows = [[z] * dom.dim for _ in range(cod.dim)]
+    rows = [{} for _ in range(cod.dim)]
     seen = set()
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, list) or len(entry) != n_idx + 1:
@@ -134,10 +133,12 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
             raise ParseError(f"tensor {name!r} entry {pos}: duplicate index")
         seen.add((r, c))
         try:
-            rows[r][c] = parse_scalar(text, fld)
+            s = parse_scalar(text, fld)
         except ParseError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
-    return LinMap(fld, dom, cod, rows)
+        if s:
+            rows[r][c] = s
+    return LinMap._from_rows(fld, dom, cod, tuple(rows))
 
 
 def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
@@ -236,13 +237,10 @@ def field_to_dict(fld: Field) -> dict:
 def serialize_linmap(m: LinMap) -> dict:
     """Sparse form using the same entry grammar as the input format."""
     entries = []
-    ncod = len(m.codomain.factors)
-    for r in range(m.nrows):
-        for c in range(m.ncols):
-            s = m.entries[r][c]
-            if s:
-                idx = list(m.codomain.unflatten(r)) + list(m.domain.unflatten(c))
-                entries.append(idx + [str(s)])
+    for r, row in enumerate(m.rows):
+        for c in sorted(row):
+            idx = list(m.codomain.unflatten(r)) + list(m.domain.unflatten(c))
+            entries.append(idx + [str(row[c])])
     return {"domain": [n for n, _ in m.domain.factors],
             "codomain": [n for n, _ in m.codomain.factors],
             "entries": entries}
@@ -259,7 +257,7 @@ def instance_to_dict(inst: InstanceFile) -> dict:
         "designations": dict(sorted(inst.designations.items())),
     }
     if inst.grouplike is not None:
-        doc["grouplike"] = [str(row[0]) for row in inst.grouplike.entries]
+        doc["grouplike"] = [str(s) for s in vector_coeffs(inst.grouplike)]
     if inst.b_subspace is not None:
         doc["coinvariant_subalgebra"] = [[str(c) for c in v]
                                          for v in inst.b_subspace.basis]

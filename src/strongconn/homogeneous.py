@@ -38,6 +38,7 @@ from .linmaps import (
     kron_all,
     map_kron,
     vector,
+    vector_coeffs,
 )
 from .report import VerificationReport, check_map_equal
 from .structures import HopfAlgebra, StructureCoalgebra, validate_coalgebra
@@ -97,7 +98,7 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     n = a_space.dim
     ia = alg.identity()
 
-    one = tuple(row[0] for row in alg.unit.entries)
+    one = vector_coeffs(alg.unit)
     unital = b_sub.contains_vector(one)
     rep.add("subalgebra-unital", unital)
     closed = True
@@ -105,7 +106,7 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
         for v in b_sub.basis:
             prod = alg.mul @ map_kron(vector(field, a_space, u),
                                       vector(field, a_space, v))
-            if not b_sub.contains_vector(tuple(r[0] for r in prod.entries)):
+            if not b_sub.contains_vector(vector_coeffs(prod)):
                 closed = False
                 break
         if not closed:
@@ -120,7 +121,7 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     stable = True
     for b in b_sub.basis:
         img = coa.comul @ vector(field, a_space, b)
-        if not a_tensor_b.contains_vector(tuple(r[0] for r in img.entries)):
+        if not a_tensor_b.contains_vector(vector_coeffs(img)):
             stable = False
             break
     rep.add("coproduct-stabilises-subalgebra", stable)
@@ -151,12 +152,12 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     coideal_cop = True
     for b in bplus_a.basis:
         img = coa.comul @ vector(field, a_space, b)
-        if not two_sided.contains_vector(tuple(r[0] for r in img.entries)):
+        if not two_sided.contains_vector(vector_coeffs(img)):
             coideal_cop = False
             break
     rep.add("coideal-coproduct", coideal_cop)
     coideal_eps = all(
-        not any((coa.counit @ vector(field, a_space, b)).entries[0])
+        (coa.counit @ vector(field, a_space, b)).is_zero()
         for b in bplus_a.basis)
     rep.add("coideal-counit", coideal_eps)
     if not (coideal_cop and coideal_eps):

@@ -8,14 +8,21 @@ Conventions frozen here and shared with the instance file format:
   are ordinary LinMaps with an empty codomain or domain label.
 * Flattening is row-major: in ``[X:m, Y:n]`` the pair (i, j) sits at
   flat position i*n + j, zero-based.
-* Matrices are dense, shape = dim(codomain) rows x dim(domain) columns;
-  ``entries[r][c]`` is the coefficient of codomain basis r in the image
-  of domain basis c.
+* Matrices are sparse, shape = dim(codomain) rows x dim(domain) columns.
+  ``rows[r]`` is a dict ``{c: coefficient}`` holding only the nonzero
+  coefficients of codomain basis r in the images of the domain basis
+  elements c.  A zero is never stored, not even a sum that cancels or a
+  product of zero divisors in a reducible Q[x]/(p), so the rows are a
+  canonical form and ``==`` and ``hash`` are exact.  Products, sums,
+  comparisons and eliminations visit nonzeros only.  ``entries`` is a
+  dense grid of Scalars (``entries[r][c]``, zeros included) built on
+  demand for display and tests; nothing on a hot path reads it.
 * Solvers are deterministic: reduced row echelon form with leftmost
   pivots, free variables set to zero.  Identical inputs give identical
   outputs, bit for bit.
 
-Everything is immutable after construction and safe for concurrent
+Everything is immutable after construction (the row dicts are never
+modified once a map or subspace holds them) and safe for concurrent
 reads.
 """
 
@@ -92,10 +99,6 @@ class SpaceLabel:
         return tuple(reversed(out))
 
 
-def tensor_index(indices, space: SpaceLabel) -> int:
-    return space.flatten(indices)
-
-
 @dataclass(frozen=True)
 class Infeasible:
     """Certificate that a linear system has no solution.
@@ -109,13 +112,73 @@ class Infeasible:
     detail: str = ""
 
 
-class LinMap:
-    """Exact linear map between labeled spaces."""
+# -- sparse rows -------------------------------------------------------
 
-    __slots__ = ("field", "domain", "codomain", "entries")
+
+def _sparse(field: Field, coeffs) -> dict:
+    """The nonzeros of a dense coefficient sequence; non-Scalars are
+    converted in the field."""
+    out = {}
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, Scalar):
+            c = field.scalar(c)
+        if c:
+            out[i] = c
+    return out
+
+
+def _sparse_in(field: Field, ambient: SpaceLabel, coeffs) -> dict:
+    """_sparse of a vector that must have ambient's dimension."""
+    coeffs = list(coeffs)
+    if len(coeffs) != ambient.dim:
+        raise ShapeError("vector length does not match ambient dimension")
+    return _sparse(field, coeffs)
+
+
+def _dense(row: dict, n: int, zero: Scalar) -> tuple[Scalar, ...]:
+    out = [zero] * n
+    for c, v in row.items():
+        out[c] = v
+    return tuple(out)
+
+
+def _accumulate(acc: dict, row: dict, f: Scalar | None = None) -> dict:
+    """acc += f * row in place (f None: acc += row) and return acc.
+
+    An entry that cancels is removed, and so is a product of zero
+    divisors, so acc stays free of zeros.
+    """
+    for j, b in row.items():
+        if f is not None:
+            b = f * b
+            if not b:
+                continue
+        old = acc.get(j)
+        if old is None:
+            acc[j] = b
+        else:
+            b = old + b
+            if b:
+                acc[j] = b
+            else:
+                del acc[j]
+    return acc
+
+
+def _row_key(rows) -> tuple:
+    """Hashable form of sparse rows that ignores dict order."""
+    return tuple(frozenset(r.items()) for r in rows)
+
+
+class LinMap:
+    """Exact linear map between labeled spaces, held as sparse rows."""
+
+    __slots__ = ("field", "domain", "codomain", "rows")
 
     def __init__(self, field: Field, domain: SpaceLabel, codomain: SpaceLabel, entries):
-        entries = tuple(tuple(row) for row in entries)
+        """From a dense grid: ``entries[r][c]`` is the coefficient of
+        codomain basis r in the image of domain basis c."""
+        entries = [tuple(row) for row in entries]
         if len(entries) != codomain.dim or any(len(r) != domain.dim for r in entries):
             raise ShapeError(
                 f"entry grid {len(entries)}x{len(entries[0]) if entries else 0} "
@@ -124,35 +187,48 @@ class LinMap:
         self.field = field
         self.domain = domain
         self.codomain = codomain
-        self.entries = entries
+        self.rows = tuple({c: s for c, s in enumerate(row) if s} for row in entries)
+
+    @classmethod
+    def _from_rows(cls, field: Field, domain: SpaceLabel, codomain: SpaceLabel,
+                   rows: tuple) -> "LinMap":
+        """From canonical sparse rows, unchecked: one dict per codomain
+        basis element, keys below domain.dim, no zero values.  The map
+        takes ownership of the dicts."""
+        m = object.__new__(cls)
+        m.field = field
+        m.domain = domain
+        m.codomain = codomain
+        m.rows = rows
+        return m
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(field: Field, domain: SpaceLabel, codomain: SpaceLabel) -> "LinMap":
-        z = field.zero
-        return LinMap(field, domain, codomain,
-                      [[z] * domain.dim for _ in range(codomain.dim)])
+        return LinMap._from_rows(field, domain, codomain,
+                                 tuple({} for _ in range(codomain.dim)))
 
     @staticmethod
     def identity(field: Field, space: SpaceLabel) -> "LinMap":
-        z, o = field.zero, field.one
-        n = space.dim
-        return LinMap(field, space, space,
-                      [[o if i == j else z for j in range(n)] for i in range(n)])
+        o = field.one
+        return LinMap._from_rows(field, space, space,
+                                 tuple({i: o} for i in range(space.dim)))
 
     @staticmethod
     def from_rules(field: Field, domain: SpaceLabel, codomain: SpaceLabel, rule) -> "LinMap":
         """Build from a rule mapping a domain multi-index to (multi-index, coeff) pairs."""
-        z = field.zero
-        rows = [[z] * domain.dim for _ in range(codomain.dim)]
+        rows = [{} for _ in range(codomain.dim)]
         for c in range(domain.dim):
             for cod_idx, coeff in rule(domain.unflatten(c)):
                 if not isinstance(coeff, Scalar):
                     coeff = field.scalar(coeff)
-                r = codomain.flatten(cod_idx)
-                rows[r][c] = rows[r][c] + coeff
-        return LinMap(field, domain, codomain, rows)
+                row = rows[codomain.flatten(cod_idx)]
+                old = row.get(c)
+                row[c] = coeff if old is None else old + coeff
+        return LinMap._from_rows(field, domain, codomain,
+                                 tuple({c: v for c, v in row.items() if v}
+                                       for row in rows))
 
     # -- basic structure ----------------------------------------------
 
@@ -164,20 +240,27 @@ class LinMap:
     def ncols(self) -> int:
         return self.domain.dim
 
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense read-only view: entries[r][c], zeros included."""
+        z, n = self.field.zero, self.domain.dim
+        return tuple(_dense(row, n, z) for row in self.rows)
+
     def column(self, c: int) -> tuple[Scalar, ...]:
-        return tuple(row[c] for row in self.entries)
+        z = self.field.zero
+        return tuple(row.get(c, z) for row in self.rows)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not any(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
             return NotImplemented
         return (self.domain == other.domain and self.codomain == other.codomain
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.entries))
+        return hash((self.domain, self.codomain, _row_key(self.rows)))
 
     def __repr__(self):
         return f"LinMap({self.domain!r} -> {self.codomain!r})"
@@ -188,7 +271,7 @@ class LinMap:
         cod = codomain if codomain is not None else self.codomain
         if dom.dim != self.domain.dim or cod.dim != self.codomain.dim:
             raise ShapeError("relabel must preserve dimensions")
-        return LinMap(self.field, dom, cod, self.entries)
+        return LinMap._from_rows(self.field, dom, cod, self.rows)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -198,77 +281,67 @@ class LinMap:
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._check_parallel(other)
-        return LinMap(self.field, self.domain, self.codomain,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return LinMap._from_rows(self.field, self.domain, self.codomain,
+                                 tuple(_accumulate(dict(ra), rb)
+                                       for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        self._check_parallel(other)
-        return LinMap(self.field, self.domain, self.codomain,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self) -> "LinMap":
-        return LinMap(self.field, self.domain, self.codomain,
-                      [[-a for a in row] for row in self.entries])
+        return LinMap._from_rows(self.field, self.domain, self.codomain,
+                                 tuple({c: -a for c, a in row.items()}
+                                       for row in self.rows))
 
     def scale(self, s: Scalar) -> "LinMap":
-        return LinMap(self.field, self.domain, self.codomain,
-                      [[s * a if a else a for a in row] for row in self.entries])
+        return LinMap._from_rows(self.field, self.domain, self.codomain,
+                                 tuple(_accumulate({}, row, s) for row in self.rows))
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other (apply other first)."""
         if other.codomain != self.domain:
             raise ShapeError(f"cannot compose {self!r} after {other!r}")
-        m, n, p = self.nrows, self.ncols, other.ncols
-        z = self.field.zero
-        out = [[z] * p for _ in range(m)]
-        b = other.entries
-        for i in range(m):
-            row_a = self.entries[i]
-            out_i = out[i]
-            for k in range(n):
-                aik = row_a[k]
-                if aik:
-                    row_b = b[k]
-                    for j in range(p):
-                        bkj = row_b[j]
-                        if bkj:
-                            out_i[j] = out_i[j] + aik * bkj
-        return LinMap(self.field, other.domain, self.codomain, out)
+        # A factor that is the field's own one (identities, permutations)
+        # is skipped: the product is the other factor, no new Scalar.
+        one = self.field.one
+        b = other.rows
+        out = []
+        for row_a in self.rows:
+            acc = {}
+            for k, aik in row_a.items():
+                for j, bkj in b[k].items():
+                    v = bkj if aik is one else aik if bkj is one else aik * bkj
+                    old = acc.get(j)
+                    acc[j] = v if old is None else old + v
+            out.append({j: v for j, v in acc.items() if v})
+        return LinMap._from_rows(self.field, other.domain, self.codomain, tuple(out))
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.entries]
-        return len(_rref_inplace(rows, self.ncols))
-
-
-def map_compose(f: LinMap, g: LinMap) -> LinMap:
-    return f @ g
+        return len(_rref_inplace([dict(r) for r in self.rows], self.ncols))
 
 
 def map_kron(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product consistent with row-major flattening."""
-    field = f.field
-    dom = f.domain.tensor(g.domain)
-    cod = f.codomain.tensor(g.codomain)
-    mf, nf = f.nrows, f.ncols
-    mg, ng = g.nrows, g.ncols
-    z = field.zero
-    out = [[z] * (nf * ng) for _ in range(mf * mg)]
-    for i in range(mf):
-        frow = f.entries[i]
-        for k in range(nf):
-            fik = frow[k]
-            if fik:
-                for j in range(mg):
-                    grow = g.entries[j]
-                    orow = out[i * mg + j]
-                    base = k * ng
-                    for l in range(ng):
-                        gjl = grow[l]
-                        if gjl:
-                            orow[base + l] = fik * gjl
-    return LinMap(field, dom, cod, out)
+    one = f.field.one
+    ng = g.ncols
+    g_rows = g.rows
+    out = []
+    for frow in f.rows:
+        shifted = [(k * ng, fik) for k, fik in frow.items()]
+        for grow in g_rows:
+            row = {}
+            for base, fik in shifted:
+                if fik is one:  # a shifted copy of grow, which holds no zero
+                    for l, gjl in grow.items():
+                        row[base + l] = gjl
+                    continue
+                for l, gjl in grow.items():
+                    p = fik if gjl is one else fik * gjl
+                    if p:
+                        row[base + l] = p
+            out.append(row)
+    return LinMap._from_rows(f.field, f.domain.tensor(g.domain),
+                             f.codomain.tensor(g.codomain), tuple(out))
 
 
 def kron_all(*maps: LinMap) -> LinMap:
@@ -280,66 +353,72 @@ def kron_all(*maps: LinMap) -> LinMap:
 
 def flip_map(field: Field, left: SpaceLabel, right: SpaceLabel) -> LinMap:
     """The tensor swap X (x) Y -> Y (x) X as a permutation matrix."""
-    dom = left.tensor(right)
-    cod = right.tensor(left)
-    z, o = field.zero, field.one
-    rows = [[z] * dom.dim for _ in range(cod.dim)]
-    for i in range(left.dim):
-        for j in range(right.dim):
-            rows[j * left.dim + i][i * right.dim + j] = o
-    return LinMap(field, dom, cod, rows)
+    o = field.one
+    m, n = left.dim, right.dim
+    rows = tuple({i * n + j: o} for j in range(n) for i in range(m))
+    return LinMap._from_rows(field, left.tensor(right), right.tensor(left), rows)
 
 
 def vector(field: Field, space: SpaceLabel, coeffs) -> LinMap:
     """An element of a space, as a map from the scalar line."""
-    cs = [c if isinstance(c, Scalar) else field.scalar(c) for c in coeffs]
-    if len(cs) != space.dim:
-        raise ShapeError(f"expected {space.dim} coefficients, got {len(cs)}")
-    return LinMap(field, SpaceLabel.scalar(), space, [[c] for c in cs])
+    coeffs = list(coeffs)
+    if len(coeffs) != space.dim:
+        raise ShapeError(f"expected {space.dim} coefficients, got {len(coeffs)}")
+    nonzero = _sparse(field, coeffs)
+    return LinMap._from_rows(field, SpaceLabel.scalar(), space,
+                             tuple({0: nonzero[r]} if r in nonzero else {}
+                                   for r in range(space.dim)))
 
 
 def basis_vector(field: Field, space: SpaceLabel, flat: int) -> LinMap:
-    z, o = field.zero, field.one
-    return LinMap(field, SpaceLabel.scalar(), space,
-                  [[o if r == flat else z] for r in range(space.dim)])
+    o = field.one
+    return LinMap._from_rows(field, SpaceLabel.scalar(), space,
+                             tuple({0: o} if r == flat else {}
+                                   for r in range(space.dim)))
 
 
 def vector_coeffs(v: LinMap) -> tuple[Scalar, ...]:
     if v.domain.dim != 1:
         raise ShapeError("not a vector")
-    return tuple(row[0] for row in v.entries)
+    return v.column(0)
 
 
 # -- echelon machinery -------------------------------------------------
 
 
-def _rref_inplace(rows: list[list[Scalar]], ncols: int) -> list[int]:
-    """Reduced row echelon form, leftmost pivots; returns pivot columns."""
-    if not rows:
-        return []
+def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
+    """Reduced row echelon form of sparse rows, leftmost pivots; returns
+    pivot columns.
+
+    The pivot for column c is the first remaining row that holds c, as
+    in dense Gauss-Jordan elimination, so in a reducible Q[x]/(p) a
+    zero-divisor pivot raises NotInvertible exactly where the dense
+    elimination would.  Each step updates only the rows that hold c,
+    and each update visits the pivot row's nonzeros.
+    """
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c]:
+            if c in rows[i]:
                 pr = i
                 break
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        rowr = rows[r]
+        piv = rowr[c]
         if piv != piv.field.one:
             inv = piv.inv()
-            rows[r] = [x * inv if x else x for x in rows[r]]
-        rowr = rows[r]
+            rowr = rows[r] = {j: x * inv for j, x in rowr.items()}
         for i in range(nrows):
             if i != r:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rowr)]
+                f = rows[i].get(c)
+                if f is not None:
+                    _accumulate(rows[i], rowr, -f)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -372,22 +451,23 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
     if M.codomain != target.codomain:
         raise ShapeError("target codomain must match the system codomain")
     n = M.ncols
-    t = target.ncols
-    rows = [list(mr) + list(tr) for mr, tr in zip(M.entries, target.entries)]
-    pivots = _rref_inplace(rows, n + t)
+    rows = []
+    for mr, tr in zip(M.rows, target.rows):
+        row = dict(mr)
+        for j, v in tr.items():
+            row[n + j] = v
+        rows.append(row)
+    pivots = _rref_inplace(rows, n + target.ncols)
     rank = sum(1 for p in pivots if p < n)
     kernel = _kernel(M.field, M.domain, rows, pivots[:rank])
     if rank < len(pivots):
         return Solution(Infeasible(row=rank, column=pivots[rank] - n,
                                    detail="echelon row reduces to 0 = nonzero"),
                         rank, kernel)
-    z = M.field.zero
-    xs = [[z] * t for _ in range(n)]
-    for i, p in enumerate(pivots):
-        row = rows[i]
-        for j in range(t):
-            xs[p][j] = row[n + j]
-    X = LinMap(M.field, target.domain, M.domain, xs)
+    xs = [{} for _ in range(n)]
+    for row, p in zip(rows, pivots):
+        xs[p] = {j - n: v for j, v in row.items() if j >= n}
+    X = LinMap._from_rows(M.field, target.domain, M.domain, tuple(xs))
     if M @ X != target:
         raise AssertionError("solver post-check failed")  # pragma: no cover
     return Solution(X, rank, kernel)
@@ -395,20 +475,14 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
 
 def _kernel(field: Field, space: SpaceLabel, rows, pivots) -> "Subspace":
     """ker of a reduced system: one vector per free column of ``space``."""
-    n = space.dim
     pivset = set(pivots)
-    z, o = field.zero, field.one
-    vecs = []
-    for f in range(n):
-        if f in pivset:
-            continue
-        v = [z] * n
-        v[f] = o
-        for i, p in enumerate(pivots):
-            if rows[i][f]:
-                v[p] = -rows[i][f]
-        vecs.append(v)
-    return Subspace.from_vectors(field, space, vecs)
+    free = {f: {f: field.one} for f in range(space.dim) if f not in pivset}
+    for row, p in zip(rows, pivots):
+        for f, x in row.items():
+            v = free.get(f)
+            if v is not None:
+                v[p] = -x
+    return Subspace._span(field, space, list(free.values()))
 
 
 def kernel_basis(M: LinMap) -> "Subspace":
@@ -425,31 +499,35 @@ def stacked_kernel(maps: list[LinMap]) -> "Subspace":
     for m in maps:
         if m.domain != dom:
             raise ShapeError("stacked maps must share their domain")
-        rows.extend(list(r) for r in m.entries)
+        rows.extend(dict(r) for r in m.rows)
     return _kernel(maps[0].field, dom, rows, _rref_inplace(rows, dom.dim))
 
 
 class Subspace:
-    """Subspace of a labeled space, held as the unique echelon basis."""
+    """Subspace of a labeled space, held as the unique reduced echelon
+    basis: sparse ``rows`` with leftmost pivots."""
 
-    __slots__ = ("field", "ambient", "basis", "_pivots")
+    __slots__ = ("field", "ambient", "rows", "_pivots", "_basis")
 
-    def __init__(self, field: Field, ambient: SpaceLabel, basis, pivots):
+    def __init__(self, field: Field, ambient: SpaceLabel, rows, pivots):
+        """From reduced echelon rows (sparse dicts) and their pivot
+        columns; from_vectors spans arbitrary vectors."""
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(v) for v in basis)
+        self.rows = tuple(rows)
         self._pivots = tuple(pivots)
+        self._basis = None
+
+    @staticmethod
+    def _span(field: Field, ambient: SpaceLabel, rows: list[dict]) -> "Subspace":
+        """Span of sparse rows; reduces (and takes) the given dicts."""
+        pivots = _rref_inplace(rows, ambient.dim)
+        return Subspace(field, ambient, rows[: len(pivots)], pivots)
 
     @staticmethod
     def from_vectors(field: Field, ambient: SpaceLabel, vectors) -> "Subspace":
-        rows = []
-        for v in vectors:
-            v = list(v)
-            if len(v) != ambient.dim:
-                raise ShapeError("vector length does not match ambient dimension")
-            rows.append([c if isinstance(c, Scalar) else field.scalar(c) for c in v])
-        pivots = _rref_inplace(rows, ambient.dim)
-        return Subspace(field, ambient, rows[: len(pivots)], pivots)
+        return Subspace._span(field, ambient,
+                              [_sparse_in(field, ambient, v) for v in vectors])
 
     @staticmethod
     def zero(field: Field, ambient: SpaceLabel) -> "Subspace":
@@ -457,37 +535,48 @@ class Subspace:
 
     @staticmethod
     def full(field: Field, ambient: SpaceLabel) -> "Subspace":
-        eye = LinMap.identity(field, ambient)
-        return Subspace.from_vectors(field, ambient, [list(r) for r in eye.entries])
+        o = field.one
+        return Subspace(field, ambient, [{i: o} for i in range(ambient.dim)],
+                        range(ambient.dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The echelon basis as dense coefficient tuples."""
+        if self._basis is None:
+            z, n = self.field.zero, self.ambient.dim
+            self._basis = tuple(_dense(row, n, z) for row in self.rows)
+        return self._basis
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, _row_key(self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient!r})"
 
+    def _reduce(self, v: dict) -> dict:
+        """Sparse remainder of v (modified in place) modulo the pivots."""
+        for row, p in zip(self.rows, self._pivots):
+            f = v.get(p)
+            if f is not None:
+                _accumulate(v, row, -f)
+        return v
+
     def reduce(self, v) -> tuple[Scalar, ...]:
         """Remainder of v after eliminating this subspace's pivots."""
-        v = [c if isinstance(c, Scalar) else self.field.scalar(c) for c in v]
-        if len(v) != self.ambient.dim:
-            raise ShapeError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis, self._pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        return tuple(v)
+        rem = self._reduce(_sparse_in(self.field, self.ambient, v))
+        return _dense(rem, self.ambient.dim, self.field.zero)
 
     def contains_vector(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self._reduce(_sparse_in(self.field, self.ambient, v))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
@@ -495,12 +584,12 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(not self._reduce(dict(r)) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     list(self.basis) + list(other.basis))
+        return Subspace._span(self.field, self.ambient,
+                              [dict(r) for r in self.rows + other.rows])
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -509,35 +598,21 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         # Solve sum x_i u_i + sum y_j v_j = 0; each kernel vector gives
         # an intersection element sum x_i u_i.
-        cols = SpaceLabel.base("_join", p + q)
-        z = self.field.zero
-        rows = []
-        for k in range(self.ambient.dim):
-            rows.append([self.basis[i][k] for i in range(p)]
-                        + [other.basis[j][k] for j in range(q)])
-        M = LinMap(self.field, cols, SpaceLabel.base("_amb", self.ambient.dim), rows)
-        ker = kernel_basis(M)
+        n = self.ambient.dim
+        rows = [{} for _ in range(n)]
+        for i, u in enumerate(self.rows + other.rows):
+            for k, x in u.items():
+                rows[k][i] = x
+        M = LinMap._from_rows(self.field, SpaceLabel.base("_join", p + q),
+                              SpaceLabel.base("_amb", n), tuple(rows))
         vecs = []
-        for kv in ker.basis:
-            v = [z] * self.ambient.dim
-            for i in range(p):
-                if kv[i]:
-                    v = [a + kv[i] * b if b else a for a, b in zip(v, self.basis[i])]
-            vecs.append(v)
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
-
-
-def subspace_ops(op: str, U: Subspace, V: Subspace):
-    if op == "equal":
-        U._check_ambient(V)
-        return U == V
-    if op == "contains":
-        return U.contains(V)
-    if op == "sum":
-        return U.sum(V)
-    if op == "intersection":
-        return U.intersection(V)
-    raise ValueError(f"unknown subspace op {op!r}")
+        for kv in kernel_basis(M).rows:
+            acc = {}
+            for i, x in kv.items():
+                if i < p:
+                    _accumulate(acc, self.rows[i], x)
+            vecs.append(acc)
+        return Subspace._span(self.field, self.ambient, vecs)
 
 
 def try_inverse(M: LinMap):
@@ -552,14 +627,20 @@ def try_inverse(M: LinMap):
 
 def map_vectorize(M: LinMap) -> tuple[Scalar, ...]:
     """Flatten by domain basis element: entry (r, c) at c*nrows + r."""
-    out = []
-    for c in range(M.ncols):
-        for r in range(M.nrows):
-            out.append(M.entries[r][c])
+    m = M.nrows
+    out = [M.field.zero] * (m * M.ncols)
+    for r, row in enumerate(M.rows):
+        for c, v in row.items():
+            out[c * m + r] = v
     return tuple(out)
 
 
 def map_from_vector(field: Field, domain: SpaceLabel, codomain: SpaceLabel, vec) -> LinMap:
     m = codomain.dim
-    rows = [[vec[c * m + r] for c in range(domain.dim)] for r in range(m)]
-    return LinMap(field, domain, codomain, rows)
+    rows = [{} for _ in range(m)]
+    for c in range(domain.dim):
+        for r in range(m):
+            v = vec[c * m + r]
+            if v:
+                rows[r][c] = v
+    return LinMap._from_rows(field, domain, codomain, tuple(rows))

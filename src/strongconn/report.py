@@ -87,10 +87,9 @@ def first_column_mismatch(lhs, rhs) -> dict | None:
     """
     if lhs == rhs:
         return None
-    for c in range(lhs.ncols):
-        if lhs.column(c) != rhs.column(c):
-            return {"basis": list(lhs.domain.unflatten(c)), "column": c}
-    return None  # pragma: no cover
+    c = min(j for a, b in zip(lhs.rows, rhs.rows) if a != b
+            for j in a.keys() | b.keys() if a.get(j) != b.get(j))
+    return {"basis": list(lhs.domain.unflatten(c)), "column": c}
 
 
 def check_map_equal(report: VerificationReport, name: str, lhs, rhs) -> bool:

@@ -103,3 +103,18 @@ def test_console_entry_point_subprocess(golden_dir):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["failure_count"] == 0
+
+
+def test_cli_unexpected_exception_exit_two(golden_dir, monkeypatch, capsys):
+    import strongconn.cli
+
+    def broken(*args, **kwargs):
+        raise AttributeError("'NoneType' object has no attribute 'rows'")
+
+    monkeypatch.setattr(strongconn.cli, "run_pipeline", broken)
+    rc = main([str(golden_dir / "trivial_dim2.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err == ("internal error: AttributeError: "
+                   "'NoneType' object has no attribute 'rows'\n")

@@ -15,7 +15,6 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
-    _rref_inplace,
     kernel_basis,
     rref_solve,
 )
@@ -24,11 +23,34 @@ from strongconn.scalars import Field
 FIELDS = {"Q": Field.rationals(), "Q(zeta3)": Field.number_field([1, 1, 1])}
 
 
+def dense_rref(rows, ncols):
+    """The dense Gauss-Jordan elimination the solver used to run on grids
+    of Scalars: leftmost pivots, reduced form; returns pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
 def solve_alone(M, target):
     """The solver before it also returned the rank and the kernel."""
     n, t = M.ncols, target.ncols
     rows = [list(mr) + list(tr) for mr, tr in zip(M.entries, target.entries)]
-    pivots = _rref_inplace(rows, n + t)
+    pivots = dense_rref(rows, n + t)
     for i, p in enumerate(pivots):
         if p >= n:
             return Infeasible(row=i, column=p - n,

@@ -17,12 +17,12 @@ Three ways the hypotheses can fail, each with an exact certificate:
 from strongconn import (
     build_graded_extension,
     build_group_self_extension,
-    build_sweedler,
     brute_force_connections,
     galois_check,
     self_extension,
     solve_cointegral,
     solve_integral,
+    sweedler_hopf,
     validate_entwining_rr,
 )
 from strongconn.linmaps import Infeasible, LinMap
@@ -31,7 +31,7 @@ from strongconn.scalars import Field
 QQ = Field.rationals()
 
 # 1. Sweedler's H4: the solver returns an inconsistency certificate.
-sw = build_sweedler()
+sw = sweedler_hopf()
 lam = solve_integral(sw)
 delta = solve_cointegral(sw.coalgebra)
 print("H4 integral:  ", lam)

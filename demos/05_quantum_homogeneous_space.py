@@ -17,7 +17,6 @@ from strongconn import (
     build_homogeneous_z4_z2,
     extension_from_homogeneous,
     galois_check,
-    linear_section_of_pi,
     solve_cointegral,
 )
 from strongconn.linmaps import LinMap
@@ -32,7 +31,7 @@ print("pi columns (g^j -> class):",
 
 # The deterministic section prefers low-index representatives:
 # i([1]) = 1 and i([g]) = g.
-i_map = linear_section_of_pi(datum)
+i_map = datum.section
 print("i([g]) =", [str(s) for s in i_map.column(1)])
 
 # Average through the Kronecker cointegral on the (grouplike) quotient.

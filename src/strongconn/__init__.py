@@ -77,14 +77,12 @@ from .homogeneous import (
     bicolinear_section_iota,
     extension_from_homogeneous,
     induced_coactions,
-    linear_section_of_pi,
     quotient_coalgebra,
 )
 from .instances import (
     build_graded_extension,
     build_group_self_extension,
     build_homogeneous_z4_z2,
-    build_sweedler,
     build_trivial,
     cyclic_group_hopf,
     self_extension,

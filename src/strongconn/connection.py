@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     TooLarge,
 )
-from .extensions import EntwinedExtension, lifted_canonical
+from .extensions import EntwinedExtension
 from .linmaps import (
     Infeasible,
     LinMap,
@@ -253,12 +253,9 @@ def cointegral_to_integral(delta: Cointegral, hopf: HopfAlgebra):
 def solve_section(ext: EntwinedExtension) -> SectionMap:
     """Deterministic right-inverse of the canonical map on the slice 1 (x) C."""
     alg, coa = ext.algebra, ext.coalgebra
-    lcan = lifted_canonical(alg, coa, ext.coaction.rho)
-    sol = rref_solve(lcan, map_kron(alg.unit, coa.identity()))
+    sol = ext.canonical_solution
     if sol.rank != alg.dim * coa.dim:
         raise NotGalois("lifted canonical map is not surjective")
-    if isinstance(sol.particular, Infeasible):  # pragma: no cover - rank was checked
-        raise NotGalois("no section exists")
     return SectionMap(sol.particular, normalized=False,
                       solution_dim=sol.kernel.dim * coa.dim)
 
@@ -274,8 +271,7 @@ def normalize_section(section: SectionMap, grouplike: LinMap,
         (section.sigma @ grouplike) @ coa.counit
     if sigma @ grouplike != unit_pair:
         raise InternalContradiction("normalisation did not fix sigma(e)")
-    lcan = lifted_canonical(alg, coa, ext.coaction.rho)
-    if lcan @ sigma != map_kron(alg.unit, coa.identity()):
+    if ext.canonical_map @ sigma != map_kron(alg.unit, coa.identity()):
         raise InternalContradiction("normalisation broke the section law")
     return SectionMap(sigma, normalized=True, solution_dim=section.solution_dim)
 
@@ -332,9 +328,8 @@ def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> Verificat
     alg, coa = ext.algebra, ext.coalgebra
     ia, ic = alg.identity(), coa.identity()
     ell = conn.ell
-    lcan = lifted_canonical(alg, coa, ext.coaction.rho)
     check_map_equal(rep, "connection-sections-canonical",
-                    lcan @ ell, map_kron(alg.unit, ic))
+                    ext.canonical_map @ ell, map_kron(alg.unit, ic))
     check_map_equal(rep, "connection-right-colinear",
                     map_kron(ell, ic) @ coa.comul,
                     map_kron(ia, ext.coaction.rho) @ ell)
@@ -349,13 +344,16 @@ def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> Verificat
     return rep
 
 
-def colinearity_reduction(section: SectionMap, delta: Cointegral,
-                          ext: EntwinedExtension):
+def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
+                          delta: Cointegral,
+                          ext: EntwinedExtension) -> VerificationReport:
     """Classify sigma's colinearity, compute the applicable reduced
-    formulas, and assert they agree with the full one.
+    formulas, and assert they agree with conn, the full formula built
+    from the same sigma and delta.
 
-    Returns (report, connection).  A reduced/full disagreement would
-    contradict the construction and raises InternalContradiction.
+    gamma is built only for a right-colinear sigma and alpha only for a
+    left-colinear one.  A reduced/full disagreement would contradict the
+    construction and raises InternalContradiction.
     """
     rep = VerificationReport()
     alg, coa = ext.algebra, ext.coalgebra
@@ -374,10 +372,8 @@ def colinearity_reduction(section: SectionMap, delta: Cointegral,
     else:
         klass = "neither"
     rep.add_info("section-colinearity-class", {"class": klass})
-    conn = build_connection(section, delta, ext)
-    gamma = gamma_map(delta, ext)
-    alpha = alpha_map(delta, ext)
     if right_col:
+        gamma = gamma_map(delta, ext)
         reduced = map_kron(gamma, ia) @ map_kron(ic, sigma) @ coa.comul
         ok = rep.add("reduction-right-agrees", reduced == conn.ell)
         if not ok:
@@ -385,6 +381,7 @@ def colinearity_reduction(section: SectionMap, delta: Cointegral,
     else:
         rep.add_na("reduction-right-agrees", "sigma is not right colinear")
     if left_col:
+        alpha = alpha_map(delta, ext)
         reduced = map_kron(ia, alpha) @ map_kron(sigma, ic) @ coa.comul
         ok = rep.add("reduction-left-agrees", reduced == conn.ell)
         if not ok:
@@ -397,7 +394,7 @@ def colinearity_reduction(section: SectionMap, delta: Cointegral,
             raise InternalContradiction("bicolinear sigma was not reproduced")
     else:
         rep.add_na("bicolinear-fixed-point", "sigma is not bicolinear")
-    return rep, conn
+    return rep
 
 
 def splitting(conn: ConnectionForm, ext: EntwinedExtension):
@@ -451,7 +448,7 @@ def oracle_system(ext: EntwinedExtension) -> tuple[LinMap, LinMap]:
     ia = alg.identity()
     c = coa.dim
     system = linear_system(ext.field, c, alg.dim * alg.dim, [
-        ([(lifted_canonical(alg, coa, ext.coaction.rho), 1, 1, None)], []),
+        ([(ext.canonical_map, 1, 1, None)], []),
         ([(None, 1, c, coa.comul)],
          [(map_kron(ia, ext.coaction.rho), 1, 1, None)]),
         ([(None, c, 1, coa.comul)],
@@ -475,16 +472,12 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
     n = coa.dim * alg.dim * alg.dim
     if n > cap:
         raise TooLarge(f"{n} unknowns exceed the oracle cap {cap}")
-    system, target = oracle_system(ext)
-    sol = rref_solve(system, target)
+    sol = rref_solve(*oracle_system(ext))
     if isinstance(sol.particular, Infeasible):
-        # attribute the obstruction: is the section condition alone feasible?
-        block_a = SpaceLabel.base("constraints", coa.dim * alg.dim * coa.dim)
-        a_sol = rref_solve(
-            LinMap._from_rows(field, system.domain, block_a, system.rows[:block_a.dim]),
-            LinMap._from_rows(field, target.domain, block_a, target.rows[:block_a.dim]))
+        # attribute the obstruction: condition (a) alone is the canonical
+        # map's own system, already solved once for the extension
         which = ("the section condition (a)"
-                 if isinstance(a_sol.particular, Infeasible)
+                 if isinstance(ext.canonical_solution.particular, Infeasible)
                  else "the colinearity conditions")
         return Infeasible(sol.particular.row, sol.particular.column,
                           detail=f"no map satisfies the stacked conditions; "

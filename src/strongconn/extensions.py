@@ -18,6 +18,7 @@ subalgebra B = {b : rho(b a) = b rho(a) for all a}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InternalContradiction,
@@ -28,13 +29,14 @@ from .errors import (
 )
 from .linmaps import (
     LinMap,
+    Solution,
     SpaceLabel,
     Subspace,
     basis_vector,
     flip_map,
-    kernel_basis,
     kron_all,
     map_kron,
+    rref_solve,
     stacked_kernel,
     try_inverse,
     vector,
@@ -80,6 +82,18 @@ class EntwinedExtension:
     def unit_coaction(self) -> LinMap:
         """rho(1) as a vector in A (x) C."""
         return self.coaction.rho @ self.algebra.unit
+
+    @cached_property
+    def canonical_map(self) -> LinMap:
+        """The lifted canonical map a (x) a' -> a rho(a'), built once."""
+        return lifted_canonical(self.algebra, self.coalgebra, self.coaction.rho)
+
+    @cached_property
+    def canonical_solution(self) -> Solution:
+        """The one elimination of the canonical map against 1 (x) C: a
+        section on that slice (or Infeasible), the rank and the kernel."""
+        return rref_solve(self.canonical_map,
+                          map_kron(self.algebra.unit, self.coalgebra.identity()))
 
 
 def _psi_shapes(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra) -> None:
@@ -312,12 +326,11 @@ def galois_check(ext: EntwinedExtension) -> VerificationReport:
     """
     rep = VerificationReport()
     alg, coa = ext.algebra, ext.coalgebra
-    lcan = lifted_canonical(alg, coa, ext.coaction.rho)
-    ker = kernel_basis(lcan)
-    rank = lcan.ncols - ker.dim
+    sol = ext.canonical_solution
+    ker = sol.kernel
     full = alg.dim * coa.dim
-    surj = rep.add("galois-canonical-surjective", rank == full,
-                   {"rank": rank, "required": full}, keep=True)
+    surj = rep.add("galois-canonical-surjective", sol.rank == full,
+                   {"rank": sol.rank, "required": full}, keep=True)
     rel = relation_subspace(alg, ext.coinvariants)
     kernel_ok = rep.add("galois-kernel-equals-relations", ker == rel,
                         {"kernel_dim": ker.dim, "relations_dim": rel.dim},

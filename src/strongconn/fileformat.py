@@ -36,6 +36,10 @@ Designation roles and their required shapes:
 
 mul and unit are required, and so are comul and counit whenever psi or
 rho is designated.
+
+Dimensions and indices are integers (true and false are not), domain,
+codomain and entries are lists, and a designation is a tensor name; any
+other JSON type raises ParseError.
 """
 
 from __future__ import annotations
@@ -98,10 +102,17 @@ class InstanceFile:
                    for r in ("mul", "unit", "a_comul", "a_counit", "a_antipode"))
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; Python's bool is an int, but true is not an index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _space_label(names, spaces: dict[str, int], where: str) -> SpaceLabel:
+    if not isinstance(names, list):
+        raise ParseError(f"{where}: expected a list of space names")
     factors = []
     for n in names:
-        if n not in spaces:
+        if not isinstance(n, str) or n not in spaces:
             raise ParseError(f"{where}: unknown space {n!r}")
         factors.append((n, spaces[n]))
     return SpaceLabel(factors)
@@ -113,6 +124,8 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
         raise ParseError(f"tensor {name!r}: expected an object with entries")
     dom = _space_label(obj.get("domain", []), spaces, f"tensor {name!r}")
     cod = _space_label(obj.get("codomain", []), spaces, f"tensor {name!r}")
+    if not isinstance(obj["entries"], list):
+        raise ParseError(f"tensor {name!r}: entries must be a list")
     n_idx = len(dom.factors) + len(cod.factors)
     rows = [{} for _ in range(cod.dim)]
     seen = set()
@@ -122,7 +135,7 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
                 f"tensor {name!r} entry {pos}: expected {n_idx} indices "
                 f"and one scalar")
         idx, text = entry[:n_idx], entry[n_idx]
-        if not all(isinstance(i, int) for i in idx):
+        if not all(_is_int(i) for i in idx):
             raise ParseError(f"tensor {name!r} entry {pos}: indices must be integers")
         try:
             r = cod.flatten(idx[: len(cod.factors)])
@@ -146,6 +159,9 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
         raise ParseError("instance file must be a JSON object")
     if doc.get("format", FORMAT_NAME) != FORMAT_NAME:
         raise ParseError(f"unknown format {doc.get('format')!r}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError("name must be a string")
     fdesc = doc.get("field")
     if not isinstance(fdesc, dict) or "kind" not in fdesc:
         raise ParseError("missing or malformed field descriptor")
@@ -159,7 +175,7 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
     if not isinstance(spaces, dict) or not spaces:
         raise ParseError("missing spaces")
     for nm, d in spaces.items():
-        if not isinstance(d, int) or d < 1:
+        if not _is_int(d) or d < 1:
             raise ParseError(f"space {nm!r}: dimension must be a positive integer")
         if d > dim_cap:
             raise TooLarge(f"space {nm!r} has dimension {d} > cap {dim_cap}")
@@ -174,6 +190,8 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
     for role, tname in desig.items():
         if role not in ROLE_SHAPES:
             raise ParseError(f"unknown designation {role!r}")
+        if not isinstance(tname, str):
+            raise ParseError(f"designation {role!r}: expected a tensor name")
         if tname not in tensors:
             raise ParseError(f"designation {role!r} names missing tensor {tname!r}")
         want_dom, want_cod = ROLE_SHAPES[role]
@@ -212,7 +230,7 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
                                  f"{spaces['A']} scalars")
             vecs.append([parse_scalar(t, fld) for t in row])
         b_subspace = Subspace.from_vectors(fld, a_label, vecs)
-    return InstanceFile(str(doc.get("name", "")), fld, dict(spaces), tensors,
+    return InstanceFile(name, fld, dict(spaces), tensors,
                         dict(desig), grouplike, b_subspace)
 
 

@@ -35,6 +35,7 @@ from .linmaps import (
     SpaceLabel,
     Subspace,
     flip_map,
+    kernel_basis,
     kron_all,
     map_kron,
     vector,
@@ -129,10 +130,7 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
         return None, rep
 
     # B+ = B n ker(counit), then B+A = span of products
-    ker_eps = Subspace.from_vectors(
-        field, a_space,
-        _kernel_vectors(coa.counit))
-    b_plus = b_sub.intersection(ker_eps)
+    b_plus = b_sub.intersection(kernel_basis(coa.counit))
     prods = []
     for b in b_plus.basis:
         lm = alg.left_mult(vector(field, a_space, b))
@@ -218,11 +216,6 @@ def _pair_vec_left(field, a_space, b, i):
     return tuple(out)
 
 
-def _kernel_vectors(functional: LinMap):
-    from .linmaps import kernel_basis
-    return list(kernel_basis(functional).basis)
-
-
 def quotient_coalgebra(hopf: HopfAlgebra, b_sub: Subspace) -> HomogeneousDatum:
     """Strict quotient construction; raises on a failed precondition."""
     datum, rep = build_quotient(hopf, b_sub)
@@ -245,11 +238,6 @@ def induced_coactions(datum: HomogeneousDatum):
     return (datum.left_coaction, datum.right_coaction), rep
 
 
-def linear_section_of_pi(datum: HomogeneousDatum) -> LinMap:
-    """The canonical linear section: quotient basis to its representative."""
-    return datum.section
-
-
 def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
                             section: LinMap | None = None, strict: bool = True):
     """Average a linear section of pi into a bicolinear one.
@@ -265,7 +253,7 @@ def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
     ia = hopf.algebra.identity()
     ic = quotient.identity()
     comul_c = quotient.comul
-    comul2_a = map_kron(hopf.coalgebra.comul, ia) @ hopf.coalgebra.comul
+    comul2_a = hopf.coalgebra.comul2()
     chain = map_kron(comul_c, ic) @ comul_c            # C -> C (x) C (x) C
     chain = kron_all(ic, i_map, ic) @ chain            # -> C (x) A (x) C
     chain = kron_all(ic, comul2_a, ic) @ chain         # -> C (x) A A A (x) C

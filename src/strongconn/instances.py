@@ -81,10 +81,6 @@ def sweedler_hopf(field: Field | None = None, name: str = "C") -> HopfAlgebra:
     return HopfAlgebra(alg, coa, antipode)
 
 
-def build_sweedler(field: Field | None = None) -> HopfAlgebra:
-    return sweedler_hopf(field)
-
-
 def truncated_polynomial_algebra(n: int, t, field: Field | None = None,
                                  name: str = "A") -> StructureAlgebra:
     """field[x]/(x^n - t): basis 1, x, ..., x^(n-1)."""

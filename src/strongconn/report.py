@@ -47,9 +47,6 @@ class VerificationReport:
         """A passing check whose witness carries informational payload."""
         self.checks.append(Check(name, PASS, witness))
 
-    def add_skip(self, name: str, reason: str) -> None:
-        self.checks.append(Check(name, SKIP, {"reason": reason}))
-
     def add_na(self, name: str, reason: str) -> None:
         self.checks.append(Check(name, NA, {"reason": reason}))
 
@@ -69,9 +66,6 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dicts(self) -> list[dict]:
-        return [c.to_dict() for c in self.checks]
 
     def __repr__(self):
         n = len(self.checks)

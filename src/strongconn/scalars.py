@@ -53,7 +53,7 @@ class Field:
         elif kind == "number_field":
             if min_poly is None or len(min_poly) < 2:
                 raise MalformedField("min_poly must have degree >= 1")
-            if any(not isinstance(c, int) for c in min_poly):
+            if any(not isinstance(c, int) or isinstance(c, bool) for c in min_poly):
                 raise MalformedField("min_poly coefficients must be integers")
             if min_poly[-1] != 1:
                 raise MalformedField("min_poly must be monic")

@@ -33,9 +33,9 @@ from strongconn.instances import (
     build_graded_extension,
     build_group_self_extension,
     build_homogeneous_z4_z2,
-    build_sweedler,
     build_trivial,
     cyclic_group_hopf,
+    sweedler_hopf,
     truncated_polynomial_algebra,
 )
 from strongconn.linmaps import (
@@ -169,7 +169,8 @@ def test_criterion_4_idempotence(suite_extensions):
     for name, ext in suite_extensions.items():
         conn, delta, _ = formula_connection(ext)
         fed_back = SectionMap(conn.ell, normalized=True)
-        rep, rebuilt = colinearity_reduction(fed_back, delta, ext)
+        rebuilt = build_connection(fed_back, delta, ext)
+        rep = colinearity_reduction(rebuilt, fed_back, delta, ext)
         klass = rep.named("section-colinearity-class").witness["class"]
         assert klass == "bicolinear", name
         assert rep.named("bicolinear-fixed-point").status == "pass", name
@@ -237,7 +238,8 @@ def test_criterion_4_reduced_formulas_one_sided():
             ("right", "reduction-right-agrees", "reduction-left-agrees"),
             ("left", "reduction-left-agrees", "reduction-right-agrees")):
         sigma = _one_sided_section(ext, side)
-        rrep, conn = colinearity_reduction(sigma, delta, ext)
+        conn = build_connection(sigma, delta, ext)
+        rrep = colinearity_reduction(conn, sigma, delta, ext)
         klass = rrep.named("section-colinearity-class").witness["class"]
         assert klass == f"{side}-colinear"
         assert rrep.named(agrees).status == "pass"
@@ -253,7 +255,7 @@ def test_criterion_4_reduced_formulas_one_sided():
 
 
 def test_criterion_5_sweedler_infeasible():
-    h = build_sweedler()
+    h = sweedler_hopf()
     lam = solve_integral(h)
     assert isinstance(lam, Infeasible)
     assert lam.detail

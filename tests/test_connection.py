@@ -27,9 +27,9 @@ from strongconn.errors import NoGrouplikeUnit, NotGalois, TooLarge
 from strongconn.instances import (
     build_graded_extension,
     build_group_self_extension,
-    build_sweedler,
     build_trivial,
     cyclic_group_hopf,
+    sweedler_hopf,
     trivial_coalgebra,
     truncated_polynomial_algebra,
 )
@@ -96,7 +96,7 @@ def test_solve_cointegral_trivial_coalgebra():
 
 
 def test_solve_cointegral_sweedler_infeasible():
-    h = build_sweedler()
+    h = sweedler_hopf()
     out = solve_cointegral(h.coalgebra)
     assert isinstance(out, Infeasible)
     assert out.detail
@@ -128,7 +128,7 @@ def test_solve_integral_zn_indicator():
 
 
 def test_solve_integral_sweedler_infeasible():
-    out = solve_integral(build_sweedler())
+    out = solve_integral(sweedler_hopf())
     assert isinstance(out, Infeasible)
 
 
@@ -332,8 +332,9 @@ def test_idempotence_feed_connection_back(z2, graded22, trivial2):
 
 def test_colinearity_reduction_bicolinear(z2):
     conn, delta, sigma = connection_for(z2)
-    rep, rebuilt = colinearity_reduction(
-        SectionMap(conn.ell, normalized=True), delta, z2)
+    fed_back = SectionMap(conn.ell, normalized=True)
+    rebuilt = build_connection(fed_back, delta, z2)
+    rep = colinearity_reduction(rebuilt, fed_back, delta, z2)
     assert rep.named("section-colinearity-class").witness["class"] == "bicolinear"
     assert rep.named("bicolinear-fixed-point").status == "pass"
     assert rebuilt.ell == conn.ell

@@ -1,0 +1,90 @@
+"""Each pipeline run derives the lifted canonical map once per extension,
+eliminates it once, and builds the connection once.
+
+The counters wrap a callable in every strongconn module that imported
+it, so a call made through any module is counted.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from strongconn import linmaps
+from strongconn.fileformat import parse_instance
+from strongconn.pipeline import run_pipeline
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
+
+
+def record_calls(monkeypatch, module_name: str, name: str) -> list:
+    """Wrap strongconn.<module_name>.<name> wherever it is bound; return
+    the list of its results, one per call."""
+    real = getattr(sys.modules[f"strongconn.{module_name}"], name)
+    results = []
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        results.append(out)
+        return out
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("strongconn") and mod.__dict__.get(name) is real:
+            monkeypatch.setattr(mod, name, wrapper)
+    return results
+
+
+def record_eliminations(monkeypatch) -> list:
+    """The rows of every matrix handed to the echelon reduction."""
+    real = linmaps._rref_inplace
+    seen = []
+
+    def wrapper(rows, ncols):
+        seen.append([dict(r) for r in rows])
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linmaps, "_rref_inplace", wrapper)
+    return seen
+
+
+def holds_map(rows: list, m) -> bool:
+    """True when m is the left block of the reduced matrix rows."""
+    n = m.ncols
+    return len(rows) == m.nrows and all(
+        {c: v for c, v in row.items() if c < n} == dict(mr)
+        for row, mr in zip(rows, m.rows))
+
+
+def traced_run(name, monkeypatch):
+    """Run the default stages on a golden file, recording every built
+    canonical map, every built connection and every eliminated matrix."""
+    inst = parse_instance(str(GOLDEN_DIR / f"{name}.json"))
+    canonical = record_calls(monkeypatch, "extensions", "lifted_canonical")
+    connections = record_calls(monkeypatch, "connection", "build_connection")
+    eliminated = record_eliminations(monkeypatch)
+    rep = run_pipeline(inst)
+    statuses = {c.name: c.status for _, c in rep.checks}
+    # every golden file yields one validated extension
+    assert "galois" in statuses
+    return statuses, canonical, connections, eliminated
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_canonical_map_built_once(name, monkeypatch):
+    _, canonical, _, _ = traced_run(name, monkeypatch)
+    assert len(canonical) == 1
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_canonical_map_eliminated_once(name, monkeypatch):
+    _, canonical, _, eliminated = traced_run(name, monkeypatch)
+    assert sum(holds_map(rows, canonical[0]) for rows in eliminated) == 1
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_connection_built_once(name, monkeypatch):
+    statuses, _, connections, _ = traced_run(name, monkeypatch)
+    built = statuses.get("connection-built") == "pass"
+    assert built == (name != "sweedler_h4")
+    assert len(connections) == (1 if built else 0)

@@ -149,3 +149,33 @@ def test_number_field_instance_round_trip(tmp_path):
     again = parse_instance(str(p))
     assert again.field == inst.field
     assert again.tensors["psi"] == inst.tensors["psi"]
+
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_set(("tensors", "mul", "entries"), 5), "entries must be a list"),
+    (_set(("designations", "mul"), ["mul"]), "designation 'mul'"),
+    (_set(("tensors", "mul", "domain"), "AA"), "list of space names"),
+    (_set(("tensors", "mul", "entries", 1), [True, 0, 1, "1"]),
+     "indices must be integers"),
+    (_set(("spaces", "C"), True), "positive integer"),
+    (_set(("field",), {"kind": "number_field", "min_poly": [1, True, 1]}),
+     "min_poly"),
+    (_set(("name",), ["m"]), "name must be a string"),
+], ids=["entries-int", "designation-list", "domain-string", "index-true",
+        "dimension-true", "coefficient-true", "name-list"])
+def test_wrong_json_type_rejected(mutate, message):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ParseError) as exc:
+        parse_instance_dict(doc)
+    assert message in str(exc.value)

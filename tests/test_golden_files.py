@@ -1,15 +1,21 @@
 """The committed golden files through the command line.
 
 Their JSON reports are pinned byte for byte, and deleting any single
-designation from any of them ends in a documented exit code, never in a
-traceback.
+designation from any of them, or giving any structural value a value of
+another JSON type, ends in a documented exit code, never in a traceback
+or an internal error.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongconn.cli import main
 
@@ -72,3 +78,78 @@ def test_deleted_designation_ends_in_exit_code(name, role, tmp_path, capsys):
 def test_deletion_cases_cover_the_coalgebra_roles():
     assert MISSING_COALGEBRA <= set(single_deletions())
     assert len(MISSING_COALGEBRA) == 12
+
+
+# -- type swaps -------------------------------------------------------------
+
+
+def structural_paths(node, path=()):
+    """Every node of a document, visiting only the first two items of a
+    list: the second entry of a tensor has the structure of the
+    hundredth."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from structural_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node[:2]):
+            yield from structural_paths(value, path + (i,))
+
+
+GOLDEN_DOCS = {p.stem: json.loads(p.read_text(encoding="utf-8"))
+               for p in sorted(GOLDEN_DIR.glob("*.json"))}
+SWAP_SITES = [(name, path) for name, doc in GOLDEN_DOCS.items()
+              for path in structural_paths(doc)]
+
+_LEAVES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-2, 9),
+    "float": st.sampled_from([0.0, 1.0, 2.5, -1.0]),
+    "str": st.sampled_from(["", "A", "AA", "C", "1", "mul", "rationals"]),
+}
+_LEAF = st.one_of(*_LEAVES.values())
+JSON_VALUES = dict(_LEAVES,
+                   list=st.lists(_LEAF, max_size=3),
+                   dict=st.dictionaries(st.sampled_from(["A", "C", "kind", "entries"]),
+                                        _LEAF, max_size=2))
+
+
+def json_type(value) -> str:
+    for kind, cls in (("null", type(None)), ("bool", bool), ("int", int),
+                      ("float", float), ("str", str), ("list", list),
+                      ("dict", dict)):
+        if isinstance(value, cls):
+            return kind
+    raise TypeError(value)
+
+
+@st.composite
+def type_swaps(draw):
+    """A golden document with one structural value replaced by a value
+    of another JSON type."""
+    name, path = draw(st.sampled_from(SWAP_SITES))
+    doc = json.loads(json.dumps(GOLDEN_DOCS[name]))
+    parent, old = None, doc
+    for key in path:
+        parent, old = old, old[key]
+    kind = draw(st.sampled_from(sorted(k for k in JSON_VALUES if k != json_type(old))))
+    new = draw(JSON_VALUES[kind])
+    if parent is None:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(type_swaps())
+def test_type_swapped_value_ends_in_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "swapped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([str(path), "--format", "json", "--out", str(Path(tmp) / "r.json")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "internal error:" not in err.getvalue()

@@ -6,7 +6,6 @@ from strongconn.homogeneous import (
     bicolinear_section_iota,
     extension_from_homogeneous,
     induced_coactions,
-    linear_section_of_pi,
     quotient_coalgebra,
 )
 from strongconn.instances import (
@@ -52,7 +51,7 @@ def test_projection_prefers_low_representatives(z4z2):
 
 
 def test_linear_section_representatives(z4z2):
-    i_map = linear_section_of_pi(z4z2)
+    i_map = z4z2.section
     assert i_map.column(0) == (QQ.one, QQ.zero, QQ.zero, QQ.zero)
     assert i_map.column(1) == (QQ.zero, QQ.one, QQ.zero, QQ.zero)
     assert z4z2.pi @ i_map == LinMap.identity(QQ, z4z2.quotient.space)

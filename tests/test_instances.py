@@ -4,7 +4,6 @@ from strongconn.instances import (
     build_graded_extension,
     build_group_self_extension,
     build_homogeneous_z4_z2,
-    build_sweedler,
     build_trivial,
     cyclic_group_hopf,
     self_extension,
@@ -63,12 +62,12 @@ def test_graded_cyclotomic_builds():
 
 
 def test_sweedler_is_validated_hopf():
-    h = build_sweedler()
+    h = sweedler_hopf()
     assert validate_hopf(h).passed
 
 
 def test_sweedler_negative_controls():
-    h = build_sweedler()
+    h = sweedler_hopf()
     assert isinstance(solve_integral(h), Infeasible)
     assert isinstance(solve_cointegral(h.coalgebra), Infeasible)
 

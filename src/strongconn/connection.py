@@ -77,8 +77,13 @@ class SectionMap:
 
 @dataclass(frozen=True)
 class ConnectionForm:
+    """ell, and for a formula build the gamma and alpha it was built from,
+    so that the colinearity reduction reuses them."""
+
     ell: LinMap
     provenance: str = "formula"  # formula | bruteforce | user
+    gamma: LinMap | None = None
+    alpha: LinMap | None = None
 
 
 @dataclass(frozen=True)
@@ -318,7 +323,7 @@ def build_connection(section: SectionMap, delta: Cointegral,
     ell = kron_all(ic, section.sigma, ic) @ ell
     ell = kron_all(ic, ia, alpha) @ ell
     ell = map_kron(gamma, ia) @ ell
-    return ConnectionForm(ell, provenance="formula")
+    return ConnectionForm(ell, "formula", gamma, alpha)
 
 
 def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> VerificationReport:
@@ -351,6 +356,7 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
     formulas, and assert they agree with conn, the full formula built
     from the same sigma and delta.
 
+    gamma and alpha are taken from conn when it carries them; otherwise
     gamma is built only for a right-colinear sigma and alpha only for a
     left-colinear one.  A reduced/full disagreement would contradict the
     construction and raises InternalContradiction.
@@ -373,7 +379,7 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
         klass = "neither"
     rep.add_info("section-colinearity-class", {"class": klass})
     if right_col:
-        gamma = gamma_map(delta, ext)
+        gamma = conn.gamma if conn.gamma is not None else gamma_map(delta, ext)
         reduced = map_kron(gamma, ia) @ map_kron(ic, sigma) @ coa.comul
         ok = rep.add("reduction-right-agrees", reduced == conn.ell)
         if not ok:
@@ -381,7 +387,7 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
     else:
         rep.add_na("reduction-right-agrees", "sigma is not right colinear")
     if left_col:
-        alpha = alpha_map(delta, ext)
+        alpha = conn.alpha if conn.alpha is not None else alpha_map(delta, ext)
         reduced = map_kron(ia, alpha) @ map_kron(sigma, ic) @ coa.comul
         ok = rep.add("reduction-left-agrees", reduced == conn.ell)
         if not ok:

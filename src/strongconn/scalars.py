@@ -1,11 +1,22 @@
 """Exact scalar arithmetic over the rationals and simple number fields.
 
 A field is either Q itself or a quotient Q[x]/(p) for a monic integer
-polynomial p of degree >= 1, given low-to-high as ``[p0, p1, ..., 1]``.
-Elements are coefficient vectors over Q in the power basis
-1, x, ..., x^(deg-1), kept reduced modulo p with every rational in lowest
-terms, so the representation of a value is unique.  Scalars are immutable
-and all operations are pure; concurrent reads are safe.
+polynomial p of degree d >= 1, given low-to-high as ``[p0, p1, ..., 1]``.
+An element is a polynomial of degree < d in the power basis
+1, x, ..., x^(d-1), stored as integer numerators over one common
+denominator: ``num``, a tuple of d ints, and ``den``, a positive int.
+
+The form is canonical: ``gcd(den, *num) == 1``, so zero is
+``(0, ..., 0) / 1`` and two scalars are equal exactly when their ``num``
+and ``den`` are; ``==`` and ``hash`` compare them directly.  Addition
+adds numerators (cross-multiplying when the denominators differ);
+multiplication convolves the numerators and folds the terms of degree
+d .. 2d-2 back through a table of x^d .. x^(2d-2) mod p that the field
+builds once, whose entries are integers because p is monic with integer
+coefficients.  Each result is normalised with one gcd.  Degree 1 (Q and
+degree-1 quotients) takes an inline path.  ``coeffs`` reads the value
+as a tuple of reduced Fractions.  Scalars are immutable and all
+operations are pure; concurrent reads are safe.
 
 Irreducibility of p is deliberately not checked: a reducible p yields a
 ring, and inverting a zero divisor raises NotInvertible.
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DegreeOverflow,
@@ -43,7 +55,7 @@ class FieldDescriptor:
 class Field:
     """Arithmetic context shared by all scalars of one ground field."""
 
-    __slots__ = ("kind", "min_poly", "degree", "zero", "one", "_zero_frac")
+    __slots__ = ("kind", "min_poly", "degree", "zero", "one", "_powers")
 
     def __init__(self, kind: str, min_poly: tuple[int, ...] | None = None):
         if kind == "rationals":
@@ -63,11 +75,22 @@ class Field:
         self.kind = kind
         self.min_poly = tuple(min_poly) if min_poly is not None else None
         self.degree = degree
-        self._zero_frac = Fraction(0)
-        self.zero = Scalar(self, (self._zero_frac,) * degree)
-        one = [self._zero_frac] * degree
-        one[0] = Fraction(1)
-        self.one = Scalar(self, tuple(one))
+        # _powers[k] = x^(d+k) mod p for k = 0 .. d-2, as d integers:
+        # x^d = -(p0 + ... + p_{d-1} x^(d-1)), and each next power is the
+        # previous one shifted up once, its overflow folded back by x^d.
+        powers = []
+        if degree > 1:
+            top = [-c for c in min_poly[:-1]]
+            row = top
+            for _ in range(degree - 1):
+                powers.append(tuple(row))
+                c = row[-1]
+                row = [0] + row[:-1]
+                if c:
+                    row = [r + c * t for r, t in zip(row, top)]
+        self._powers = tuple(powers)
+        self.zero = Scalar(self, (0,) * degree, 1)
+        self.one = Scalar(self, (1,) + (0,) * (degree - 1), 1)
 
     @staticmethod
     def rationals() -> "Field":
@@ -94,15 +117,24 @@ class Field:
         return f"Field(Q[x]/{list(self.min_poly)})"
 
     def scalar(self, coeffs) -> "Scalar":
-        """Build a scalar from rationals/ints, reducing modulo min_poly."""
+        """Build a scalar from rationals/ints c0, c1, ..., reducing
+        modulo min_poly."""
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = self._reduce(cs)
-        elif len(cs) < self.degree:
-            cs.extend([self._zero_frac] * (self.degree - len(cs)))
-        return Scalar(self, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        d, p = self.degree, self.min_poly
+        while len(num) > d:  # long division by p, top term first
+            c = num.pop()
+            if c:
+                if p is None:
+                    raise DegreeOverflow(f"{len(cs)} coefficients in Q")
+                i = len(num) - d
+                for j in range(d):
+                    num[i + j] -= c * p[j]
+        num.extend([0] * (d - len(num)))
+        return _canonical(self, num, den)
 
     def generator(self) -> "Scalar":
         """The class of x; in a degree-1 quotient this reduces to -p0."""
@@ -112,77 +144,106 @@ class Field:
             return self.scalar([-self.min_poly[0]])
         return self.scalar([0, 1])
 
-    def _reduce(self, cs: list[Fraction]) -> list[Fraction]:
-        d = self.degree
-        p = self.min_poly
-        for i in range(len(cs) - 1, d - 1, -1):
-            c = cs[i]
-            if c:
-                for j in range(d):
-                    if p[j]:
-                        cs[i - d + j] -= c * p[j]
-        del cs[d:]
-        while len(cs) < d:
-            cs.append(self._zero_frac)
-        return cs
+
+def _canonical(field: Field, num, den: int) -> "Scalar":
+    """The scalar num/den (den > 0) with the common factor divided out."""
+    g = gcd(den, *num)
+    if g != 1:
+        return Scalar(field, tuple([n // g for n in num]), den // g)
+    return Scalar(field, tuple(num), den)
 
 
 class Scalar:
-    """An exact field element in canonical reduced form."""
+    """An exact field element: integer numerators ``num`` (c0 .. c_{d-1})
+    over one positive denominator ``den``, in canonical form.
 
-    __slots__ = ("field", "coeffs")
+    The constructor trusts its arguments; build scalars with
+    ``Field.scalar``, ``parse_scalar`` or arithmetic.
+    """
 
-    def __init__(self, field: Field, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: Field, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients c0 .. c_{d-1} as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def _check(self, other: "Scalar") -> None:
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check(other)
-        return self.coeffs == other.coeffs
+        if other.field is not self.field:
+            self._check(other)
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if other.field is not f:
+            self._check(other)
+        da, db = self.den, other.den
+        if f.degree == 1:
+            if da == db:
+                n = self.num[0] + other.num[0]
+            else:
+                n = self.num[0] * db + other.num[0] * da
+                da *= db
+            g = gcd(n, da)
+            return Scalar(f, (n // g,), da // g) if g != 1 else Scalar(f, (n,), da)
+        if da == db:
+            return _canonical(f, [a + b for a, b in zip(self.num, other.num)], da)
+        return _canonical(f, [a * db + b * da for a, b in zip(self.num, other.num)],
+                          da * db)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar(self.field, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
+        if other.field is not f:
+            self._check(other)
+        den = self.den * other.den
         if f.degree == 1:
-            return Scalar(f, (a[0] * b[0],))
-        prod = [f._zero_frac] * (2 * f.degree - 1)
-        for i, ai in enumerate(a):
+            n = self.num[0] * other.num[0]
+            g = gcd(n, den)
+            return Scalar(f, (n // g,), den // g) if g != 1 else Scalar(f, (n,), den)
+        d, b = f.degree, other.num
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Scalar(f, tuple(f._reduce(prod)))
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        out = prod[:d]
+        for c, row in zip(prod[d:], f._powers):
+            if c:
+                for j, t in enumerate(row):
+                    out[j] += c * t
+        return _canonical(f, out, den)
 
     def inv(self) -> "Scalar":
         if not self:
             raise DivisionByZero("inversion of zero")
         f = self.field
         if f.degree == 1:
-            return Scalar(f, (1 / self.coeffs[0],))
+            n = self.num[0]
+            return Scalar(f, (-self.den,), -n) if n < 0 else Scalar(f, (self.den,), n)
         g, u = _invert_mod(list(self.coeffs), [Fraction(c) for c in f.min_poly])
         if g is None:
             raise NotInvertible("zero divisor in a reducible quotient")

@@ -12,6 +12,7 @@ construction time in the instance builders).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AntipodeNotBijective, ShapeError
 from .linmaps import LinMap, SpaceLabel, flip_map, kron_all, map_kron, try_inverse, vector_coeffs
@@ -120,6 +121,13 @@ class HopfAlgebra:
     def field(self) -> Field:
         return self.algebra.field
 
+    @cached_property
+    def solved_antipode_inv(self) -> LinMap | None:
+        """The antipode's inverse from one exact elimination, made once
+        and whether or not antipode_inv is designated; None when the
+        antipode is singular."""
+        return try_inverse(self.antipode)
+
 
 def validate_algebra(alg: StructureAlgebra) -> VerificationReport:
     rep = VerificationReport()
@@ -173,9 +181,7 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
                     alg.mul @ map_kron(h.antipode, ident) @ coa.comul, unit_counit)
     check_map_equal(rep, "hopf-antipode-right",
                     alg.mul @ map_kron(ident, h.antipode) @ coa.comul, unit_counit)
-    inv = h.antipode_inv
-    if inv is None:
-        inv = try_inverse(h.antipode)
+    inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
     if inv is None:
         rep.add("hopf-antipode-bijective", False,
                 {"reason": "antipode matrix is singular"})
@@ -190,7 +196,7 @@ def antipode_inverse(h: HopfAlgebra) -> LinMap:
     """Exact matrix inverse of the antipode."""
     if h.antipode_inv is not None:
         return h.antipode_inv
-    inv = try_inverse(h.antipode)
+    inv = h.solved_antipode_inv
     if inv is None:
         raise AntipodeNotBijective("antipode matrix is singular")
     return inv

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import strongconn
 from strongconn.cli import main
 from strongconn.fileformat import write_instance
 from strongconn.golden import build_golden, write_golden_files
@@ -95,11 +98,15 @@ def test_cli_oracle_cap_skips(golden_dir, capsys):
 
 
 def test_console_entry_point_subprocess(golden_dir):
-    # one end-to-end run through the module entry point
+    # one end-to-end run through the module entry point, importing the
+    # same strongconn package as this test process
+    src = str(Path(strongconn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "strongconn.cli",
          str(golden_dir / "graded_n2_t2.json"), "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["failure_count"] == 0

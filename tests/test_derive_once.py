@@ -1,5 +1,7 @@
 """Each pipeline run derives the lifted canonical map once per extension,
-eliminates it once, and builds the connection once.
+eliminates it once, builds the connection once (with its gamma and
+alpha, which the colinearity reduction reuses), and inverts an antipode
+once.
 
 The counters wrap a callable in every strongconn module that imported
 it, so a call made through any module is counted.
@@ -88,3 +90,25 @@ def test_connection_built_once(name, monkeypatch):
     built = statuses.get("connection-built") == "pass"
     assert built == (name != "sweedler_h4")
     assert len(connections) == (1 if built else 0)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_gamma_and_alpha_built_once(name, monkeypatch):
+    gammas = record_calls(monkeypatch, "connection", "gamma_map")
+    alphas = record_calls(monkeypatch, "connection", "alpha_map")
+    statuses, _, connections, _ = traced_run(name, monkeypatch)
+    assert statuses.get("reduction-right-agrees") == \
+        statuses.get("reduction-left-agrees") == \
+        ("pass" if connections else None)
+    assert len(gammas) == len(alphas) == len(connections)
+
+
+def test_antipode_inverted_once(monkeypatch):
+    """The homogeneous stage's validate_hopf and the validate stage's
+    antipode-bijective check share one inverse of A's antipode; the
+    other inversion is that of psi."""
+    inverses = record_calls(monkeypatch, "linmaps", "try_inverse")
+    statuses, _, _, _ = traced_run("homogeneous_z4_z2", monkeypatch)
+    assert statuses["hopf-antipode-bijective"] == "pass"
+    assert statuses["antipode-bijective"] == "pass"
+    assert len(inverses) == 2

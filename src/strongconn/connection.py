@@ -350,16 +350,14 @@ def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> Verificat
 
 
 def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
-                          delta: Cointegral,
                           ext: EntwinedExtension) -> VerificationReport:
     """Classify sigma's colinearity, compute the applicable reduced
     formulas, and assert they agree with conn, the full formula built
-    from the same sigma and delta.
+    from the same sigma.
 
-    gamma and alpha are taken from conn when it carries them; otherwise
-    gamma is built only for a right-colinear sigma and alpha only for a
-    left-colinear one.  A reduced/full disagreement would contradict the
-    construction and raises InternalContradiction.
+    conn must come from build_connection: the reduced formulas reuse the
+    gamma and alpha it carries.  A reduced/full disagreement would
+    contradict the construction and raises InternalContradiction.
     """
     rep = VerificationReport()
     alg, coa = ext.algebra, ext.coalgebra
@@ -379,16 +377,14 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
         klass = "neither"
     rep.add_info("section-colinearity-class", {"class": klass})
     if right_col:
-        gamma = conn.gamma if conn.gamma is not None else gamma_map(delta, ext)
-        reduced = map_kron(gamma, ia) @ map_kron(ic, sigma) @ coa.comul
+        reduced = map_kron(conn.gamma, ia) @ map_kron(ic, sigma) @ coa.comul
         ok = rep.add("reduction-right-agrees", reduced == conn.ell)
         if not ok:
             raise InternalContradiction("right-reduced formula disagrees")
     else:
         rep.add_na("reduction-right-agrees", "sigma is not right colinear")
     if left_col:
-        alpha = conn.alpha if conn.alpha is not None else alpha_map(delta, ext)
-        reduced = map_kron(ia, alpha) @ map_kron(sigma, ic) @ coa.comul
+        reduced = map_kron(ia, conn.alpha) @ map_kron(sigma, ic) @ coa.comul
         ok = rep.add("reduction-left-agrees", reduced == conn.ell)
         if not ok:
             raise InternalContradiction("left-reduced formula disagrees")

@@ -287,7 +287,7 @@ def extension_from_homogeneous(datum: HomogeneousDatum):
     field = hopf.field
     a_space = hopf.space
     ia = hopf.algebra.identity()
-    rep.add("antipode-bijective", hopf.solved_antipode_inv is not None)
+    rep.add("antipode-bijective", hopf._solved_antipode_inv is not None)
     psi = map_kron(ia, datum.pi) @ map_kron(ia, hopf.algebra.mul) @ \
         map_kron(flip_map(field, a_space, a_space), ia) @ \
         map_kron(datum.section, hopf.coalgebra.comul)

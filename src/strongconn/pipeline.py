@@ -324,7 +324,7 @@ def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
                 continue
             vrep = verify_connection(conn, ext)
             rep.record_all(stage, vrep)
-            rep.record_all(stage, colinearity_reduction(conn, sigma, delta, ext))
+            rep.record_all(stage, colinearity_reduction(conn, sigma, ext))
             verify_ok = vrep.passed
 
         elif stage == "splitting":

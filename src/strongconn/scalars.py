@@ -210,7 +210,22 @@ class Scalar:
                           da * db)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + -other
+        f = self.field
+        if other.field is not f:
+            self._check(other)
+        da, db = self.den, other.den
+        if f.degree == 1:
+            if da == db:
+                n = self.num[0] - other.num[0]
+            else:
+                n = self.num[0] * db - other.num[0] * da
+                da *= db
+            g = gcd(n, da)
+            return Scalar(f, (n // g,), da // g) if g != 1 else Scalar(f, (n,), da)
+        if da == db:
+            return _canonical(f, [a - b for a, b in zip(self.num, other.num)], da)
+        return _canonical(f, [a * db - b * da for a, b in zip(self.num, other.num)],
+                          da * db)
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.field, tuple([-a for a in self.num]), self.den)

@@ -122,7 +122,7 @@ class HopfAlgebra:
         return self.algebra.field
 
     @cached_property
-    def solved_antipode_inv(self) -> LinMap | None:
+    def _solved_antipode_inv(self) -> LinMap | None:
         """The antipode's inverse from one exact elimination, made once
         and whether or not antipode_inv is designated; None when the
         antipode is singular."""
@@ -181,7 +181,7 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
                     alg.mul @ map_kron(h.antipode, ident) @ coa.comul, unit_counit)
     check_map_equal(rep, "hopf-antipode-right",
                     alg.mul @ map_kron(ident, h.antipode) @ coa.comul, unit_counit)
-    inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
+    inv = _antipode_inverse_or_none(h)
     if inv is None:
         rep.add("hopf-antipode-bijective", False,
                 {"reason": "antipode matrix is singular"})
@@ -192,11 +192,17 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
     return rep
 
 
-def antipode_inverse(h: HopfAlgebra) -> LinMap:
-    """Exact matrix inverse of the antipode."""
+def _antipode_inverse_or_none(h: HopfAlgebra) -> LinMap | None:
+    """The designated antipode_inv, else the solved inverse; None when
+    none is designated and the antipode is singular."""
     if h.antipode_inv is not None:
         return h.antipode_inv
-    inv = h.solved_antipode_inv
+    return h._solved_antipode_inv
+
+
+def antipode_inverse(h: HopfAlgebra) -> LinMap:
+    """Exact matrix inverse of the antipode."""
+    inv = _antipode_inverse_or_none(h)
     if inv is None:
         raise AntipodeNotBijective("antipode matrix is singular")
     return inv

@@ -170,7 +170,7 @@ def test_criterion_4_idempotence(suite_extensions):
         conn, delta, _ = formula_connection(ext)
         fed_back = SectionMap(conn.ell, normalized=True)
         rebuilt = build_connection(fed_back, delta, ext)
-        rep = colinearity_reduction(rebuilt, fed_back, delta, ext)
+        rep = colinearity_reduction(rebuilt, fed_back, ext)
         klass = rep.named("section-colinearity-class").witness["class"]
         assert klass == "bicolinear", name
         assert rep.named("bicolinear-fixed-point").status == "pass", name
@@ -239,7 +239,7 @@ def test_criterion_4_reduced_formulas_one_sided():
             ("left", "reduction-left-agrees", "reduction-right-agrees")):
         sigma = _one_sided_section(ext, side)
         conn = build_connection(sigma, delta, ext)
-        rrep = colinearity_reduction(conn, sigma, delta, ext)
+        rrep = colinearity_reduction(conn, sigma, ext)
         klass = rrep.named("section-colinearity-class").witness["class"]
         assert klass == f"{side}-colinear"
         assert rrep.named(agrees).status == "pass"

@@ -334,7 +334,7 @@ def test_colinearity_reduction_bicolinear(z2):
     conn, delta, sigma = connection_for(z2)
     fed_back = SectionMap(conn.ell, normalized=True)
     rebuilt = build_connection(fed_back, delta, z2)
-    rep = colinearity_reduction(rebuilt, fed_back, delta, z2)
+    rep = colinearity_reduction(rebuilt, fed_back, z2)
     assert rep.named("section-colinearity-class").witness["class"] == "bicolinear"
     assert rep.named("bicolinear-fixed-point").status == "pass"
     assert rebuilt.ell == conn.ell

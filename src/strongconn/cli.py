@@ -39,11 +39,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usage_error(args, stages: list[str] | None) -> str | None:
+    """What is wrong with option values that argparse accepts, if anything."""
+    if args.dim_cap < 1:
+        return f"--dim-cap must be at least 1, got {args.dim_cap}"
+    if args.oracle_cap < 0:
+        return f"--oracle-cap must not be negative, got {args.oracle_cap}"
+    if stages == []:
+        return f"--stages {args.stages!r} names no stage"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     stages = None
-    if args.stages:
+    if args.stages is not None:
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
+    usage = _usage_error(args, stages)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
+        return 2
     try:
         inst = parse_instance(args.instance, dim_cap=args.dim_cap)
         rep = run_pipeline(inst, stages, oracle_cap=args.oracle_cap)

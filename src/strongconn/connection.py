@@ -466,8 +466,11 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
     Returns the affine solution set (particular solution plus kernel) or
     an Infeasible certificate.  Assembly writes each coefficient from the
     nonzeros of the structure maps and stores only the nonzeros of the
-    system, so it is linear in those nonzeros; only the single
-    elimination grows with the cube of the unknown count, hence the cap.
+    system, so it is linear in those nonzeros.  The single elimination
+    visits only the rows that hold each pivot's column, so its cost is
+    the arithmetic on the nonzeros and their fill-in, not rows x
+    unknowns; fill-in can still grow with the square of the unknown
+    count and the work with its cube, hence the cap.
     """
     alg, coa = ext.algebra, ext.coalgebra
     field = ext.field

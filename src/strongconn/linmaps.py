@@ -19,7 +19,12 @@ Conventions frozen here and shared with the instance file format:
   demand for display and tests; nothing on a hot path reads it.
 * Solvers are deterministic: reduced row echelon form with leftmost
   pivots, free variables set to zero.  Identical inputs give identical
-  outputs, bit for bit.
+  outputs, bit for bit.  Every solve runs one elimination,
+  ``_rref_inplace``, which keeps a column index (the row positions that
+  hold each column) beside the sparse rows: the pivot search and the
+  row sweep read that index instead of scanning the rows, so the cost
+  is the arithmetic on the nonzeros and their fill-in, not
+  rows x columns.
 
 Everything is immutable after construction (the row dicts are never
 modified once a map or subspace holds them) and safe for concurrent
@@ -390,35 +395,80 @@ def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
     """Reduced row echelon form of sparse rows, leftmost pivots; returns
     pivot columns.
 
-    The pivot for column c is the first remaining row that holds c, as
-    in dense Gauss-Jordan elimination, so in a reducible Q[x]/(p) a
-    zero-divisor pivot raises NotInvertible exactly where the dense
-    elimination would.  Each step updates only the rows that hold c,
-    and each update visits the pivot row's nonzeros.
+    A column index maps each column to the set of row positions that
+    hold it.  It is built once from the rows and kept in step on row
+    swaps, fill-in and cancellation, so no step scans the rows.  The
+    pivot for column c is the lowest position at or below the current
+    row in c's set: the first remaining row that holds c, as in dense
+    Gauss-Jordan elimination, so in a reducible Q[x]/(p) a zero-divisor
+    pivot raises NotInvertible exactly where the dense elimination
+    would.  The sweep updates only the rows in c's set, and each update
+    visits the pivot row's nonzeros.  The cost is therefore the
+    arithmetic of the elimination itself, nonzeros and their fill-in,
+    not rows x columns.
+
+    Rows at or below the current row hold no column left of c, so the
+    index of a column is dropped once its step is done.
     """
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            s = cols.get(j)
+            if s is None:
+                cols[j] = {i}
+            else:
+                s.add(i)
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if c in rows[i]:
-                pr = i
-                break
+        holders = cols.get(c)
+        if not holders:
+            continue
+        pr = min((i for i in holders if i >= r), default=None)
         if pr is None:
             continue
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
+            a, b = rows[pr], rows[r]
+            for j in a:
+                if j not in b:
+                    s = cols[j]
+                    s.discard(pr)
+                    s.add(r)
+            for j in b:
+                if j not in a:
+                    s = cols[j]
+                    s.discard(r)
+                    s.add(pr)
+            rows[r], rows[pr] = a, b
+        del cols[c]
         rowr = rows[r]
         piv = rowr[c]
         if piv != piv.field.one:
             inv = piv.inv()
             rowr = rows[r] = {j: x * inv for j, x in rowr.items()}
-        for i in range(nrows):
-            if i != r:
-                f = rows[i].get(c)
-                if f is not None:
-                    _accumulate(rows[i], rowr, -f)
+        # Column c cancels in every swept row: old - old * 1.
+        rest = [(j, x) for j, x in rowr.items() if j != c]
+        for i in holders:
+            if i == r:
+                continue
+            row = rows[i]
+            f = -row.pop(c)
+            for j, x in rest:
+                x = f * x
+                if not x:
+                    continue
+                old = row.get(j)
+                if old is None:
+                    row[j] = x
+                    cols[j].add(i)
+                else:
+                    x = old + x
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
         pivots.append(c)
         r += 1
         if r == nrows:

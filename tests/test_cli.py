@@ -97,6 +97,29 @@ def test_cli_oracle_cap_skips(golden_dir, capsys):
     assert "SKIP oracle" in out
 
 
+def test_cli_oracle_cap_zero_skips_the_oracle(golden_dir, capsys):
+    rc = main([str(golden_dir / "group_self_z4.json"), "--oracle-cap", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "SKIP oracle" in out
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--oracle-cap", "-1"], "error: --oracle-cap must not be negative, got -1"),
+    (["--dim-cap", "-5"], "error: --dim-cap must be at least 1, got -5"),
+    (["--dim-cap", "0"], "error: --dim-cap must be at least 1, got 0"),
+    (["--stages", ",,"], "error: --stages ',,' names no stage"),
+    (["--stages", ""], "error: --stages '' names no stage"),
+], ids=["oracle-cap-negative", "dim-cap-negative", "dim-cap-zero",
+        "stages-commas", "stages-empty"])
+def test_cli_bad_option_values_are_usage_errors(golden_dir, capsys, flags, message):
+    rc = main([str(golden_dir / "group_self_z4.json"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_console_entry_point_subprocess(golden_dir):
     # one end-to-end run through the module entry point, importing the
     # same strongconn package as this test process

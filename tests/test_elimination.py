@@ -5,16 +5,25 @@ certificate), the rank and the kernel from a single reduction.  Each is
 compared with the separate computations on seeded random systems over Q
 and over Q(zeta3): M.rank(), kernel_basis(M) and a copy of the solver as
 it was when it returned only the particular solution.
+
+The sparse elimination keeps a column index, so it must agree with the
+dense reference here on larger sparse systems too, whose rows are
+shuffled so that pivots sit below earlier pivot rows that hold the same
+column, and whose dependent rows cancel; over the reducible ring
+Q[x]/(x^2 - 1) it must raise NotInvertible in the same cases.  A count
+of row lookups shows that it no longer scans rows x columns.
 """
 
 import random
 
 import pytest
 
+from strongconn.errors import NotInvertible
 from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
+    _rref_inplace,
     kernel_basis,
     rref_solve,
 )
@@ -23,22 +32,32 @@ from strongconn.scalars import Field
 FIELDS = {"Q": Field.rationals(), "Q(zeta3)": Field.number_field([1, 1, 1])}
 
 
-def dense_rref(rows, ncols):
+def dense_rref(rows, ncols, kinds=None):
     """The dense Gauss-Jordan elimination the solver used to run on grids
-    of Scalars: leftmost pivots, reduced form; returns pivot columns."""
+    of Scalars: leftmost pivots, reduced form; returns pivot columns.
+    A set given as kinds collects "pivot-below-holder" (the pivot row
+    is not the current row and an earlier pivot row holds the column)
+    and "cancels" (a row update cancels an entry besides the pivot's)."""
     pivots = []
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
+        if kinds is not None and pr > r and any(rows[i][c] for i in range(r)):
+            kinds.add("pivot-below-holder")
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inv()
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                new = [a - f * b for a, b in zip(rows[i], rows[r])]
+                if kinds is not None and any(
+                        rows[i][j] and rows[r][j] and not new[j]
+                        for j in range(len(new)) if j != c):
+                    kinds.add("cancels")
+                rows[i] = new
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -132,3 +151,179 @@ def test_cases_cover_every_kind():
                 kinds.add("infeasible-later-column")
         assert kinds == {"feasible", "infeasible", "infeasible-multi",
                          "rank-deficient", "infeasible-later-column"}, name
+
+
+# -- sparse systems at scale --------------------------------------------
+
+REDUCIBLE = Field.number_field([-1, 0, 1])  # (1 + x)(1 - x) = 0
+SCALE_FIELDS = dict(FIELDS, **{"Q[x]/(x^2-1)": REDUCIBLE})
+ZERO_DIVISORS = ([1, 1], [1, -1], [-2, -2], [3, -3])
+
+
+def outcome(fn, *args):
+    """fn(*args), or the name of the NotInvertible it raised."""
+    try:
+        return fn(*args)
+    except NotInvertible:
+        return "NotInvertible"
+
+
+def nonzero_scalar(field, rng, zero_divisors):
+    """A nonzero entry; in the reducible ring a zero divisor with
+    probability zero_divisors."""
+    if field is REDUCIBLE and rng.random() < zero_divisors:
+        return field.scalar(rng.choice(ZERO_DIVISORS))
+    while True:
+        s = field.scalar([rng.randint(-3, 3) for _ in range(field.degree)])
+        if s and outcome(s.inv) != "NotInvertible":
+            return s
+
+
+def sparse_grid(field, rng, m, n, density, zero_divisors):
+    return [[nonzero_scalar(field, rng, zero_divisors) if rng.random() < density
+             else field.zero for _ in range(n)] for _ in range(m)]
+
+
+def sparse_system(field, seed):
+    """M (30-60 rows and columns, 5-15 % nonzero) and 1-3 target
+    columns.  Some rows are sums of multiples of two others, so entries
+    cancel and M is rank-deficient; the rows are then shuffled.  Targets
+    are in the image of M for even seeds and random otherwise."""
+    rng = random.Random(seed)
+    m, n, t = rng.randint(30, 60), rng.randint(30, 60), rng.randint(1, 3)
+    density = rng.uniform(0.05, 0.15)
+    zero_divisors = rng.choice((0.0, 0.02, 0.1))
+    rows = sparse_grid(field, rng, m, n, density, zero_divisors)
+    for _ in range(rng.randint(1, m // 5)):
+        i, j, k = rng.sample(range(m), 3)
+        a = nonzero_scalar(field, rng, zero_divisors)
+        b = nonzero_scalar(field, rng, zero_divisors)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    rng.shuffle(rows)
+    dom, cod = SpaceLabel.base("X", n), SpaceLabel.base("Y", m)
+    M = LinMap(field, dom, cod, rows)
+    tdom = SpaceLabel.base("T", t)
+    if seed % 2 == 0:
+        target = M @ LinMap(field, tdom, dom,
+                            sparse_grid(field, rng, n, t, 0.3, zero_divisors))
+    else:
+        target = LinMap(field, tdom, cod,
+                        sparse_grid(field, rng, m, t, 0.1, zero_divisors))
+    return M, target
+
+
+def dense_kernel(M):
+    """The reduced echelon basis of ker M, densely."""
+    n, field = M.ncols, M.field
+    rows = [list(r) for r in M.entries]
+    pivots = dense_rref(rows, n)
+    vecs = []
+    for f in range(n):
+        if f not in pivots:
+            v = [field.zero] * n
+            v[f] = field.one
+            for row, p in zip(rows, pivots):
+                v[p] = -row[f]
+            vecs.append(v)
+    return tuple(tuple(v) for v in vecs[:len(dense_rref(vecs, n))])
+
+
+SCALE_SYSTEMS = [(name, seed) for name in SCALE_FIELDS for seed in range(6)]
+
+
+@pytest.mark.parametrize("name,seed", SCALE_SYSTEMS)
+def test_sparse_elimination_matches_dense_at_scale(name, seed):
+    M, target = sparse_system(SCALE_FIELDS[name], seed)
+    # step for step: the same pivots and rows, also where NotInvertible
+    # stops both eliminations
+    n, zero = M.ncols + target.ncols, M.field.zero
+    dense = [list(a) + list(b) for a, b in zip(M.entries, target.entries)]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    assert outcome(_rref_inplace, sparse, n) == outcome(dense_rref, dense, n)
+    assert [[row.get(j, zero) for j in range(n)] for row in sparse] == dense
+    sol = outcome(rref_solve, M, target)
+    old = outcome(solve_alone, M, target)
+    if old == "NotInvertible":
+        assert sol == old
+    else:
+        assert sol.particular == old
+    rank = outcome(M.rank)
+    assert rank == outcome(lambda: len(dense_rref([list(r) for r in M.entries],
+                                                  M.ncols)))
+    kernel, want = outcome(kernel_basis, M), outcome(dense_kernel, M)
+    assert kernel == want if want == "NotInvertible" else kernel.basis == want
+    if sol != "NotInvertible":
+        assert (sol.rank, sol.kernel) == (rank, kernel)
+
+
+def test_scale_cases_cover_every_kind():
+    """The systems above are feasible and infeasible, rank-deficient,
+    have pivots found below earlier rows that hold their column and
+    entries that cancel, and in the reducible ring both raise and
+    finish."""
+    kinds = set()
+    for name, seed in SCALE_SYSTEMS:
+        field = SCALE_FIELDS[name]
+        M, target = sparse_system(field, seed)
+        rows = [list(a) + list(b) for a, b in zip(M.entries, target.entries)]
+        try:
+            pivots = dense_rref(rows, M.ncols + target.ncols, kinds)
+        except NotInvertible:
+            kinds.add("NotInvertible")
+            continue
+        if field is REDUCIBLE:
+            kinds.add("reducible-finishes")
+        rank = sum(1 for p in pivots if p < M.ncols)
+        kinds.add("infeasible" if rank < len(pivots) else "feasible")
+        if rank < min(M.nrows, M.ncols):
+            kinds.add("rank-deficient")
+    assert kinds == {"feasible", "infeasible", "rank-deficient", "NotInvertible",
+                     "reducible-finishes", "pivot-below-holder", "cancels"}
+
+
+# -- no rows x columns scan ---------------------------------------------
+
+
+class CountingRow(dict):
+    """A sparse row that counts its key lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_elimination_makes_no_rows_by_columns_scan():
+    """1500 shuffled rows of at most 3 nonzeros, in 500 blocks of 3
+    columns.  A scan of every row for every column makes about
+    rows x columns = 2.25M lookups; the elimination must stay within a
+    small multiple of the nonzero count, and give each block's rank."""
+    field = Field.rationals()
+    rng = random.Random(5)
+    values = [field.scalar(v) for v in (1, -1, 2, -3)]
+    blocks, rows = 500, []
+    for b in range(blocks):
+        for _ in range(3):
+            cols = rng.sample(range(3 * b, 3 * b + 3), rng.randint(1, 3))
+            rows.append({c: rng.choice(values) for c in cols})
+    rng.shuffle(rows)
+    by_block = {}
+    for row in rows:
+        by_block.setdefault(min(row) // 3, []).append(row)
+    want = sum(len(dense_rref([[row.get(c, field.zero) for c in range(3 * b, 3 * b + 3)]
+                               for row in group], 3))
+               for b, group in by_block.items())
+    nnz = sum(len(row) for row in rows)
+    counted = [CountingRow(row) for row in rows]
+    pivots = _rref_inplace(list(counted), 3 * blocks)
+    assert len(pivots) == want
+    assert sum(row.lookups for row in counted) < 20 * nnz

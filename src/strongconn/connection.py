@@ -38,7 +38,6 @@ from .linmaps import (
     LinMap,
     SpaceLabel,
     Subspace,
-    basis_vector,
     kron_all,
     map_from_vector,
     map_kron,
@@ -46,7 +45,7 @@ from .linmaps import (
     rref_solve,
     vector,
 )
-from .report import VerificationReport, check_map_equal
+from .report import VerificationReport, check_map_equal, first_column_mismatch
 from .structures import HopfAlgebra, StructureCoalgebra
 
 
@@ -407,32 +406,18 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
     """
     rep = VerificationReport()
     alg, coa = ext.algebra, ext.coalgebra
-    field = ext.field
     ia, ic = alg.identity(), coa.identity()
     s = map_kron(alg.mul, ia) @ map_kron(ia, conn.ell) @ ext.coaction.rho
     check_map_equal(rep, "splitting-sections-product", alg.mul @ s, ia)
-    b_tensor_a = Subspace.from_vectors(
-        field, alg.space.tensor(alg.space),
-        [map_vectorize(map_kron(vector(field, alg.space, b),
-                                basis_vector(field, alg.space, i)))
-         for b in ext.coinvariants.basis
-         for i in range(alg.dim)])
-    bad = None
-    for j in range(alg.dim):
-        if not b_tensor_a.contains_vector(s.column(j)):
-            bad = j
-            break
+    incl = ext.coinvariants.inclusion()
+    bad = Subspace.image(map_kron(incl, ia)).first_outside(s)
     rep.add("splitting-image-in-coinvariants", bad is None,
             None if bad is None else {"basis": [bad]})
-    bad = None
-    for bi, b in enumerate(ext.coinvariants.basis):
-        bv = vector(field, alg.space, b)
-        lm = alg.left_mult(bv)
-        if s @ lm != map_kron(lm, ia) @ s:
-            bad = bi
-            break
-    rep.add("splitting-left-coinvariant-linear", bad is None,
-            None if bad is None else {"coinvariant_basis_row": bad})
+    mismatch = first_column_mismatch(s @ alg.mul @ map_kron(incl, ia),
+                                     map_kron(alg.mul, ia) @ map_kron(incl, s))
+    rep.add("splitting-left-coinvariant-linear", mismatch is None,
+            None if mismatch is None
+            else {"coinvariant_basis_row": mismatch["column"] // alg.dim})
     check_map_equal(rep, "splitting-right-colinear",
                     map_kron(ia, ext.coaction.rho) @ s,
                     map_kron(s, ic) @ ext.coaction.rho)

@@ -25,6 +25,10 @@ Conventions frozen here and shared with the instance file format:
   row sweep read that index instead of scanning the rows, so the cost
   is the arithmetic on the nonzeros and their fill-in, not
   rows x columns.
+* A subspace is a map: ``Subspace.image(f)`` is the span of f's
+  columns and ``inclusion()`` is the map whose columns are the basis,
+  so a closure or membership statement is one composed map checked by
+  ``first_outside`` (the first column outside the subspace, if any).
 
 Everything is immutable after construction (the row dicts are never
 modified once a map or subspace holds them) and safe for concurrent
@@ -168,6 +172,15 @@ def _accumulate(acc: dict, row: dict, f: Scalar | None = None) -> dict:
             else:
                 del acc[j]
     return acc
+
+
+def _transpose(rows, n: int) -> list[dict]:
+    """Sparse rows over n columns, transposed: one dict per column."""
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def _row_key(rows) -> tuple:
@@ -636,6 +649,31 @@ class Subspace:
         self._check_ambient(other)
         return all(not self._reduce(dict(r)) for r in other.rows)
 
+    @staticmethod
+    def image(f: LinMap) -> "Subspace":
+        """The span of f's columns, in f's codomain."""
+        return Subspace._span(f.field, f.codomain, _transpose(f.rows, f.ncols))
+
+    def inclusion(self) -> LinMap:
+        """The basis as the columns of a map into the ambient space.
+
+        A space label has no 0-dimensional factor, so the zero subspace
+        is included as one zero column; image, containment and equality
+        are unaffected by it.
+        """
+        dom = SpaceLabel.base("_sub", max(self.dim, 1))
+        return LinMap._from_rows(self.field, dom, self.ambient,
+                                 tuple(_transpose(self.rows, self.ambient.dim)))
+
+    def first_outside(self, f: LinMap) -> int | None:
+        """The first column of f that is not in this subspace, or None."""
+        if f.codomain != self.ambient:
+            raise ShapeError(f"{f!r} does not map into {self!r}")
+        for c, col in enumerate(_transpose(f.rows, f.ncols)):
+            if self._reduce(col):
+                return c
+        return None
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace._span(self.field, self.ambient,
@@ -648,13 +686,10 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         # Solve sum x_i u_i + sum y_j v_j = 0; each kernel vector gives
         # an intersection element sum x_i u_i.
-        n = self.ambient.dim
-        rows = [{} for _ in range(n)]
-        for i, u in enumerate(self.rows + other.rows):
-            for k, x in u.items():
-                rows[k][i] = x
         M = LinMap._from_rows(self.field, SpaceLabel.base("_join", p + q),
-                              SpaceLabel.base("_amb", n), tuple(rows))
+                              self.ambient,
+                              tuple(_transpose(self.rows + other.rows,
+                                               self.ambient.dim)))
         vecs = []
         for kv in kernel_basis(M).rows:
             acc = {}

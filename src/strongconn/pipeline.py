@@ -26,7 +26,7 @@ from .connection import (
     splitting,
     verify_connection,
 )
-from .errors import DependencyError, NotGalois, StrongConnError
+from .errors import DependencyError, NotGalois, StrongConnError, TooLarge
 from .extensions import galois_check, validate_and_build
 from .fileformat import InstanceFile, field_to_dict, serialize_linmap
 from .homogeneous import (
@@ -174,6 +174,7 @@ def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
     rep = PipelineReport(inst.name, field_to_dict(inst.field), stages)
 
     datum = None
+    qdelta = None
     ext = None
     galois_ok = False
     delta = None
@@ -240,7 +241,12 @@ def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
             if ext is None:
                 rep.skip_stage(stage, "no validated extension")
                 continue
-            out = solve_cointegral(ext.coalgebra)
+            # an extension induced from the quotient datum shares its
+            # coalgebra, whose cointegral the homogeneous stage solved
+            if datum is not None and ext.coalgebra is datum.quotient:
+                out = qdelta
+            else:
+                out = solve_cointegral(ext.coalgebra)
             if isinstance(out, Infeasible):
                 rep.record(stage, Check(
                     "cointegral-exists", FAIL,
@@ -353,12 +359,11 @@ def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
             if ext is None:
                 rep.skip_stage(stage, "no validated extension")
                 continue
-            n = ext.coalgebra.dim * ext.algebra.dim ** 2
-            if n > oracle_cap:
-                rep.skip_stage(stage, f"{n} unknowns exceed the oracle "
-                                      f"cap {oracle_cap}")
+            try:
+                out = brute_force_connections(ext, cap=oracle_cap)
+            except TooLarge as exc:
+                rep.skip_stage(stage, str(exc))
                 continue
-            out = brute_force_connections(ext, cap=oracle_cap)
             if isinstance(out, Infeasible):
                 rep.record(stage, Check("oracle-solution-exists", FAIL,
                                         {"row": out.row, "detail": out.detail}))

@@ -95,6 +95,7 @@ def test_cli_oracle_cap_skips(golden_dir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "SKIP oracle" in out
+    assert '{"reason": "64 unknowns exceed the oracle cap 10"}' in out
 
 
 def test_cli_oracle_cap_zero_skips_the_oracle(golden_dir, capsys):

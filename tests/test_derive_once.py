@@ -1,12 +1,13 @@
 """Each pipeline run derives the lifted canonical map once per extension,
 eliminates it once, builds the connection once (with its gamma and
-alpha, which the colinearity reduction reuses), and inverts an antipode
-once.
+alpha, which the colinearity reduction reuses), inverts an antipode
+once, and solves the cointegral of a homogeneous quotient once.
 
 The counters wrap a callable in every strongconn module that imported
 it, so a call made through any module is counted.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import pytest
 from strongconn import linmaps
 from strongconn.fileformat import parse_instance
 from strongconn.pipeline import run_pipeline
+
+from test_golden_files import REPORT_SHA256
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
@@ -112,3 +115,19 @@ def test_antipode_inverted_once(monkeypatch):
     assert statuses["hopf-antipode-bijective"] == "pass"
     assert statuses["antipode-bijective"] == "pass"
     assert len(inverses) == 2
+
+
+def test_quotient_cointegral_solved_once(monkeypatch):
+    """The homogeneous stage solves the quotient's cointegral; the
+    cointegral stage reuses it, since the induced extension's coalgebra
+    is that quotient, and the report bytes stay pinned."""
+    name = "homogeneous_z4_z2"
+    inst = parse_instance(str(GOLDEN_DIR / f"{name}.json"))
+    solved = record_calls(monkeypatch, "connection", "solve_cointegral")
+    rep = run_pipeline(inst)
+    statuses = {c.name: c.status for _, c in rep.checks}
+    assert statuses["quotient-cointegral-exists"] == "pass"
+    assert statuses["cointegral-exists"] == "pass"
+    assert len(solved) == 1
+    assert hashlib.sha256(rep.to_json().encode("utf-8")).hexdigest() == \
+        REPORT_SHA256[name]

@@ -1,6 +1,7 @@
 """The committed golden files through the command line.
 
-Their JSON reports are pinned byte for byte, and deleting any single
+The builders regenerate them byte for byte, their JSON reports are
+pinned byte for byte, and deleting any single
 designation from any of them, or giving any structural value a value of
 another JSON type, ends in a documented exit code, never in a traceback
 or an internal error.
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongconn.cli import main
+from strongconn.golden import write_golden_files
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -37,6 +39,14 @@ REPORT_SHA256 = {
 
 def test_every_golden_file_is_pinned():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(REPORT_SHA256)
+
+
+def test_golden_files_regenerate_byte_for_byte(tmp_path):
+    written = write_golden_files(str(tmp_path))
+    assert sorted(Path(p).name for p in written) == \
+        sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+    for path in written:
+        assert Path(path).read_bytes() == (GOLDEN_DIR / Path(path).name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from strongconn.errors import ShapeError
@@ -214,3 +216,73 @@ def test_vector_helpers():
 def test_kron_all():
     i2 = LinMap.identity(QQ, A2)
     assert kron_all(i2, i2, i2).domain.dim == 8
+
+
+# -- subspaces as maps -------------------------------------------------
+
+ZETA3 = Field.number_field([1, 1, 1])
+A4 = SpaceLabel.base("A", 4)
+
+
+def seeded_map(field, dom, cod, seed, density=0.5):
+    """A seeded map whose entries are small integers and, over Q(zeta3),
+    two-coefficient scalars."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() > density:
+            return field.zero
+        return field.scalar([rng.randint(-2, 2) for _ in range(field.degree)])
+
+    return LinMap(field, dom, cod,
+                  [[entry() for _ in range(dom.dim)] for _ in range(cod.dim)])
+
+
+def seeded_subspace(field, seed):
+    """The span of two seeded vectors in A4: dimension 1 or 2."""
+    cols = seeded_map(field, A2, A4, seed, density=1.0)
+    return Subspace.from_vectors(field, A4, [cols.column(c) for c in range(2)])
+
+
+@pytest.mark.parametrize("field", [QQ, ZETA3], ids=["Q", "Q(zeta3)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_image_is_the_span_of_the_columns(field, seed):
+    f = seeded_map(field, C3, A4, seed)
+    assert Subspace.image(f) == Subspace.from_vectors(
+        field, A4, [f.column(c) for c in range(f.ncols)])
+
+
+@pytest.mark.parametrize("field", [QQ, ZETA3], ids=["Q", "Q(zeta3)"])
+@pytest.mark.parametrize("which", ["seeded", "full", "zero"])
+def test_image_of_inclusion_is_the_subspace(field, which):
+    sub = {"seeded": lambda: seeded_subspace(field, 3),
+           "full": lambda: Subspace.full(field, A4),
+           "zero": lambda: Subspace.zero(field, A4)}[which]()
+    incl = sub.inclusion()
+    assert incl.codomain == A4
+    assert incl.ncols == max(sub.dim, 1)
+    assert Subspace.image(incl) == sub
+    assert incl.is_zero() == (sub.dim == 0)
+
+
+@pytest.mark.parametrize("field", [QQ, ZETA3], ids=["Q", "Q(zeta3)"])
+@pytest.mark.parametrize("seed", range(6))
+def test_first_outside_agrees_with_contains_vector(field, seed):
+    sub = seeded_subspace(field, seed)
+    # columns drawn alternately from the subspace and from all of A4
+    inside = sub.inclusion() @ seeded_map(field, C3, sub.inclusion().domain,
+                                           seed + 100)
+    anywhere = seeded_map(field, C3, A4, seed + 200)
+    f = LinMap(field, C3.tensor(A2), A4,
+               [[x for pair in zip(ri, ra) for x in pair]
+                for ri, ra in zip(inside.entries, anywhere.entries)])
+    expected = next((c for c in range(f.ncols)
+                     if not sub.contains_vector(f.column(c))), None)
+    assert sub.first_outside(f) == expected
+    assert sub.first_outside(inside) is None
+    assert Subspace.full(field, A4).first_outside(f) is None
+
+
+def test_first_outside_needs_the_ambient_codomain():
+    with pytest.raises(ShapeError):
+        Subspace.zero(QQ, A4).first_outside(LinMap.zero(QQ, A2, C3))

@@ -38,10 +38,12 @@ from .linmaps import (
     LinMap,
     SpaceLabel,
     Subspace,
-    kron_all,
+    apply_at,
+    compose_legs,
     map_from_vector,
     map_kron,
     map_vectorize,
+    precompose_at,
     rref_solve,
     vector,
 )
@@ -98,11 +100,10 @@ class BruteForceSolutions:
 
 def verify_cointegral(delta: LinMap, coa: StructureCoalgebra) -> VerificationReport:
     rep = VerificationReport()
-    ic = coa.identity()
     check_map_equal(rep, "cointegral-counit-law", delta @ coa.comul, coa.counit)
     check_map_equal(rep, "cointegral-centrality",
-                    map_kron(ic, delta) @ map_kron(coa.comul, ic),
-                    map_kron(delta, ic) @ map_kron(ic, coa.comul))
+                    compose_legs(delta.domain, (delta, 1), (coa.comul, 0)),
+                    compose_legs(delta.domain, (delta, 0), (coa.comul, 1)))
     return rep
 
 
@@ -201,11 +202,9 @@ def solve_cointegral(coa: StructureCoalgebra):
 
 def verify_integral(lam: LinMap, hopf: HopfAlgebra) -> VerificationReport:
     rep = VerificationReport()
-    coa = hopf.coalgebra
-    ic = coa.identity()
     # c_1 lam(c_2) = lam(c) 1, the C-valued invariance law
     check_map_equal(rep, "integral-invariance",
-                    map_kron(ic, lam) @ coa.comul, hopf.algebra.unit @ lam)
+                    apply_at(lam, hopf.coalgebra.comul, 1), hopf.algebra.unit @ lam)
     check_map_equal(rep, "integral-normalized",
                     lam @ hopf.algebra.unit,
                     LinMap.identity(hopf.field, SpaceLabel.scalar()))
@@ -237,8 +236,7 @@ def solve_integral(hopf: HopfAlgebra):
 
 def integral_to_cointegral(hopf: HopfAlgebra, integral: Integral) -> Cointegral:
     """delta(c (x) c') = lam(c S(c')), re-verified against the cointegral laws."""
-    ic = hopf.coalgebra.identity()
-    delta = integral.lam @ hopf.algebra.mul @ map_kron(ic, hopf.antipode)
+    delta = precompose_at(integral.lam @ hopf.algebra.mul, hopf.antipode, 1)
     if not verify_cointegral(delta, hopf.coalgebra).passed:
         raise InternalContradiction("converted cointegral fails its defining laws")
     return Cointegral(delta, 0)
@@ -246,8 +244,7 @@ def integral_to_cointegral(hopf: HopfAlgebra, integral: Integral) -> Cointegral:
 
 def cointegral_to_integral(delta: Cointegral, hopf: HopfAlgebra):
     """lam(c) = delta(c (x) 1); validity is checked and reported, not assumed."""
-    ic = hopf.coalgebra.identity()
-    lam = delta.delta @ map_kron(ic, hopf.algebra.unit)
+    lam = precompose_at(delta.delta, hopf.algebra.unit, 1)
     return Integral(lam, 0), verify_integral(lam, hopf)
 
 
@@ -285,24 +282,18 @@ def normalize_section(section: SectionMap, grouplike: LinMap,
 
 def gamma_map(delta: Cointegral, ext: EntwinedExtension) -> LinMap:
     """gamma = (delta (x) A) o (C (x) left_coaction), left C-colinear."""
-    alg, coa = ext.algebra, ext.coalgebra
-    ia, ic = alg.identity(), coa.identity()
-    gamma = map_kron(delta.delta, ia) @ map_kron(ic, ext.coaction.rho_left)
-    lhs = ext.coaction.rho_left @ gamma
-    rhs = map_kron(ic, gamma) @ map_kron(coa.comul, ia)
-    if lhs != rhs:
+    lam = ext.coaction.rho_left
+    gamma = compose_legs(lam.codomain, (delta.delta, 0), (lam, 1))
+    if lam @ gamma != compose_legs(lam.codomain, (gamma, 1), (ext.coalgebra.comul, 0)):
         raise InternalContradiction("gamma is not left colinear")
     return gamma
 
 
 def alpha_map(delta: Cointegral, ext: EntwinedExtension) -> LinMap:
     """alpha = (A (x) delta) o (right_coaction (x) C), right C-colinear."""
-    alg, coa = ext.algebra, ext.coalgebra
-    ia, ic = alg.identity(), coa.identity()
-    alpha = map_kron(ia, delta.delta) @ map_kron(ext.coaction.rho, ic)
-    lhs = ext.coaction.rho @ alpha
-    rhs = map_kron(alpha, ic) @ map_kron(ia, coa.comul)
-    if lhs != rhs:
+    rho = ext.coaction.rho
+    alpha = compose_legs(rho.codomain, (delta.delta, 1), (rho, 0))
+    if rho @ alpha != compose_legs(rho.codomain, (alpha, 0), (ext.coalgebra.comul, 1)):
         raise InternalContradiction("alpha is not right colinear")
     return alpha
 
@@ -311,17 +302,12 @@ def build_connection(section: SectionMap, delta: Cointegral,
                      ext: EntwinedExtension) -> ConnectionForm:
     """Assemble the explicit strong connection form from sigma and delta."""
     coa = ext.coalgebra
-    ia, ic = ext.algebra.identity(), coa.identity()
     gamma = gamma_map(delta, ext)
     alpha = alpha_map(delta, ext)
-    # gamma (x) alpha = (gamma (x) A) o (C (x) A (x) alpha): each factor
-    # pads one of them with identities, so kron(gamma, alpha) is never
-    # formed.  Applied right to left, every intermediate map has dim C
-    # columns.
-    ell = map_kron(coa.comul, ic) @ coa.comul
-    ell = kron_all(ic, section.sigma, ic) @ ell
-    ell = kron_all(ic, ia, alpha) @ ell
-    ell = map_kron(gamma, ia) @ ell
+    # gamma (x) alpha = (gamma (x) A) o (C (x) A (x) alpha), so
+    # kron(gamma, alpha) is never formed.
+    ell = compose_legs(coa.space, (gamma, 0), (alpha, 2), (section.sigma, 1),
+                       (coa.comul, 0), (coa.comul, 0))
     return ConnectionForm(ell, "formula", gamma, alpha)
 
 
@@ -330,16 +316,13 @@ def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> Verificat
     grouplike is designated (not applicable otherwise)."""
     rep = VerificationReport()
     alg, coa = ext.algebra, ext.coalgebra
-    ia, ic = alg.identity(), coa.identity()
     ell = conn.ell
     check_map_equal(rep, "connection-sections-canonical",
-                    ext.canonical_map @ ell, map_kron(alg.unit, ic))
+                    ext.canonical_map @ ell, map_kron(alg.unit, coa.identity()))
     check_map_equal(rep, "connection-right-colinear",
-                    map_kron(ell, ic) @ coa.comul,
-                    map_kron(ia, ext.coaction.rho) @ ell)
+                    apply_at(ell, coa.comul, 0), apply_at(ext.coaction.rho, ell, 1))
     check_map_equal(rep, "connection-left-colinear",
-                    map_kron(ic, ell) @ coa.comul,
-                    map_kron(ext.coaction.rho_left, ia) @ ell)
+                    apply_at(ell, coa.comul, 1), apply_at(ext.coaction.rho_left, ell, 0))
     if ext.grouplike is None:
         rep.add_na("connection-normalized", "no designated grouplike")
     else:
@@ -359,13 +342,10 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
     contradict the construction and raises InternalContradiction.
     """
     rep = VerificationReport()
-    alg, coa = ext.algebra, ext.coalgebra
-    ia, ic = alg.identity(), coa.identity()
+    comul = ext.coalgebra.comul
     sigma = section.sigma
-    right_col = map_kron(sigma, ic) @ coa.comul == \
-        map_kron(ia, ext.coaction.rho) @ sigma
-    left_col = map_kron(ic, sigma) @ coa.comul == \
-        map_kron(ext.coaction.rho_left, ia) @ sigma
+    right_col = apply_at(sigma, comul, 0) == apply_at(ext.coaction.rho, sigma, 1)
+    left_col = apply_at(sigma, comul, 1) == apply_at(ext.coaction.rho_left, sigma, 0)
     if right_col and left_col:
         klass = "bicolinear"
     elif right_col:
@@ -376,14 +356,14 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
         klass = "neither"
     rep.add_info("section-colinearity-class", {"class": klass})
     if right_col:
-        reduced = map_kron(conn.gamma, ia) @ map_kron(ic, sigma) @ coa.comul
+        reduced = apply_at(conn.gamma, apply_at(sigma, comul, 1), 0)
         ok = rep.add("reduction-right-agrees", reduced == conn.ell)
         if not ok:
             raise InternalContradiction("right-reduced formula disagrees")
     else:
         rep.add_na("reduction-right-agrees", "sigma is not right colinear")
     if left_col:
-        reduced = map_kron(ia, conn.alpha) @ map_kron(sigma, ic) @ coa.comul
+        reduced = apply_at(conn.alpha, apply_at(sigma, comul, 0), 1)
         ok = rep.add("reduction-left-agrees", reduced == conn.ell)
         if not ok:
             raise InternalContradiction("left-reduced formula disagrees")
@@ -405,22 +385,23 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
     left B-linear and right C-colinear.
     """
     rep = VerificationReport()
-    alg, coa = ext.algebra, ext.coalgebra
-    ia, ic = alg.identity(), coa.identity()
-    s = map_kron(alg.mul, ia) @ map_kron(ia, conn.ell) @ ext.coaction.rho
+    alg = ext.algebra
+    ia = alg.identity()
+    rho = ext.coaction.rho
+    s = apply_at(alg.mul, apply_at(conn.ell, rho, 1), 0)
     check_map_equal(rep, "splitting-sections-product", alg.mul @ s, ia)
     incl = ext.coinvariants.inclusion()
     bad = Subspace.image(map_kron(incl, ia)).first_outside(s)
     rep.add("splitting-image-in-coinvariants", bad is None,
             None if bad is None else {"basis": [bad]})
-    mismatch = first_column_mismatch(s @ alg.mul @ map_kron(incl, ia),
-                                     map_kron(alg.mul, ia) @ map_kron(incl, s))
+    lhs = s @ precompose_at(alg.mul, incl, 0)
+    mismatch = first_column_mismatch(
+        lhs, compose_legs(lhs.domain, (alg.mul, 0), (incl, 0), (s, 1)))
     rep.add("splitting-left-coinvariant-linear", mismatch is None,
             None if mismatch is None
             else {"coinvariant_basis_row": mismatch["column"] // alg.dim})
     check_map_equal(rep, "splitting-right-colinear",
-                    map_kron(ia, ext.coaction.rho) @ s,
-                    map_kron(s, ic) @ ext.coaction.rho)
+                    apply_at(rho, s, 1), apply_at(s, rho, 0))
     return s, rep
 
 

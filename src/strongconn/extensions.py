@@ -32,10 +32,11 @@ from .linmaps import (
     Solution,
     SpaceLabel,
     Subspace,
-    basis_vector,
+    apply_at,
+    compose_legs,
     flip_map,
-    kron_all,
     map_kron,
+    precompose_at,
     rref_solve,
     stacked_kernel,
     try_inverse,
@@ -107,16 +108,16 @@ def validate_entwining_rr(psi: LinMap, alg: StructureAlgebra,
     rep = VerificationReport()
     ia = alg.identity()
     ic = coa.identity()
-    check_map_equal(rep, "entwining-rr-multiplicativity",
-                    psi @ map_kron(ic, alg.mul),
-                    map_kron(alg.mul, ic) @ map_kron(ia, psi) @ map_kron(psi, ia))
+    lhs = precompose_at(psi, alg.mul, 1)
+    check_map_equal(rep, "entwining-rr-multiplicativity", lhs,
+                    compose_legs(lhs.domain, (alg.mul, 0), (psi, 1), (psi, 0)))
     check_map_equal(rep, "entwining-rr-unitality",
-                    psi @ map_kron(ic, alg.unit), map_kron(alg.unit, ic))
+                    precompose_at(psi, alg.unit, 1), map_kron(alg.unit, ic))
     check_map_equal(rep, "entwining-rr-comultiplicativity",
-                    map_kron(ia, coa.comul) @ psi,
-                    map_kron(psi, ic) @ map_kron(ic, psi) @ map_kron(coa.comul, ia))
+                    apply_at(coa.comul, psi, 1),
+                    compose_legs(psi.domain, (psi, 0), (psi, 1), (coa.comul, 0)))
     check_map_equal(rep, "entwining-rr-counitality",
-                    map_kron(ia, coa.counit) @ psi, map_kron(coa.counit, ia))
+                    apply_at(coa.counit, psi, 1), map_kron(coa.counit, ia))
     return rep
 
 
@@ -129,16 +130,16 @@ def validate_entwining_ll(psi_inv: LinMap, alg: StructureAlgebra,
     rep = VerificationReport()
     ia = alg.identity()
     ic = coa.identity()
-    check_map_equal(rep, "entwining-ll-multiplicativity",
-                    psi_inv @ map_kron(alg.mul, ic),
-                    map_kron(ic, alg.mul) @ map_kron(psi_inv, ia) @ map_kron(ia, psi_inv))
+    lhs = precompose_at(psi_inv, alg.mul, 0)
+    check_map_equal(rep, "entwining-ll-multiplicativity", lhs,
+                    compose_legs(lhs.domain, (alg.mul, 1), (psi_inv, 0), (psi_inv, 1)))
     check_map_equal(rep, "entwining-ll-unitality",
-                    psi_inv @ map_kron(alg.unit, ic), map_kron(ic, alg.unit))
+                    precompose_at(psi_inv, alg.unit, 0), map_kron(ic, alg.unit))
     check_map_equal(rep, "entwining-ll-comultiplicativity (reconstructed)",
-                    map_kron(coa.comul, ia) @ psi_inv,
-                    map_kron(ic, psi_inv) @ map_kron(psi_inv, ic) @ map_kron(ia, coa.comul))
+                    apply_at(coa.comul, psi_inv, 0),
+                    compose_legs(psi_inv.domain, (psi_inv, 1), (psi_inv, 0), (coa.comul, 1)))
     check_map_equal(rep, "entwining-ll-counitality",
-                    map_kron(coa.counit, ia) @ psi_inv, map_kron(ia, coa.counit))
+                    apply_at(coa.counit, psi_inv, 0), map_kron(ia, coa.counit))
     return rep
 
 
@@ -172,23 +173,20 @@ def hopf_entwining(hopf: HopfAlgebra, alg: StructureAlgebra, rho: LinMap) -> Ent
     if rho.domain != a_space or rho.codomain != a_space.tensor(h_space):
         raise ShapeError("rho must map A -> A(x)H")
     field = alg.field
-    ia = alg.identity()
-    ih = LinMap.identity(field, h_space)
+    h_mul = hopf.algebra.mul
     coact = validate_right_coaction(rho, hopf.coalgebra, a_space)
     if not coact.passed:
         raise NotComoduleAlgebra(f"coaction law fails: {coact.failures[0].name}")
-    tensor_mul = map_kron(alg.mul, hopf.algebra.mul) @ \
-        kron_all(ia, flip_map(field, h_space, a_space), ih)
-    if rho @ alg.mul != tensor_mul @ map_kron(rho, rho):
+    flip_ha = flip_map(field, h_space, a_space)
+    flip_ah = flip_map(field, a_space, h_space)
+    if rho @ alg.mul != compose_legs(alg.mul.domain, (h_mul, 1), (alg.mul, 0),
+                                     (flip_ha, 1), (rho, 0), (rho, 1)):
         raise NotComoduleAlgebra("rho is not multiplicative")
     if rho @ alg.unit != map_kron(alg.unit, hopf.algebra.unit):
         raise NotComoduleAlgebra("rho does not preserve the unit")
-    psi = map_kron(ia, hopf.algebra.mul) @ \
-        map_kron(flip_map(field, h_space, a_space), ih) @ map_kron(ih, rho)
-    s_inv = antipode_inverse(hopf)
-    closed_inv = map_kron(hopf.algebra.mul, ia) @ \
-        map_kron(ih, flip_map(field, a_space, h_space)) @ \
-        kron_all(ih, ia, s_inv) @ map_kron(ih, rho) @ flip_map(field, a_space, h_space)
+    psi = compose_legs(flip_ha.domain, (h_mul, 1), (flip_ha, 0), (rho, 1))
+    closed_inv = compose_legs(flip_ah.domain, (h_mul, 0), (flip_ah, 1),
+                              (antipode_inverse(hopf), 2), (rho, 1), (flip_ah, 0))
     matrix_inv = try_inverse(psi)
     if matrix_inv is None:
         raise PsiNotBijective("Hopf entwining matrix is singular")
@@ -200,52 +198,41 @@ def hopf_entwining(hopf: HopfAlgebra, alg: StructureAlgebra, rho: LinMap) -> Ent
 def validate_right_coaction(rho: LinMap, coa: StructureCoalgebra,
                             a_space: SpaceLabel) -> VerificationReport:
     rep = VerificationReport()
-    field = rho.field
-    ia = LinMap.identity(field, a_space)
-    ic = coa.identity()
     check_map_equal(rep, "coaction-right-counitality",
-                    map_kron(ia, coa.counit) @ rho, ia)
+                    apply_at(coa.counit, rho, 1), LinMap.identity(rho.field, a_space))
     check_map_equal(rep, "coaction-right-coassociativity",
-                    map_kron(rho, ic) @ rho, map_kron(ia, coa.comul) @ rho)
+                    apply_at(rho, rho, 0), apply_at(coa.comul, rho, 1))
     return rep
 
 
 def validate_left_coaction(rho_left: LinMap, coa: StructureCoalgebra,
                            a_space: SpaceLabel) -> VerificationReport:
     rep = VerificationReport()
-    field = rho_left.field
-    ia = LinMap.identity(field, a_space)
-    ic = coa.identity()
-    check_map_equal(rep, "coaction-left-counitality",
-                    map_kron(coa.counit, ia) @ rho_left, ia)
+    check_map_equal(rep, "coaction-left-counitality", apply_at(coa.counit, rho_left, 0),
+                    LinMap.identity(rho_left.field, a_space))
     check_map_equal(rep, "coaction-left-coassociativity",
-                    map_kron(ic, rho_left) @ rho_left,
-                    map_kron(coa.comul, ia) @ rho_left)
+                    apply_at(rho_left, rho_left, 1), apply_at(coa.comul, rho_left, 0))
     return rep
 
 
 def induced_left_coaction(alg: StructureAlgebra, entw: Entwining, rho: LinMap) -> LinMap:
     """The left coaction a -> psi_inv(a rho(1))."""
-    ia = alg.identity()
-    ic = LinMap.identity(alg.field, SpaceLabel([rho.codomain.factors[-1]]))
     unit_image = rho @ alg.unit  # rho(1): k -> A (x) C
-    mult_by_rho1 = map_kron(alg.mul, ic) @ map_kron(ia, unit_image)
-    return entw.psi_inv @ mult_by_rho1
+    return compose_legs(alg.space, (entw.psi_inv, 0), (alg.mul, 0), (unit_image, 1))
 
 
 def validate_entwined_module(alg: StructureAlgebra, coa: StructureCoalgebra,
                              entw: Entwining, coact: Coaction) -> VerificationReport:
     """rho(a a') = a_0 psi(a_1 (x) a') and its left mirror, over all pairs."""
     rep = VerificationReport()
-    ia = alg.identity()
-    ic = coa.identity()
     rho, lam = coact.rho, coact.rho_left
+    aa = alg.mul.domain
     check_map_equal(rep, "entwined-module-right",
                     rho @ alg.mul,
-                    map_kron(alg.mul, ic) @ map_kron(ia, entw.psi) @ map_kron(rho, ia))
+                    compose_legs(aa, (alg.mul, 0), (entw.psi, 1), (rho, 0)))
     check_map_equal(rep, "entwined-module-left",
                     lam @ alg.mul,
-                    map_kron(ic, alg.mul) @ map_kron(entw.psi_inv, ia) @ map_kron(ia, lam))
+                    compose_legs(aa, (alg.mul, 1), (entw.psi_inv, 0), (lam, 1)))
     return rep
 
 
@@ -253,34 +240,25 @@ def coaction_from_unit_check(alg: StructureAlgebra, coa: StructureCoalgebra,
                              entw: Entwining, rho: LinMap) -> VerificationReport:
     """rho(a) = 1_0 psi(1_1 (x) a) for every basis element a."""
     rep = VerificationReport()
-    ia = alg.identity()
-    ic = coa.identity()
-    unit_image = rho @ alg.unit
-    rebuilt = map_kron(alg.mul, ic) @ map_kron(ia, entw.psi) @ map_kron(unit_image, ia)
+    rebuilt = compose_legs(alg.space, (alg.mul, 0), (entw.psi, 1),
+                           (rho @ alg.unit, 0))
     check_map_equal(rep, "coaction-from-unit", rho, rebuilt)
     return rep
 
 
 def coinvariants(alg: StructureAlgebra, rho: LinMap) -> Subspace:
-    """B = {b : rho(b a) = b rho(a) for all a}, by one stacked kernel.
+    """B = {b : rho(b a) = b rho(a) for all a}, as the kernel of one map
+    b -> sum_j a_j (x) (rho(b a_j) - b rho(a_j)) over the basis a_j.
 
     Post-checks that 1 lies in B and that B is closed under the product;
     both are consequences of the definition, so a failure indicates a
     solver bug and raises InternalContradiction.
     """
-    field = alg.field
-    a_space = alg.space
-    c_label = SpaceLabel([rho.codomain.factors[-1]])
-    ic = LinMap.identity(field, c_label)
-    ia = alg.identity()
-    maps = []
-    for j in range(a_space.dim):
-        aj = basis_vector(field, a_space, j)
-        rho_aj = rho @ aj
-        left = rho @ alg.right_mult(aj)
-        right = map_kron(alg.mul, ic) @ map_kron(ia, rho_aj)
-        maps.append(left - right)
-    sub = stacked_kernel(maps)
+    one = alg.field.one  # b -> sum_j a_j (x) b (x) a_j
+    spread = LinMap.from_rules(alg.field, alg.space, SpaceLabel(alg.space.factors * 3),
+                               lambda b: [((j, b[0], j), one) for j in range(alg.dim)])
+    sub = stacked_kernel([apply_at(rho, apply_at(alg.mul, spread, 1), 1)
+                          - apply_at(alg.mul, apply_at(rho, spread, 2), 1)])
     if sub.first_outside(alg.unit) is not None:
         raise InternalContradiction("coinvariants do not contain the unit")
     incl = sub.inclusion()
@@ -292,15 +270,15 @@ def coinvariants(alg: StructureAlgebra, rho: LinMap) -> Subspace:
 def lifted_canonical(alg: StructureAlgebra, coa: StructureCoalgebra,
                      rho: LinMap) -> LinMap:
     """a (x) a' -> a rho(a'), from A (x) A to A (x) C."""
-    return map_kron(alg.mul, coa.identity()) @ map_kron(alg.identity(), rho)
+    return compose_legs(alg.mul.domain, (alg.mul, 0), (rho, 1))
 
 
 def relation_subspace(alg: StructureAlgebra, coinv: Subspace) -> Subspace:
     """span{a b (x) a' - a (x) b a'} over basis a, a' of A and b of B."""
     ia = alg.identity()
     incl = coinv.inclusion()
-    return Subspace.image(map_kron(alg.mul @ map_kron(ia, incl), ia)
-                          - map_kron(ia, alg.mul @ map_kron(incl, ia)))
+    return Subspace.image(map_kron(precompose_at(alg.mul, incl, 1), ia)
+                          - map_kron(ia, precompose_at(alg.mul, incl, 0)))
 
 
 def galois_check(ext: EntwinedExtension) -> VerificationReport:
@@ -338,12 +316,10 @@ def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
     """
     rep = VerificationReport()
     alg, coa = ext.algebra, ext.coalgebra
-    ia = alg.identity()
-    ic = coa.identity()
     rho, lam = ext.coaction.rho, ext.coaction.rho_left
-    lhs = map_kron(ext.entwining.psi_inv, ic) @ kron_all(alg.mul, ic, ic) @ \
-        kron_all(ia, ia, coa.comul) @ map_kron(ia, rho)
-    rhs = kron_all(ic, alg.mul, ic) @ map_kron(lam, rho)
+    lhs = compose_legs(alg.mul.domain, (ext.entwining.psi_inv, 0), (alg.mul, 0),
+                       (coa.comul, 2), (rho, 1))
+    rhs = apply_at(alg.mul, map_kron(lam, rho), 1)
     check_map_equal(rep, "key-identity", lhs, rhs)
     return rep
 

@@ -34,10 +34,12 @@ from .linmaps import (
     LinMap,
     SpaceLabel,
     Subspace,
+    apply_at,
+    compose_legs,
     flip_map,
     kernel_basis,
-    kron_all,
     map_kron,
+    precompose_at,
 )
 from .report import VerificationReport, check_map_equal
 from .structures import HopfAlgebra, StructureCoalgebra, validate_coalgebra
@@ -112,7 +114,7 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
 
     # B+ = B n ker(counit), then B+A = span of products
     b_plus = b_sub.intersection(kernel_basis(coa.counit))
-    bplus_a = Subspace.image(alg.mul @ map_kron(b_plus.inclusion(), ia))
+    bplus_a = Subspace.image(precompose_at(alg.mul, b_plus.inclusion(), 0))
 
     # coideal checks
     ideal_incl = bplus_a.inclusion()
@@ -141,21 +143,21 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     if pi @ section != LinMap.identity(field, c_space):
         raise InternalContradiction("pi o i is not the identity")
 
-    comul_c = map_kron(pi, pi) @ coa.comul @ section
+    projected = apply_at(pi, apply_at(pi, coa.comul, 1), 0)
+    comul_c = projected @ section
     counit_c = coa.counit @ section
     quotient = StructureCoalgebra(comul_c, counit_c)
     qrep = validate_coalgebra(quotient)
     rep.add("quotient-coalgebra-valid", qrep.passed,
             None if qrep.passed else {"first": qrep.failures[0].name})
     # well-definedness: the induced maps factor through pi
-    ok = comul_c @ pi == map_kron(pi, pi) @ coa.comul and \
-        counit_c @ pi == coa.counit
+    ok = comul_c @ pi == projected and counit_c @ pi == coa.counit
     rep.add("quotient-well-defined", ok)
     if not (qrep.passed and ok):
         raise InternalContradiction("quotient structure failed after coideal checks")
 
-    left = map_kron(pi, ia) @ coa.comul
-    right = map_kron(ia, pi) @ coa.comul
+    left = apply_at(pi, coa.comul, 0)
+    right = apply_at(pi, coa.comul, 1)
     datum = HomogeneousDatum(hopf, b_sub, bplus_a, quotient, pi, section,
                              left, right)
     return datum, rep
@@ -195,24 +197,23 @@ def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
     hopf, quotient, pi = datum.hopf, datum.quotient, datum.pi
     field = hopf.field
     i_map = section if section is not None else datum.section
-    ia = hopf.algebra.identity()
-    ic = quotient.identity()
     comul_c = quotient.comul
-    comul2_a = hopf.coalgebra.comul2()
-    chain = map_kron(comul_c, ic) @ comul_c            # C -> C (x) C (x) C
-    chain = kron_all(ic, i_map, ic) @ chain            # -> C (x) A (x) C
-    chain = kron_all(ic, comul2_a, ic) @ chain         # -> C (x) A A A (x) C
-    chain = kron_all(ic, pi, ia, pi, ic) @ chain       # -> C C A C C
-    iota = kron_all(delta.delta, ia, delta.delta) @ chain
+    iota = compose_legs(
+        quotient.space,
+        (delta.delta, 1), (delta.delta, 0),             # -> A
+        (pi, 3), (pi, 1),                               # -> C C A C C
+        (hopf.coalgebra.comul2(), 1),                   # -> C (x) A A A (x) C
+        (i_map, 1),                                     # -> C (x) A (x) C
+        (comul_c, 0), (comul_c, 0))                     # C -> C (x) C (x) C
     rep.add_na("averaging-reading",
                "outer delta contracts the third coproduct leg of the "
                "section image, then the projection (reconstructed)")
     check_map_equal(rep, "averaged-section-splits-projection",
                     pi @ iota, LinMap.identity(field, quotient.space))
     check_map_equal(rep, "averaged-section-left-colinear",
-                    datum.left_coaction @ iota, map_kron(ic, iota) @ comul_c)
+                    datum.left_coaction @ iota, apply_at(iota, comul_c, 1))
     check_map_equal(rep, "averaged-section-right-colinear",
-                    datum.right_coaction @ iota, map_kron(iota, ic) @ comul_c)
+                    datum.right_coaction @ iota, apply_at(iota, comul_c, 0))
     if strict and not rep.passed:
         raise IotaNotBicolinear(rep.failures[0].name)
     return iota, rep
@@ -229,13 +230,12 @@ def extension_from_homogeneous(datum: HomogeneousDatum):
     from .extensions import validate_and_build
     rep = VerificationReport()
     hopf = datum.hopf
-    field = hopf.field
     a_space = hopf.space
-    ia = hopf.algebra.identity()
     rep.add("antipode-bijective", hopf._solved_antipode_inv is not None)
-    psi = map_kron(ia, datum.pi) @ map_kron(ia, hopf.algebra.mul) @ \
-        map_kron(flip_map(field, a_space, a_space), ia) @ \
-        map_kron(datum.section, hopf.coalgebra.comul)
+    psi = compose_legs(datum.quotient.space.tensor(a_space),
+                       (datum.pi, 1), (hopf.algebra.mul, 1),
+                       (flip_map(hopf.field, a_space, a_space), 0),
+                       (datum.section, 0), (hopf.coalgebra.comul, 1))
     grouplike = datum.pi @ hopf.algebra.unit
     ext, build_rep = validate_and_build(hopf.algebra, datum.quotient, psi,
                                         datum.right_coaction, grouplike)

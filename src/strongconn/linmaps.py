@@ -25,6 +25,11 @@ Conventions frozen here and shared with the instance file format:
   row sweep read that index instead of scanning the rows, so the cost
   is the arithmetic on the nonzeros and their fill-in, not
   rows x columns.
+* Maps act on tensor legs: ``apply_at(f, g, at)`` is (I (x) f (x) I) o g
+  and ``precompose_at(g, f, at)`` is g o (I (x) f (x) I), f on the
+  factors from position ``at``, and the padded map is never formed.
+  ``f @ g`` is the case with no legs around g; ``compose_legs`` folds a
+  chain of steps from its narrower end.
 * A subspace is a map: ``Subspace.image(f)`` is the span of f's
   columns and ``inclusion()`` is the map whose columns are the basis,
   so a closure or membership statement is one composed map checked by
@@ -155,11 +160,13 @@ def _accumulate(acc: dict, row: dict, f: Scalar | None = None) -> dict:
     """acc += f * row in place (f None: acc += row) and return acc.
 
     An entry that cancels is removed, and so is a product of zero
-    divisors, so acc stays free of zeros.
+    divisors, so acc stays free of zeros.  An entry that is the field's
+    own one is replaced by f, no new Scalar.
     """
+    one = None if f is None else f.field.one
     for j, b in row.items():
         if f is not None:
-            b = f * b
+            b = f if b is one else f * b
             if not b:
                 continue
         old = acc.get(j)
@@ -304,7 +311,19 @@ class LinMap:
                                        for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + (-other)
+        self._check_parallel(other)
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            acc = dict(ra)
+            for j, b in rb.items():
+                old = acc.get(j)
+                b = -b if old is None else old - b
+                if b:
+                    acc[j] = b
+                else:
+                    del acc[j]
+            out.append(acc)
+        return LinMap._from_rows(self.field, self.domain, self.codomain, tuple(out))
 
     def __neg__(self) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
@@ -316,23 +335,10 @@ class LinMap:
                                  tuple(_accumulate({}, row, s) for row in self.rows))
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
-        """Composition self o other (apply other first)."""
+        """Composition self o other: precompose_at with no legs around other."""
         if other.codomain != self.domain:
             raise ShapeError(f"cannot compose {self!r} after {other!r}")
-        # A factor that is the field's own one (identities, permutations)
-        # is skipped: the product is the other factor, no new Scalar.
-        one = self.field.one
-        b = other.rows
-        out = []
-        for row_a in self.rows:
-            acc = {}
-            for k, aik in row_a.items():
-                for j, bkj in b[k].items():
-                    v = bkj if aik is one else aik if bkj is one else aik * bkj
-                    old = acc.get(j)
-                    acc[j] = v if old is None else old + v
-            out.append({j: v for j, v in acc.items() if v})
-        return LinMap._from_rows(self.field, other.domain, self.codomain, tuple(out))
+        return precompose_at(self, other, 0)
 
     def rank(self) -> int:
         return len(_rref_inplace([dict(r) for r in self.rows], self.ncols))
@@ -367,6 +373,89 @@ def kron_all(*maps: LinMap) -> LinMap:
     for m in maps[1:]:
         out = map_kron(out, m)
     return out
+
+
+def _swap_legs(space: SpaceLabel, old: tuple, new: tuple,
+               at: int) -> tuple[int, SpaceLabel]:
+    """The dimension of the factors of space after ``old``, which must be
+    its factors from position at, and space with ``new`` in their place."""
+    factors = space.factors
+    end = at + len(old)
+    if not 0 <= at <= len(factors) - len(old) or factors[at:end] != old:
+        raise ShapeError(f"{SpaceLabel(old)!r} is not at factor {at} of {space!r}")
+    rest = factors[end:]
+    return SpaceLabel(rest).dim, SpaceLabel(factors[:at] + new + rest)
+
+
+def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
+    """(I (x) f (x) I) o g: f acts on g's codomain factors from position
+    at, and its domain or codomain may be k (legs removed or inserted).
+
+    Scatters: each nonempty row (p, y, q) of g goes, scaled, into the
+    rows (p, z, q) that column y of f reaches.
+    """
+    q, codomain = _swap_legs(g.codomain, f.domain.factors, f.codomain.factors, at)
+    dy, dz = f.domain.dim, f.codomain.dim
+    one = f.field.one
+    f_cols = _transpose(f.rows, dy)
+    out = [{} for _ in range(codomain.dim)]
+    for r, row in enumerate(g.rows):
+        if row:
+            base = r // (dy * q) * dz * q + r % q
+            for z, fv in f_cols[r // q % dy].items():
+                _accumulate(out[base + z * q], row, None if fv is one else fv)
+    return LinMap._from_rows(f.field, g.domain, codomain, tuple(out))
+
+
+def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
+    """g o (I (x) f (x) I): f feeds g's domain factors from position at,
+    and its domain or codomain may be k.
+
+    Gathers: each column (p, z, q) of g is read through row z of f into
+    the columns (p, y, q).  A factor that is the field's own one
+    (identities, permutations) is skipped, so no new Scalar is made.
+    """
+    q, domain = _swap_legs(g.domain, f.codomain.factors, f.domain.factors, at)
+    dy, dz = f.domain.dim, f.codomain.dim
+    one = g.field.one
+    f_rows = f.rows if q == 1 else [{y * q: v for y, v in row.items()}
+                                    for row in f.rows]
+    split = [(c // (dz * q) * dy * q + c % q, f_rows[c // q % dz])
+             for c in range(g.ncols)]
+    out = []
+    for row_g in g.rows:
+        acc = {}
+        for c, gv in row_g.items():
+            base, f_row = split[c]
+            for y, fv in f_row.items():
+                v = fv if gv is one else gv if fv is one else gv * fv
+                y += base
+                old = acc.get(y)
+                acc[y] = v if old is None else old + v
+        out.append({j: v for j, v in acc.items() if v})
+    return LinMap._from_rows(g.field, domain, g.codomain, tuple(out))
+
+
+def compose_legs(domain: SpaceLabel, *steps) -> LinMap:
+    """(I (x) f_1 (x) I) o ... o (I (x) f_n (x) I) out of domain, for
+    steps (f_i, at_i) written leftmost first: f_i acts on the factors
+    from position at_i of the space it is applied to.  Folded from the
+    narrower end: right to left by apply_at when the domain is no larger
+    than the codomain, else left to right by precompose_at.
+    """
+    codomain = domain
+    for f, at in reversed(steps):
+        codomain = _swap_legs(codomain, f.domain.factors, f.codomain.factors, at)[1]
+    field = steps[0][0].field
+    if domain.dim <= codomain.dim:
+        m = LinMap.identity(field, domain)
+        for f, at in reversed(steps):
+            m = apply_at(f, m, at)
+    else:
+        m = LinMap.identity(field, codomain)
+        for f, at in steps:
+            m = precompose_at(m, f, at)
+    return m
 
 
 def flip_map(field: Field, left: SpaceLabel, right: SpaceLabel) -> LinMap:

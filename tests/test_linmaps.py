@@ -8,13 +8,16 @@ from strongconn.linmaps import (
     LinMap,
     SpaceLabel,
     Subspace,
+    apply_at,
     basis_vector,
+    compose_legs,
     flip_map,
     kernel_basis,
     kron_all,
     map_from_vector,
     map_kron,
     map_vectorize,
+    precompose_at,
     rref_solve,
     stacked_kernel,
     try_inverse,
@@ -286,3 +289,145 @@ def test_first_outside_agrees_with_contains_vector(field, seed):
 def test_first_outside_needs_the_ambient_codomain():
     with pytest.raises(ShapeError):
         Subspace.zero(QQ, A4).first_outside(LinMap.zero(QQ, A2, C3))
+
+
+# -- maps acting on tensor legs ------------------------------------------
+
+REDUCIBLE = Field.number_field([-1, 0, 1])  # x^2 - 1: (1 + x)(1 - x) = 0
+LEG_FIELDS = {"Q": QQ, "Q(zeta3)": ZETA3, "Q[x]/(x^2-1)": REDUCIBLE}
+X2 = SpaceLabel.base("X", 2)
+B2 = SpaceLabel.base("B", 2)
+K = SpaceLabel.scalar()
+# f of shapes k -> X, X -> k, X (x) X -> X, X -> X (x) X, C (x) A -> A (x) C
+LEG_SHAPES = {"k->X": (K, X2), "X->k": (X2, K), "XX->X": (X2.tensor(X2), X2),
+              "X->XX": (X2, X2.tensor(X2)), "CA->AC": (C3.tensor(A2), A2.tensor(C3))}
+# the legs around f: every split of B (x) C into a left and a right part
+AROUND = [(SpaceLabel([]), B2.tensor(C3)), (B2, C3), (B2.tensor(C3), SpaceLabel([]))]
+
+
+def leg_map(field, dom, cod, seed, density=0.4):
+    """A seeded map with empty rows, ones, and in the reducible ring the
+    zero divisors 1 + x and 1 - x, so some products of nonzeros vanish."""
+    rng = random.Random(seed)
+    pool = [field.one, field.scalar(2), -field.one,
+            field.scalar([1] * field.degree), field.scalar([1, -1][:field.degree])]
+    return LinMap(field, dom, cod,
+                  [[rng.choice(pool) if rng.random() < density else field.zero
+                    for _ in range(dom.dim)] for _ in range(cod.dim)])
+
+
+def padded(f, left, right):
+    """I_left (x) f (x) I_right, the materialised reference."""
+    field = f.field
+    return kron_all(LinMap.identity(field, left), f, LinMap.identity(field, right))
+
+
+def stores_no_zero(m):
+    return all(v for row in m.rows for v in row.values())
+
+
+LEG_CASES = [(fname, shape, split)
+             for fname in LEG_FIELDS for shape in LEG_SHAPES for split in range(3)]
+
+
+@pytest.mark.parametrize("fname,shape,split", LEG_CASES)
+def test_apply_at_equals_the_padded_composite(fname, shape, split):
+    field = LEG_FIELDS[fname]
+    dom, cod = LEG_SHAPES[shape]
+    left, right = AROUND[split]
+    for seed in range(3):
+        f = leg_map(field, dom, cod, seed)
+        g = leg_map(field, A2, left.tensor(dom).tensor(right), seed + 10)
+        got = apply_at(f, g, len(left.factors))
+        assert got == padded(f, left, right) @ g
+        assert got.domain == g.domain
+        assert got.codomain == left.tensor(cod).tensor(right)
+        assert stores_no_zero(got)
+
+
+@pytest.mark.parametrize("fname,shape,split", LEG_CASES)
+def test_precompose_at_equals_the_padded_composite(fname, shape, split):
+    field = LEG_FIELDS[fname]
+    dom, cod = LEG_SHAPES[shape]
+    left, right = AROUND[split]
+    for seed in range(3):
+        f = leg_map(field, dom, cod, seed)
+        g = leg_map(field, left.tensor(cod).tensor(right), A2, seed + 20)
+        got = precompose_at(g, f, len(left.factors))
+        assert got == g @ padded(f, left, right)
+        assert got.domain == left.tensor(dom).tensor(right)
+        assert stores_no_zero(got)
+
+
+def test_products_of_zero_divisors_are_dropped():
+    """In the reducible ring every product below is (1 + x)(1 - x) = 0,
+    so both kernels must return maps that store nothing."""
+    field = REDUCIBLE
+    zd, zd2 = field.scalar([1, 1]), field.scalar([1, -1])
+    f = LinMap(field, X2, X2, [[zd, field.zero], [field.zero, zd]])
+    g = LinMap(field, A2, B2.tensor(X2), [[zd2, zd2]] * 4)
+    h = LinMap(field, B2.tensor(X2), A2, [[zd2] * 4] * 2)
+    assert not g.is_zero() and not h.is_zero()
+    assert all(not row for row in apply_at(f, g, 1).rows)
+    assert all(not row for row in precompose_at(h, f, 1).rows)
+
+
+@pytest.mark.parametrize("at", [-1, 0, 2, 3])
+def test_apply_at_rejects_legs_that_do_not_match(at):
+    f = leg_map(QQ, X2, A2, 0)
+    g = leg_map(QQ, A2, B2.tensor(X2).tensor(C3), 1)  # X sits at factor 1
+    with pytest.raises(ShapeError):
+        apply_at(f, g, at)
+
+
+@pytest.mark.parametrize("at", [-1, 0, 2, 3])
+def test_precompose_at_rejects_legs_that_do_not_match(at):
+    f = leg_map(QQ, A2, X2, 0)
+    g = leg_map(QQ, B2.tensor(X2).tensor(C3), A2, 1)  # X sits at factor 1
+    with pytest.raises(ShapeError):
+        precompose_at(g, f, at)
+
+
+def reference_gather(a, b):
+    """a o b by the row-by-row gather loop, zeros dropped at the end."""
+    rows = []
+    for row_a in a.rows:
+        acc = {}
+        for k, aik in row_a.items():
+            for j, bkj in b.rows[k].items():
+                acc[j] = aik * bkj if j not in acc else acc[j] + aik * bkj
+        rows.append({j: v for j, v in acc.items() if v})
+    return LinMap._from_rows(a.field, b.domain, a.codomain, tuple(rows))
+
+
+@pytest.mark.parametrize("fname", LEG_FIELDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_equals_the_reference_gather(fname, seed):
+    field = LEG_FIELDS[fname]
+    a = leg_map(field, C3.tensor(A2), B2.tensor(C3), seed, density=0.6)
+    b = leg_map(field, A2.tensor(A2), C3.tensor(A2), seed + 50, density=0.6)
+    got = a @ b
+    assert got == reference_gather(a, b)
+    assert stores_no_zero(got)
+
+
+@pytest.mark.parametrize("fname", LEG_FIELDS)
+def test_compose_legs_folds_from_either_end(fname):
+    """A chain whose domain is narrower than its codomain, and one whose
+    domain is wider, equal the product of their padded steps."""
+    field = LEG_FIELDS[fname]
+    split = leg_map(field, X2, X2.tensor(X2), 1)
+    merge = leg_map(field, X2.tensor(X2), X2, 2)
+    swap = leg_map(field, C3.tensor(X2), X2.tensor(C3), 3)
+    swap_back = leg_map(field, X2.tensor(C3), C3.tensor(X2), 4)
+    ix, ic = LinMap.identity(field, X2), LinMap.identity(field, C3)
+    widening = compose_legs(C3.tensor(X2), (split, 0), (swap, 0), (split, 1))
+    assert widening == map_kron(split, map_kron(ic, ix)) @ map_kron(swap, ix) @ \
+        map_kron(ic, split)
+    narrowing = compose_legs(X2.tensor(X2).tensor(C3).tensor(X2),
+                             (merge, 1), (swap_back, 0), (merge, 0))
+    assert narrowing == map_kron(ic, merge) @ map_kron(swap_back, ix) @ \
+        map_kron(merge, map_kron(ic, ix))
+    assert stores_no_zero(widening) and stores_no_zero(narrowing)
+    with pytest.raises(ShapeError):
+        compose_legs(C3.tensor(X2), (split, 0))

@@ -11,7 +11,7 @@ homogeneous spaces (`homogeneous`), a library of desk-scale instances
 `cli`).
 """
 
-from .scalars import Field, FieldDescriptor, Scalar, make_field, parse_scalar
+from .scalars import Field, Scalar, parse_scalar
 from .linmaps import (
     Infeasible,
     LinMap,

@@ -82,7 +82,6 @@ class ConnectionForm:
     so that the colinearity reduction reuses them."""
 
     ell: LinMap
-    provenance: str = "formula"  # formula | bruteforce | user
     gamma: LinMap | None = None
     alpha: LinMap | None = None
 
@@ -308,7 +307,7 @@ def build_connection(section: SectionMap, delta: Cointegral,
     # kron(gamma, alpha) is never formed.
     ell = compose_legs(coa.space, (gamma, 0), (alpha, 2), (section.sigma, 1),
                        (coa.comul, 0), (coa.comul, 0))
-    return ConnectionForm(ell, "formula", gamma, alpha)
+    return ConnectionForm(ell, gamma, alpha)
 
 
 def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> VerificationReport:

@@ -62,30 +62,6 @@ class HomogeneousDatum:
         return self.quotient.dim
 
 
-def _reversed_subspace(sub: Subspace) -> Subspace:
-    rev = [tuple(reversed(v)) for v in sub.basis]
-    return Subspace.from_vectors(sub.field, sub.ambient, rev)
-
-
-def _high_pivot_reduction(sub: Subspace):
-    """Reduction modulo sub eliminating the highest coordinates first.
-
-    Returns (reduce, representative_indices): reduce maps an ambient
-    coefficient tuple to its canonical remainder, supported on the
-    representative indices (the lowest-index complement).
-    """
-    n = sub.ambient.dim
-    rev = _reversed_subspace(sub)
-    killed = {n - 1 - p for p in rev._pivots}
-    reps = [i for i in range(n) if i not in killed]
-
-    def reduce(coeffs):
-        rem = rev.reduce(tuple(reversed(tuple(coeffs))))
-        return tuple(reversed(rem))
-
-    return reduce, reps
-
-
 def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     """Construct the quotient datum, collecting every check in a report.
 
@@ -127,19 +103,23 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     if not (coideal_cop and coideal_eps):
         return None, rep
 
-    reduce, reps = _high_pivot_reduction(bplus_a)
+    # Reduce modulo B+A in reversed coordinates, so that the highest
+    # indices become pivots and the lowest survive as representatives.
+    one = field.one
+    rev = LinMap._from_rows(field, a_space, a_space,
+                            tuple({n - 1 - i: one} for i in range(n)))
+    high = Subspace.image(rev @ ideal_incl)
+    reps = [i for i in range(n) if n - 1 - i not in high._pivots]
     q = len(reps)
     c_space = SpaceLabel.base("C", q)
-    z = field.zero
-    pi_rows = [[z] * n for _ in range(q)]
+    row_of = {i: r for r, i in enumerate(reps)}
+    pi_rows = tuple({} for _ in range(q))
     for j in range(n):
-        rem = reduce(tuple(field.one if i == j else z for i in range(n)))
-        for r, idx in enumerate(reps):
-            pi_rows[r][j] = rem[idx]
-    pi = LinMap(field, a_space, c_space, pi_rows)
-    section = LinMap(field, c_space, a_space,
-                     [[field.one if reps[c] == r else z for c in range(q)]
-                      for r in range(n)])
+        for k, x in high._reduce({n - 1 - j: one}).items():
+            pi_rows[row_of[n - 1 - k]][j] = x
+    pi = LinMap._from_rows(field, a_space, c_space, pi_rows)
+    section = LinMap._from_rows(field, c_space, a_space, tuple(
+        {row_of[i]: one} if i in row_of else {} for i in range(n)))
     if pi @ section != LinMap.identity(field, c_space):
         raise InternalContradiction("pi o i is not the identity")
 

@@ -722,11 +722,6 @@ class Subspace:
                 _accumulate(v, row, -f)
         return v
 
-    def reduce(self, v) -> tuple[Scalar, ...]:
-        """Remainder of v after eliminating this subspace's pivots."""
-        rem = self._reduce(_sparse_in(self.field, self.ambient, v))
-        return _dense(rem, self.ambient.dim, self.field.zero)
-
     def contains_vector(self, v) -> bool:
         return not self._reduce(_sparse_in(self.field, self.ambient, v))
 

@@ -1,18 +1,27 @@
 """Stage orchestration: run the verification pipeline over an instance
 file and assemble one deterministic report.
 
-Stages run in a fixed order with explicit dependencies; a failed
-hypothesis marks every downstream stage skipped with a reason rather
-than aborting the run.  Identical input files produce byte-identical
-JSON reports.
+``STAGES`` is the pipeline, one entry per stage in run order.  Each entry
+holds the stage function, the stages a request must include with it,
+and its runtime needs: ordered (run field, skip reason) pairs.  The
+first need that a run has not met marks the stage skipped with that
+reason, so a failed hypothesis skips everything downstream of it
+instead of aborting the run.  A stage function fills one
+``VerificationReport`` and may return a reason of its own to be skipped
+with; the report tags its checks with the stage name.  Identical input
+files produce byte-identical JSON reports.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from .connection import (
+    Cointegral,
+    ConnectionForm,
+    SectionMap,
     brute_force_connections,
     build_connection,
     cointegral_to_integral,
@@ -27,33 +36,19 @@ from .connection import (
     verify_connection,
 )
 from .errors import DependencyError, NotGalois, StrongConnError, TooLarge
-from .extensions import galois_check, validate_and_build
+from .extensions import EntwinedExtension, galois_check, validate_and_build
 from .fileformat import InstanceFile, field_to_dict, serialize_linmap
 from .homogeneous import (
+    HomogeneousDatum,
     bicolinear_section_iota,
     build_quotient,
     extension_from_homogeneous,
     induced_coactions,
 )
 from .linmaps import Infeasible
-from .report import Check, FAIL, NA, PASS, SKIP
+from .report import Check, FAIL, NA, PASS, SKIP, VerificationReport
 from .structures import HopfAlgebra, StructureAlgebra, StructureCoalgebra, validate_hopf
 
-
-STAGE_ORDER = ["homogeneous", "validate", "cointegral", "integral",
-               "section", "connection", "verify", "splitting", "oracle"]
-
-STAGE_DEPS = {
-    "homogeneous": set(),
-    "validate": set(),
-    "cointegral": {"validate"},
-    "integral": {"validate"},
-    "section": {"validate"},
-    "connection": {"cointegral", "section"},
-    "verify": {"connection"},
-    "splitting": {"verify"},
-    "oracle": {"validate"},
-}
 
 REPORT_VERSION = 1
 
@@ -66,9 +61,6 @@ class PipelineReport:
     checks: list[tuple[str, Check]] = dc_field(default_factory=list)
     derived: dict = dc_field(default_factory=dict)
     solution_dims: dict = dc_field(default_factory=dict)
-
-    def record(self, stage: str, check: Check) -> None:
-        self.checks.append((stage, check))
 
     def record_all(self, stage: str, rep) -> None:
         for c in rep.checks:
@@ -119,6 +111,217 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass
+class _Run:
+    """What the stages of one run share: the input, the report that
+    collects derived maps and solution dimensions, and stage results."""
+    inst: InstanceFile
+    report: PipelineReport
+    oracle_cap: int
+    datum: HomogeneousDatum | None = None
+    qdelta: Cointegral | Infeasible | None = None  # solved on the quotient
+    ext: EntwinedExtension | None = None
+    galois_ok: bool = False
+    delta: Cointegral | None = None
+    sigma: SectionMap | None = None
+    conn: ConnectionForm | None = None
+    verify_ok: bool = False
+
+
+NOT_COSEPARABLE = {"reason": "not coseparable over this field"}
+NO_GROUPLIKE = "no designated grouplike"
+
+
+def _hopf(inst: InstanceFile, *roles: str) -> HopfAlgebra:
+    """The Hopf algebra designated by mul, unit, comul, counit and
+    antipode roles; the antipode's inverse is the last role + "_inv"."""
+    mul, unit, comul, counit, antipode = map(inst.designated, roles)
+    return HopfAlgebra(StructureAlgebra(mul, unit),
+                       StructureCoalgebra(comul, counit), antipode,
+                       inst.designated(roles[-1] + "_inv"))
+
+
+def _found(vrep: VerificationReport, name: str, out, witness: dict) -> bool:
+    """Record whether a solve was feasible; an Infeasible result fails
+    the check with its echelon-row certificate added to the witness."""
+    if isinstance(out, Infeasible):
+        return vrep.add(name, False,
+                        {**witness, "row": out.row, "detail": out.detail})
+    return vrep.add(name, True)
+
+
+def _homogeneous(run: _Run, vrep: VerificationReport) -> None:
+    hopf_a = _hopf(run.inst, "mul", "unit", "a_comul", "a_counit", "a_antipode")
+    vrep.extend(validate_hopf(hopf_a))
+    if not vrep.passed:
+        return
+    datum, qrep = build_quotient(hopf_a, run.inst.b_subspace)
+    vrep.extend(qrep)
+    if datum is None:
+        return
+    run.datum = datum
+    vrep.add_info("quotient-dimension", {"dim": datum.quotient_dim})
+    vrep.extend(induced_coactions(datum)[1])
+    run.qdelta = solve_cointegral(datum.quotient)
+    if not _found(vrep, "quotient-cointegral-exists", run.qdelta,
+                  NOT_COSEPARABLE):
+        return
+    run.report.solution_dims["quotient_cointegral"] = run.qdelta.solution_dim
+    iota, irep = bicolinear_section_iota(datum, run.qdelta, strict=False)
+    vrep.extend(irep)
+    if irep.passed:
+        run.report.derived["bicolinear_section"] = iota
+
+
+def _validate(run: _Run, vrep: VerificationReport) -> str | None:
+    inst = run.inst
+    if inst.has_entwined_data:
+        alg = StructureAlgebra(inst.designated("mul"), inst.designated("unit"))
+        coa = StructureCoalgebra(inst.designated("comul"),
+                                 inst.designated("counit"))
+        run.ext, brep = validate_and_build(alg, coa, inst.designated("psi"),
+                                           inst.designated("rho"),
+                                           inst.grouplike)
+    elif run.datum is not None:
+        vrep.add_na("derived-from-homogeneous",
+                    "entwining induced from the quotient datum")
+        run.ext, brep = extension_from_homogeneous(run.datum)
+    else:
+        return "homogeneous construction failed"
+    vrep.extend(brep)
+    if run.ext is not None:
+        grep = galois_check(run.ext)
+        vrep.extend(grep)
+        run.galois_ok = grep.named("galois").status == PASS
+    return None
+
+
+def _cointegral(run: _Run, vrep: VerificationReport) -> None:
+    # an extension induced from the quotient datum shares its
+    # coalgebra, whose cointegral the homogeneous stage solved
+    if run.datum is not None and run.ext.coalgebra is run.datum.quotient:
+        out = run.qdelta
+    else:
+        out = solve_cointegral(run.ext.coalgebra)
+    if _found(vrep, "cointegral-exists", out, NOT_COSEPARABLE):
+        run.delta = out
+        run.report.derived["cointegral"] = out.delta
+        run.report.solution_dims["cointegral"] = out.solution_dim
+
+
+def _integral(run: _Run, vrep: VerificationReport) -> None:
+    if not run.inst.has_c_hopf_data:
+        vrep.add_na("integral-exists", "no Hopf structure designated on C")
+        return
+    hopf_c = _hopf(run.inst, "c_mul", "c_unit", "comul", "counit", "c_antipode")
+    vrep.extend(validate_hopf(hopf_c))
+    if not vrep.passed:
+        return
+    out = solve_integral(hopf_c)
+    if not _found(vrep, "integral-exists", out,
+                  {"reason": "no normalised integral over this field"}):
+        return
+    run.report.derived["integral"] = out.lam
+    run.report.solution_dims["integral"] = out.solution_dim
+    converted = integral_to_cointegral(hopf_c, out)
+    vrep.add("converted-cointegral-valid", True)
+    back, brep = cointegral_to_integral(converted, hopf_c)
+    vrep.extend(brep)
+    vrep.add("integral-roundtrip", back.lam == out.lam)
+
+
+def _section(run: _Run, vrep: VerificationReport) -> None:
+    ext = run.ext
+    try:
+        raw = solve_section(ext)
+    except NotGalois as exc:
+        vrep.add("section-exists", False, {"reason": str(exc)})
+        return
+    vrep.add("section-exists", True)
+    if ext.grouplike is None:
+        run.sigma = raw
+        vrep.add_na("section-normalized", NO_GROUPLIKE)
+    else:
+        run.sigma = normalize_section(raw, ext.grouplike, ext)
+        vrep.add("section-normalized", True)
+    run.report.derived["section"] = run.sigma.sigma
+    run.report.solution_dims["section"] = run.sigma.solution_dim
+
+
+def _connection(run: _Run, vrep: VerificationReport) -> None:
+    run.conn = build_connection(run.sigma, run.delta, run.ext)
+    vrep.add("connection-built", True)
+    run.report.derived["connection"] = run.conn.ell
+
+
+def _verify(run: _Run, vrep: VerificationReport) -> None:
+    checks = verify_connection(run.conn, run.ext)
+    vrep.extend(checks)
+    vrep.extend(colinearity_reduction(run.conn, run.sigma, run.ext))
+    run.verify_ok = checks.passed
+
+
+def _splitting(run: _Run, vrep: VerificationReport) -> None:
+    s_map, srep = splitting(run.conn, run.ext)
+    vrep.extend(srep)
+    run.report.derived["splitting"] = s_map
+    if run.ext.grouplike is None:
+        vrep.add_na("principal-extension", NO_GROUPLIKE)
+    else:
+        vrep.add("principal-extension", run.galois_ok and srep.passed,
+                 {"galois": run.galois_ok,
+                  "equivariant_projectivity": srep.passed,
+                  "entwining_bijective": True,
+                  "grouplike_unit_coaction": True}, keep=True)
+
+
+def _oracle(run: _Run, vrep: VerificationReport) -> str | None:
+    try:
+        out = brute_force_connections(run.ext, cap=run.oracle_cap)
+    except TooLarge as exc:
+        return str(exc)
+    if not _found(vrep, "oracle-solution-exists", out, {}):
+        return None
+    run.report.solution_dims["oracle_kernel"] = out.kernel.dim
+    if run.conn is None:
+        vrep.add_na("oracle-contains-formula-output",
+                    "no formula connection in this run")
+    else:
+        vrep.add("oracle-contains-formula-output",
+                 membership_check(run.conn, out))
+    return None
+
+
+class Stage(NamedTuple):
+    """One pipeline stage: its function, the stages a request must
+    include with it, and the (run field, skip reason) pairs it needs."""
+    run: Callable[[_Run, VerificationReport], str | None]
+    requires: tuple[str, ...] = ()
+    needs: tuple[tuple[str, str], ...] = ()
+
+
+NO_EXTENSION = ("ext", "no validated extension")
+NO_CONNECTION = ("conn", "no connection form")
+
+STAGES = {
+    "homogeneous": Stage(_homogeneous),
+    "validate": Stage(_validate),
+    "cointegral": Stage(_cointegral, ("validate",), (NO_EXTENSION,)),
+    "integral": Stage(_integral, ("validate",), (NO_EXTENSION,)),
+    "section": Stage(_section, ("validate",), (NO_EXTENSION,)),
+    "connection": Stage(_connection, ("cointegral", "section"),
+                        (NO_EXTENSION, ("delta", "no cointegral"),
+                         ("sigma", "no section"))),
+    "verify": Stage(_verify, ("connection",), (NO_CONNECTION,)),
+    "splitting": Stage(_splitting, ("verify",),
+                       (NO_CONNECTION,
+                        ("verify_ok", "connection failed verification"))),
+    "oracle": Stage(_oracle, ("validate",), (NO_EXTENSION,)),
+}
+
+STAGE_ORDER = list(STAGES)
+
+
 def default_stages(inst: InstanceFile) -> list[str]:
     stages = [s for s in STAGE_ORDER if s != "homogeneous"]
     if inst.b_subspace is not None:
@@ -127,12 +330,12 @@ def default_stages(inst: InstanceFile) -> list[str]:
 
 
 def _check_stage_request(inst: InstanceFile, stages: list[str]) -> list[str]:
-    unknown = [s for s in stages if s not in STAGE_ORDER]
+    unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise DependencyError(f"unknown stage(s): {', '.join(unknown)}")
     requested = set(stages)
     for s in sorted(requested):
-        missing = STAGE_DEPS[s] - requested
+        missing = set(STAGES[s].requires) - requested
         if missing:
             raise DependencyError(
                 f"stage {s!r} requires {', '.join(sorted(missing))}")
@@ -151,20 +354,6 @@ def _check_stage_request(inst: InstanceFile, stages: list[str]) -> list[str]:
     return [s for s in STAGE_ORDER if s in requested]
 
 
-def _build_a_hopf(inst: InstanceFile) -> HopfAlgebra:
-    alg = StructureAlgebra(inst.designated("mul"), inst.designated("unit"))
-    coa = StructureCoalgebra(inst.designated("a_comul"), inst.designated("a_counit"))
-    return HopfAlgebra(alg, coa, inst.designated("a_antipode"),
-                       inst.designated("a_antipode_inv"))
-
-
-def _build_c_hopf(inst: InstanceFile) -> HopfAlgebra:
-    alg = StructureAlgebra(inst.designated("c_mul"), inst.designated("c_unit"))
-    coa = StructureCoalgebra(inst.designated("comul"), inst.designated("counit"))
-    return HopfAlgebra(alg, coa, inst.designated("c_antipode"),
-                       inst.designated("c_antipode_inv"))
-
-
 def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
                  oracle_cap: int = 4096) -> PipelineReport:
     """Execute the requested stages in dependency order."""
@@ -172,213 +361,17 @@ def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
         stages = default_stages(inst)
     stages = _check_stage_request(inst, stages)
     rep = PipelineReport(inst.name, field_to_dict(inst.field), stages)
-
-    datum = None
-    qdelta = None
-    ext = None
-    galois_ok = False
-    delta = None
-    sigma = None
-    conn = None
-    verify_ok = False
-
-    for stage in stages:
-        if stage == "homogeneous":
-            hopf_a = _build_a_hopf(inst)
-            hrep = validate_hopf(hopf_a)
-            rep.record_all(stage, hrep)
-            if not hrep.passed:
-                continue
-            datum, qrep = build_quotient(hopf_a, inst.b_subspace)
-            rep.record_all(stage, qrep)
-            if datum is None:
-                continue
-            rep.record(stage, Check("quotient-dimension", PASS,
-                                    {"dim": datum.quotient_dim}))
-            _, crep = induced_coactions(datum)
-            rep.record_all(stage, crep)
-            qdelta = solve_cointegral(datum.quotient)
-            if isinstance(qdelta, Infeasible):
-                rep.record(stage, Check(
-                    "quotient-cointegral-exists", FAIL,
-                    {"reason": "not coseparable over this field",
-                     "row": qdelta.row, "detail": qdelta.detail}))
-                continue
-            rep.record(stage, Check("quotient-cointegral-exists", PASS))
-            rep.solution_dims["quotient_cointegral"] = qdelta.solution_dim
-            iota, irep = bicolinear_section_iota(datum, qdelta, strict=False)
-            rep.record_all(stage, irep)
-            if irep.passed:
-                rep.derived["bicolinear_section"] = iota
-
-        elif stage == "validate":
-            if inst.has_entwined_data:
-                alg = StructureAlgebra(inst.designated("mul"),
-                                       inst.designated("unit"))
-                coa = StructureCoalgebra(inst.designated("comul"),
-                                         inst.designated("counit"))
-                ext, vrep = validate_and_build(alg, coa,
-                                               inst.designated("psi"),
-                                               inst.designated("rho"),
-                                               inst.grouplike)
-                rep.record_all(stage, vrep)
-            elif datum is not None:
-                rep.record(stage, Check("derived-from-homogeneous", NA,
-                                        {"reason": "entwining induced from "
-                                                   "the quotient datum"}))
-                ext, vrep = extension_from_homogeneous(datum)
-                rep.record_all(stage, vrep)
-            else:
-                rep.skip_stage(stage, "homogeneous construction failed")
-                continue
-            if ext is None:
-                continue
-            grep = galois_check(ext)
-            rep.record_all(stage, grep)
-            galois_ok = grep.named("galois").status == PASS
-
-        elif stage == "cointegral":
-            if ext is None:
-                rep.skip_stage(stage, "no validated extension")
-                continue
-            # an extension induced from the quotient datum shares its
-            # coalgebra, whose cointegral the homogeneous stage solved
-            if datum is not None and ext.coalgebra is datum.quotient:
-                out = qdelta
-            else:
-                out = solve_cointegral(ext.coalgebra)
-            if isinstance(out, Infeasible):
-                rep.record(stage, Check(
-                    "cointegral-exists", FAIL,
-                    {"reason": "not coseparable over this field",
-                     "row": out.row, "detail": out.detail}))
-                continue
-            delta = out
-            rep.record(stage, Check("cointegral-exists", PASS))
-            rep.derived["cointegral"] = delta.delta
-            rep.solution_dims["cointegral"] = delta.solution_dim
-
-        elif stage == "integral":
-            if ext is None:
-                rep.skip_stage(stage, "no validated extension")
-                continue
-            if not inst.has_c_hopf_data:
-                rep.record(stage, Check("integral-exists", NA,
-                                        {"reason": "no Hopf structure "
-                                                   "designated on C"}))
-                continue
-            hopf_c = _build_c_hopf(inst)
-            hrep = validate_hopf(hopf_c)
-            rep.record_all(stage, hrep)
-            if not hrep.passed:
-                continue
-            out = solve_integral(hopf_c)
-            if isinstance(out, Infeasible):
-                rep.record(stage, Check(
-                    "integral-exists", FAIL,
-                    {"reason": "no normalised integral over this field",
-                     "row": out.row, "detail": out.detail}))
-                continue
-            rep.record(stage, Check("integral-exists", PASS))
-            rep.derived["integral"] = out.lam
-            rep.solution_dims["integral"] = out.solution_dim
-            converted = integral_to_cointegral(hopf_c, out)
-            rep.record(stage, Check("converted-cointegral-valid", PASS))
-            back, brep = cointegral_to_integral(converted, hopf_c)
-            rep.record_all(stage, brep)
-            rep.record(stage, Check("integral-roundtrip",
-                                    PASS if back.lam == out.lam else FAIL))
-
-        elif stage == "section":
-            if ext is None:
-                rep.skip_stage(stage, "no validated extension")
-                continue
-            try:
-                raw = solve_section(ext)
-            except NotGalois as exc:
-                rep.record(stage, Check("section-exists", FAIL,
-                                        {"reason": str(exc)}))
-                continue
-            rep.record(stage, Check("section-exists", PASS))
-            if ext.grouplike is not None:
-                sigma = normalize_section(raw, ext.grouplike, ext)
-                rep.record(stage, Check("section-normalized", PASS))
-            else:
-                sigma = raw
-                rep.record(stage, Check("section-normalized", NA,
-                                        {"reason": "no designated grouplike"}))
-            rep.derived["section"] = sigma.sigma
-            rep.solution_dims["section"] = sigma.solution_dim
-
-        elif stage == "connection":
-            if ext is None:
-                rep.skip_stage(stage, "no validated extension")
-                continue
-            if delta is None:
-                rep.skip_stage(stage, "no cointegral")
-                continue
-            if sigma is None:
-                rep.skip_stage(stage, "no section")
-                continue
-            conn = build_connection(sigma, delta, ext)
-            rep.record(stage, Check("connection-built", PASS))
-            rep.derived["connection"] = conn.ell
-
-        elif stage == "verify":
-            if conn is None:
-                rep.skip_stage(stage, "no connection form")
-                continue
-            vrep = verify_connection(conn, ext)
-            rep.record_all(stage, vrep)
-            rep.record_all(stage, colinearity_reduction(conn, sigma, ext))
-            verify_ok = vrep.passed
-
-        elif stage == "splitting":
-            if conn is None:
-                rep.skip_stage(stage, "no connection form")
-                continue
-            if not verify_ok:
-                rep.skip_stage(stage, "connection failed verification")
-                continue
-            s_map, srep = splitting(conn, ext)
-            rep.record_all(stage, srep)
-            rep.derived["splitting"] = s_map
-            if ext.grouplike is None:
-                rep.record(stage, Check("principal-extension", NA,
-                                        {"reason": "no designated grouplike"}))
-            else:
-                ok = galois_ok and srep.passed
-                rep.record(stage, Check(
-                    "principal-extension", PASS if ok else FAIL,
-                    {"galois": galois_ok,
-                     "equivariant_projectivity": srep.passed,
-                     "entwining_bijective": True,
-                     "grouplike_unit_coaction": True}))
-
-        elif stage == "oracle":
-            if ext is None:
-                rep.skip_stage(stage, "no validated extension")
-                continue
-            try:
-                out = brute_force_connections(ext, cap=oracle_cap)
-            except TooLarge as exc:
-                rep.skip_stage(stage, str(exc))
-                continue
-            if isinstance(out, Infeasible):
-                rep.record(stage, Check("oracle-solution-exists", FAIL,
-                                        {"row": out.row, "detail": out.detail}))
-                continue
-            rep.record(stage, Check("oracle-solution-exists", PASS))
-            rep.solution_dims["oracle_kernel"] = out.kernel.dim
-            if conn is None:
-                rep.record(stage, Check("oracle-contains-formula-output", NA,
-                                        {"reason": "no formula connection "
-                                                   "in this run"}))
-            else:
-                rep.record(stage, Check(
-                    "oracle-contains-formula-output",
-                    PASS if membership_check(conn, out) else FAIL))
-
+    run = _Run(inst, rep, oracle_cap)
+    for name in stages:
+        stage = STAGES[name]
+        vrep = VerificationReport()
+        reason = next((why for attr, why in stage.needs
+                       if not getattr(run, attr)), None)
+        if reason is None:
+            reason = stage.run(run, vrep)
+        rep.record_all(name, vrep)
+        if reason is not None:
+            rep.skip_stage(name, reason)
     return rep
 
 

@@ -32,7 +32,6 @@ coefficients c0, c1, ... and must not exceed the extension degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -44,12 +43,6 @@ from .errors import (
     NotInvertible,
     ParseError,
 )
-
-
-@dataclass(frozen=True)
-class FieldDescriptor:
-    kind: str  # "rationals" | "number_field"
-    min_poly: tuple[int, ...] | None = None
 
 
 class Field:
@@ -99,9 +92,6 @@ class Field:
     @staticmethod
     def number_field(min_poly) -> "Field":
         return Field("number_field", tuple(min_poly))
-
-    def descriptor(self) -> FieldDescriptor:
-        return FieldDescriptor(self.kind, self.min_poly)
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -348,7 +338,3 @@ def parse_scalar(text: str, field: Field) -> Scalar:
             )
         return field.scalar([_parse_rational(p) for p in parts])
     return field.scalar([_parse_rational(t)])
-
-
-def make_field(desc: FieldDescriptor) -> Field:
-    return Field(desc.kind, desc.min_poly)

@@ -314,7 +314,7 @@ def test_verify_connection_rejects_skewed_sigma(z2):
     entries = [list(r) for r in good.ell.entries]
     entries[0][1] = entries[0][1] + QQ.one
     skewed = ConnectionForm(LinMap(QQ, good.ell.domain, good.ell.codomain,
-                                   entries), provenance="user")
+                                   entries))
     rep = verify_connection(skewed, z2)
     assert rep.named("connection-sections-canonical").status == "fail"
     bad = rep.named("connection-right-colinear")

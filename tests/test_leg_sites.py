@@ -590,8 +590,8 @@ def test_connection_cases_cover_every_colinearity_class():
     for _, ext, delta in CONNECTIONS:
         gamma, alpha = ref_gamma_alpha(delta.delta, ext)
         for sigma in doctored_sections(ext):
-            conn = ConnectionForm(ref_ell(sigma, gamma, alpha, ext), "formula",
-                                  gamma, alpha)
+            conn = ConnectionForm(ref_ell(sigma, gamma, alpha, ext), gamma,
+                                  alpha)
             classes.add(ref_colinearity(conn, sigma, ext)[:2])
     assert {(True, True), (False, False)} <= classes
 

@@ -12,14 +12,14 @@ from strongconn.errors import (
     NotInvertible,
     ParseError,
 )
-from strongconn.scalars import Field, FieldDescriptor, make_field, parse_scalar
+from strongconn.scalars import Field, parse_scalar
 
 
 QQ = Field.rationals()
 
 
 def test_make_rationals():
-    f = make_field(FieldDescriptor("rationals"))
+    f = Field("rationals")
     assert f.degree == 1
     assert f == QQ
 

@@ -32,7 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--dim-cap", type=int, default=32,
-                   help="maximum dimension per base space (default 32)")
+                   help="maximum dimension per base space and maximum "
+                        "field degree (default 32)")
     p.add_argument("--oracle-cap", type=int, default=4096,
                    help="maximum unknown count for the brute-force oracle "
                         "(default 4096)")

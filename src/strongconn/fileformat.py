@@ -166,6 +166,9 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
     if not isinstance(fdesc, dict) or "kind" not in fdesc:
         raise ParseError("missing or malformed field descriptor")
     min_poly = fdesc.get("min_poly")
+    # Field() builds a (degree-1) x degree table, so cap the degree first.
+    if isinstance(min_poly, list) and len(min_poly) - 1 > dim_cap:
+        raise TooLarge(f"field degree {len(min_poly) - 1} > cap {dim_cap}")
     try:
         fld = Field(fdesc["kind"],
                     tuple(min_poly) if min_poly is not None else None)

@@ -25,6 +25,11 @@ Conventions frozen here and shared with the instance file format:
   row sweep read that index instead of scanning the rows, so the cost
   is the arithmetic on the nonzeros and their fill-in, not
   rows x columns.
+* Parsing and arithmetic return the field's ``one`` and ``minus_one``
+  objects for +-1 (see ``scalars``), so the ``is one`` tests of the
+  products here (``apply_at``, ``precompose_at``, ``map_kron``, the
+  elimination's pivot) see every one and copy instead of multiplying,
+  and a product with a sweep factor or entry of minus one is a negation.
 * Maps act on tensor legs: ``apply_at(f, g, at)`` is (I (x) f (x) I) o g
   and ``precompose_at(g, f, at)`` is g o (I (x) f (x) I), f on the
   factors from position ``at``, and the padded map is never formed.
@@ -546,7 +551,7 @@ def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
         del cols[c]
         rowr = rows[r]
         piv = rowr[c]
-        if piv != piv.field.one:
+        if piv is not piv.field.one:
             inv = piv.inv()
             rowr = rows[r] = {j: x * inv for j, x in rowr.items()}
         # Column c cancels in every swept row: old - old * 1.

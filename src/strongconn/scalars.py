@@ -18,6 +18,16 @@ degree-1 quotients) takes an inline path.  ``coeffs`` reads the value
 as a tuple of reduced Fractions.  Scalars are immutable and all
 operations are pure; concurrent reads are safe.
 
+One and minus one are singletons: each field holds ``one`` and
+``minus_one``, and ``Field.scalar``, ``parse_scalar``, ``+``, ``-``,
+``*``, ``/``, negation and ``inv`` return those objects for those
+values, so ``x is field.one`` decides whether x is one.  A product with
+a side that ``is`` one returns the other side, and with a side that
+``is`` minus one, its negation, without arithmetic; the structure maps
+are mostly such entries.  The trusting ``Scalar(field, num, den)``
+constructor does not intern: a one built that way is still equal to
+``field.one``, and only misses the shortcut.
+
 Irreducibility of p is deliberately not checked: a reducible p yields a
 ring, and inverting a zero divisor raises NotInvertible.
 
@@ -48,7 +58,8 @@ from .errors import (
 class Field:
     """Arithmetic context shared by all scalars of one ground field."""
 
-    __slots__ = ("kind", "min_poly", "degree", "zero", "one", "_powers")
+    __slots__ = ("kind", "min_poly", "degree", "zero", "one", "minus_one",
+                 "_powers")
 
     def __init__(self, kind: str, min_poly: tuple[int, ...] | None = None):
         if kind == "rationals":
@@ -84,6 +95,7 @@ class Field:
         self._powers = tuple(powers)
         self.zero = Scalar(self, (0,) * degree, 1)
         self.one = Scalar(self, (1,) + (0,) * (degree - 1), 1)
+        self.minus_one = Scalar(self, (-1,) + (0,) * (degree - 1), 1)
 
     @staticmethod
     def rationals() -> "Field":
@@ -136,11 +148,29 @@ class Field:
 
 
 def _canonical(field: Field, num, den: int) -> "Scalar":
-    """The scalar num/den (den > 0) with the common factor divided out."""
+    """The scalar num/den (den > 0) with the common factor divided out;
+    the field's own ``one`` or ``minus_one`` for those values."""
     g = gcd(den, *num)
     if g != 1:
-        return Scalar(field, tuple([n // g for n in num]), den // g)
-    return Scalar(field, tuple(num), den)
+        num, den = tuple([n // g for n in num]), den // g
+    else:
+        num = tuple(num)
+    if den == 1:
+        if num == field.one.num:
+            return field.one
+        if num == field.minus_one.num:
+            return field.minus_one
+    return Scalar(field, num, den)
+
+
+def _rational(field: Field, n: int, den: int) -> "Scalar":
+    """The degree-1 scalar n/den, already reduced, den > 0."""
+    if den == 1:
+        if n == 1:
+            return field.one
+        if n == -1:
+            return field.minus_one
+    return Scalar(field, (n,), den)
 
 
 class Scalar:
@@ -193,7 +223,7 @@ class Scalar:
                 n = self.num[0] * db + other.num[0] * da
                 da *= db
             g = gcd(n, da)
-            return Scalar(f, (n // g,), da // g) if g != 1 else Scalar(f, (n,), da)
+            return _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
         if da == db:
             return _canonical(f, [a + b for a, b in zip(self.num, other.num)], da)
         return _canonical(f, [a * db + b * da for a, b in zip(self.num, other.num)],
@@ -211,24 +241,37 @@ class Scalar:
                 n = self.num[0] * db - other.num[0] * da
                 da *= db
             g = gcd(n, da)
-            return Scalar(f, (n // g,), da // g) if g != 1 else Scalar(f, (n,), da)
+            return _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
         if da == db:
             return _canonical(f, [a - b for a, b in zip(self.num, other.num)], da)
         return _canonical(f, [a * db - b * da for a, b in zip(self.num, other.num)],
                           da * db)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, tuple([-a for a in self.num]), self.den)
+        f = self.field
+        if self is f.one:
+            return f.minus_one
+        if self is f.minus_one:
+            return f.one
+        return Scalar(f, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         f = self.field
         if other.field is not f:
             self._check(other)
+        if self is f.one:
+            return other
+        if other is f.one:
+            return self
+        if self is f.minus_one:
+            return -other
+        if other is f.minus_one:
+            return -self
         den = self.den * other.den
         if f.degree == 1:
             n = self.num[0] * other.num[0]
             g = gcd(n, den)
-            return Scalar(f, (n // g,), den // g) if g != 1 else Scalar(f, (n,), den)
+            return _rational(f, n // g, den // g) if g != 1 else _rational(f, n, den)
         d, b = f.degree, other.num
         prod = [0] * (2 * d - 1)
         for i, ai in enumerate(self.num):
@@ -246,6 +289,8 @@ class Scalar:
         if not self:
             raise DivisionByZero("inversion of zero")
         f = self.field
+        if self is f.one or self is f.minus_one:
+            return self
         if f.degree == 1:
             n = self.num[0]
             return Scalar(f, (-self.den,), -n) if n < 0 else Scalar(f, (self.den,), n)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import strongconn
+from strongconn import fileformat
 from strongconn.cli import main
 from strongconn.fileformat import write_instance
 from strongconn.golden import build_golden, write_golden_files
@@ -87,6 +88,24 @@ def test_cli_dim_cap(tmp_path, capsys):
     p = tmp_path / "z4.json"
     write_instance(inst, str(p))
     assert main([str(p), "--dim-cap", "3"]) == 2
+
+
+def test_cli_field_degree_over_dim_cap_exits_two(golden_dir, tmp_path, capsys,
+                                                 monkeypatch):
+    # the degree is checked before the field and its power table exist
+    built = []
+    monkeypatch.setattr(fileformat, "Field", lambda *a: built.append(a))
+    doc = json.loads((golden_dir / "group_self_z2.json").read_text(encoding="utf-8"))
+    doc["field"] = {"kind": "number_field", "min_poly": [1] + [0] * 39 + [1]}
+    p = tmp_path / "deg40.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field degree 40 > cap 32\n"
+    assert main([str(p), "--dim-cap", "3"]) == 2
+    assert capsys.readouterr().err == "error: field degree 40 > cap 3\n"
+    assert built == []
 
 
 def test_cli_oracle_cap_skips(golden_dir, capsys):

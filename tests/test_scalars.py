@@ -315,6 +315,71 @@ def test_long_coefficient_lists_reduce_modulo_p(name):
 def test_one_and_zero_are_canonical_singletons():
     for name in REF_FIELDS:
         f, _ = ref_field(name)
-        assert f.one is f.one and f.scalar(1) == f.one
+        assert f.scalar(1) is f.one and f.scalar(-1) is f.minus_one
         assert (f.one.num, f.one.den) == ((1,) + (0,) * (f.degree - 1), 1)
+        assert (f.minus_one.num, f.minus_one.den) == \
+            ((-1,) + (0,) * (f.degree - 1), 1)
         assert (f.zero.num, f.zero.den) == ((0,) * f.degree, 1)
+        assert f.one is not f.minus_one and f.minus_one == -f.one
+
+
+def as_list(f, c0):
+    """The bracketed text of the constant c0 with every coefficient."""
+    return "[" + ", ".join([c0] + ["0"] * (f.degree - 1)) + "]"
+
+
+@pytest.mark.parametrize("name", REF_FIELDS)
+def test_every_producer_returns_the_unit_singletons(name):
+    f, _ = ref_field(name)
+    one, m1 = f.one, f.minus_one
+    two = f.scalar([2])
+    made = {
+        "scalar(1)": (f.scalar(1), one),
+        "scalar([1, 0, ...])": (f.scalar([1] + [0] * f.degree), one),
+        "scalar([-3/3])": (f.scalar([Fraction(-3, 3)]), m1),
+        "[2] / [2]": (two / two, one),
+        "-[2] / [2]": (-two / two, m1),
+        'parse "1"': (parse_scalar("1", f), one),
+        'parse "[1, 0]"': (parse_scalar(as_list(f, "1"), f), one),
+        'parse "-2/2"': (parse_scalar("-2/2", f), m1),
+        'parse "[-2/2, 0]"': (parse_scalar(as_list(f, "-2/2"), f), m1),
+        "3 - 2": (f.scalar(3) - two, one),
+        "1/2 + 1/2": (f.scalar(Fraction(1, 2)) + f.scalar(Fraction(1, 2)), one),
+        "-1/3 - 2/3": (f.scalar(Fraction(-1, 3)) - f.scalar(Fraction(2, 3)), m1),
+        "-3 + 2": (f.scalar(-3) + two, m1),
+        "2 * 1/2": (two * f.scalar(Fraction(1, 2)), one),
+        "-2 * 1/2": (f.scalar(-2) * f.scalar(Fraction(1, 2)), m1),
+        "neg one": (-one, m1),
+        "neg minus_one": (-m1, one),
+        "neg of 3 - 4": (-(f.scalar(3) - f.scalar(4)), one),
+        "inv one": (one.inv(), one),
+        "inv minus_one": (m1.inv(), m1),
+        "inv of 3 - 2": ((f.scalar(3) - two).inv(), one),
+        "one / minus_one": (one / m1, m1),
+    }
+    if f.degree > 1:
+        # a degree >= 2 product through the convolution and the power table
+        g = f.generator()
+        made["x * x^-1"] = (g * g.inv(), one)
+        made["x^-1 * -x"] = (g.inv() * -g, m1)
+    for what, (got, want) in made.items():
+        assert got is want, what
+    rng = random.Random(f"units {name}")
+    for _ in range(100):
+        a = f.scalar(random_coeffs(rng, name, f.degree))
+        assert one * a is a and a * one is a
+        for x in (m1 * a, a * m1):
+            assert x == -a
+            assert_canonical(x)
+
+
+def test_unit_singletons_in_special_quotients():
+    ring = Field.number_field([-1, 0, 1])  # x * x = 1 in Q[x]/(x^2 - 1)
+    x = ring.generator()
+    assert x * x is ring.one and x * -x is ring.minus_one
+    assert x.inv() == x and x / x is ring.one
+    assert (ring.one + x) * (ring.one - x) == ring.zero
+    plus = Field.number_field([-1, 1])  # Q[x]/(x - 1): x reduces to 1
+    assert plus.generator() is plus.one
+    minus = Field.number_field([1, 1])  # Q[x]/(x + 1): x reduces to -1
+    assert minus.generator() is minus.minus_one

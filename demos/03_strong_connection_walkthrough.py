@@ -60,8 +60,11 @@ print("\ns(x) column:", [str(v) for v in s_map.column(1)])
 for c in srep.checks:
     print(f"  {c.status:>4}  {c.name}")
 
-# Step 5: cross-check against the independent oracle, which solves the
-# three conditions outright as one linear system in the entries of ell.
+# Step 5: cross-check against the oracle, which solves the three
+# conditions as one linear system in the entries of ell.  Here the
+# canonical map is injective, so condition (a) alone fixes ell: the
+# oracle takes that map from the canonical map's own elimination and
+# checks all three conditions on it.
 oracle = brute_force_connections(ext)
 print("\noracle solution-space dimension:", oracle.kernel.dim)
 print("formula output in the oracle set:", membership_check(conn, oracle))

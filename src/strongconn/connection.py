@@ -13,8 +13,13 @@ and assemble
 
 Every produced object is re-verified rather than trusted: the defining
 conditions of a strong connection become per-instance machine checks,
-and an independent brute-force oracle describes the whole affine set of
-solutions for cross-checking.
+and a brute-force oracle describes the whole affine set of solutions
+for cross-checking.  The oracle stacks the three conditions as one
+linear system in the entries of ell, assembled by linear_system and
+solved outright, except when the canonical map is injective: then the
+one map satisfying condition (a), which the canonical map's own
+elimination already gives and the section also reads, is checked
+against all three conditions as map identities.
 
 All solves share the deterministic echelon solver (leftmost pivots, free
 variables zero).  When a solution space is positive-dimensional the
@@ -310,23 +315,32 @@ def build_connection(section: SectionMap, delta: Cointegral,
     return ConnectionForm(ell, gamma, alpha)
 
 
+def _defining_conditions(ell: LinMap, ext: EntwinedExtension):
+    """(name, lhs, rhs) of the three defining conditions on ell, as map
+    identities: (a) sections the canonical map, (b) right and (c) left
+    C-colinear."""
+    coa = ext.coalgebra
+    rho, lam = ext.coaction.rho, ext.coaction.rho_left
+    return (("connection-sections-canonical", ext.canonical_map @ ell,
+             map_kron(ext.algebra.unit, coa.identity())),
+            ("connection-right-colinear",
+             apply_at(ell, coa.comul, 0), apply_at(rho, ell, 1)),
+            ("connection-left-colinear",
+             apply_at(ell, coa.comul, 1), apply_at(lam, ell, 0)))
+
+
 def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> VerificationReport:
     """The three defining conditions, plus the normalisation check when a
     grouplike is designated (not applicable otherwise)."""
     rep = VerificationReport()
-    alg, coa = ext.algebra, ext.coalgebra
-    ell = conn.ell
-    check_map_equal(rep, "connection-sections-canonical",
-                    ext.canonical_map @ ell, map_kron(alg.unit, coa.identity()))
-    check_map_equal(rep, "connection-right-colinear",
-                    apply_at(ell, coa.comul, 0), apply_at(ext.coaction.rho, ell, 1))
-    check_map_equal(rep, "connection-left-colinear",
-                    apply_at(ell, coa.comul, 1), apply_at(ext.coaction.rho_left, ell, 0))
+    for name, lhs, rhs in _defining_conditions(conn.ell, ext):
+        check_map_equal(rep, name, lhs, rhs)
     if ext.grouplike is None:
         rep.add_na("connection-normalized", "no designated grouplike")
     else:
+        unit = ext.algebra.unit
         check_map_equal(rep, "connection-normalized",
-                        ell @ ext.grouplike, map_kron(alg.unit, alg.unit))
+                        conn.ell @ ext.grouplike, map_kron(unit, unit))
     return rep
 
 
@@ -404,7 +418,7 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
     return s, rep
 
 
-# -- the independent oracle ----------------------------------------------
+# -- the oracle ----------------------------------------------------------
 
 
 def oracle_system(ext: EntwinedExtension) -> tuple[LinMap, LinMap]:
@@ -424,37 +438,62 @@ def oracle_system(ext: EntwinedExtension) -> tuple[LinMap, LinMap]:
     return _with_target(system, map_vectorize(map_kron(alg.unit, coa.identity())))
 
 
-def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
-    """Stack the three defining conditions as one linear system in the
-    entries of ell and solve it outright.
+def _oracle_infeasible(row: int, ext: EntwinedExtension) -> Infeasible:
+    """The stacked system's certificate: its rank, then 0 = nonzero in
+    the one target column."""
+    # condition (a) alone is the canonical map's own system
+    which = ("the section condition (a)"
+             if isinstance(ext.canonical_solution.particular, Infeasible)
+             else "the colinearity conditions")
+    return Infeasible(row, 0, detail=f"no map satisfies the stacked conditions; "
+                                     f"first obstruction lies in {which}")
 
-    Returns the affine solution set (particular solution plus kernel) or
-    an Infeasible certificate.  Assembly writes each coefficient from the
-    nonzeros of the structure maps and stores only the nonzeros of the
-    system, so it is linear in those nonzeros.  The single elimination
-    visits only the rows that hold each pivot's column, so its cost is
-    the arithmetic on the nonzeros and their fill-in, not rows x
-    unknowns; fill-in can still grow with the square of the unknown
-    count and the work with its cube, hence the cap.
+
+def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
+    """Every map satisfying the three defining conditions: the affine
+    solution set of the stacked system of oracle_system (particular
+    solution with free variables zero, plus the canonical echelon basis
+    of its kernel) or that system's Infeasible certificate.
+
+    Condition (a) alone is the canonical map's own system, eliminated
+    once per extension (ext.canonical_solution).  When the canonical map
+    is injective, its particular ell0 is the only map satisfying (a), so
+    the stacked system has full column rank and ell0 is its solution
+    exactly when (b) and (c) hold on it: these are evaluated as map
+    identities, and no system is assembled.  Otherwise the stacked
+    system is assembled and solved outright.  Assembly writes each
+    coefficient from the nonzeros of the structure maps and stores only
+    the nonzeros of the system, and the single elimination visits only
+    the rows that hold each pivot's column; fill-in can still grow with
+    the square of the unknown count and the work with its cube, hence
+    the cap on the c * a^2 unknowns.
     """
     alg, coa = ext.algebra, ext.coalgebra
     field = ext.field
-    n = coa.dim * alg.dim * alg.dim
+    aa = alg.space.tensor(alg.space)
+    n = coa.dim * aa.dim
     if n > cap:
         raise TooLarge(f"{n} unknowns exceed the oracle cap {cap}")
-    sol = rref_solve(*oracle_system(ext))
-    if isinstance(sol.particular, Infeasible):
-        # attribute the obstruction: condition (a) alone is the canonical
-        # map's own system, already solved once for the extension
-        which = ("the section condition (a)"
-                 if isinstance(ext.canonical_solution.particular, Infeasible)
-                 else "the colinearity conditions")
-        return Infeasible(sol.particular.row, sol.particular.column,
-                          detail=f"no map satisfies the stacked conditions; "
-                                 f"first obstruction lies in {which}")
-    aa = alg.space.tensor(alg.space)
-    particular = map_from_vector(field, coa.space, aa, sol.particular.column(0))
-    return BruteForceSolutions(particular, sol.kernel)
+    section = ext.canonical_solution
+    if section.kernel.dim:
+        sol = rref_solve(*oracle_system(ext))
+        if isinstance(sol.particular, Infeasible):
+            return _oracle_infeasible(sol.particular.row, ext)
+        particular = map_from_vector(field, coa.space, aa, sol.particular.column(0))
+        return BruteForceSolutions(particular, sol.kernel)
+    # rank-nullity: a kernel vector missing from the cached solution
+    # would make the canonical map look injective
+    if section.rank != aa.dim:
+        raise InternalContradiction("canonical map's rank and kernel miss unknowns")
+    if isinstance(section.particular, Infeasible):
+        return _oracle_infeasible(n, ext)
+    holds = [lhs == rhs for _, lhs, rhs in _defining_conditions(section.particular, ext)]
+    if not holds[0]:
+        raise InternalContradiction("oracle solution fails the section condition (a)")
+    if not all(holds):
+        return _oracle_infeasible(n, ext)
+    return BruteForceSolutions(section.particular,
+                               Subspace.zero(field, SpaceLabel.base("unknowns", n)))
 
 
 def membership_check(conn: ConnectionForm, oracle: BruteForceSolutions) -> bool:

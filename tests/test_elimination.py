@@ -11,7 +11,10 @@ dense reference here on larger sparse systems too, whose rows are
 shuffled so that pivots sit below earlier pivot rows that hold the same
 column, and whose dependent rows cancel; over the reducible ring
 Q[x]/(x^2 - 1) it must raise NotInvertible in the same cases.  A count
-of row lookups shows that it no longer scans rows x columns.
+of row lookups shows that it no longer scans rows x columns.  Rows that
+read 0 = 0 add no equation, but their positions count: in the reducible
+ring they decide where NotInvertible is raised, so a solver that drops
+them must keep their places.
 """
 
 import random
@@ -327,3 +330,75 @@ def test_elimination_makes_no_rows_by_columns_scan():
     pivots = _rref_inplace(list(counted), 3 * blocks)
     assert len(pivots) == want
     assert sum(row.lookups for row in counted) < 20 * nnz
+
+
+# -- rows that read 0 = 0 ------------------------------------------------
+
+
+def with_empty_rows(M, target, seed):
+    """M and target with empty rows inserted at seeded positions, in both."""
+    rng = random.Random(seed)
+    m_rows, t_rows = list(M.rows), list(target.rows)
+    for _ in range(rng.randint(1, M.nrows)):
+        i = rng.randint(0, len(m_rows))
+        m_rows.insert(i, {})
+        t_rows.insert(i, {})
+    cod = SpaceLabel.base("Y", len(m_rows))
+    return (LinMap._from_rows(M.field, M.domain, cod, tuple(m_rows)),
+            LinMap._from_rows(M.field, target.domain, cod, tuple(t_rows)))
+
+
+@pytest.mark.parametrize("name,seed", SCALE_SYSTEMS)
+def test_empty_rows_change_nothing(name, seed):
+    """With rows that read 0 = 0 interleaved, rref_solve's outcome is
+    the dense elimination's on every row, empty ones included, also
+    where NotInvertible stops it.  Over a field that is the Solution of
+    the system without the empty rows."""
+    field = SCALE_FIELDS[name]
+    M, target = sparse_system(field, seed)
+    Me, te = with_empty_rows(M, target, seed)
+    sol = outcome(rref_solve, Me, te)
+    old = outcome(solve_alone, Me, te)
+    if old == "NotInvertible":
+        assert sol == old
+    else:
+        assert sol.particular == old
+    if field is not REDUCIBLE:
+        assert sol == rref_solve(M, target)
+
+
+def test_empty_row_cases_cover_every_kind():
+    kinds = set()
+    for name, seed in SCALE_SYSTEMS:
+        Me, te = with_empty_rows(*sparse_system(SCALE_FIELDS[name], seed), seed)
+        sol = outcome(rref_solve, Me, te)
+        if sol == "NotInvertible":
+            kinds.add("NotInvertible")
+        else:
+            kinds.add("infeasible" if isinstance(sol.particular, Infeasible)
+                      else "feasible")
+    assert kinds == {"feasible", "infeasible", "NotInvertible"}
+
+
+def test_empty_row_positions_decide_the_pivot_in_a_reducible_ring():
+    """Why empty rows must keep their positions.  Eliminating column 0 swaps
+    the pivot row up with the row in its place.  With an empty row in
+    front, x stays ahead of z and its zero divisor 1 + x becomes the
+    pivot of column 1; with the empty row dropped, x is swapped behind z
+    and z's unit pivot is used."""
+    f = REDUCIBLE
+    e, zd = f.one, f.scalar([1, 1])
+    x, z, p = {1: zd}, {1: e}, {0: e}
+    dom, t = SpaceLabel.base("X", 2), SpaceLabel.scalar()
+
+    def system(rows):
+        cod = SpaceLabel.base("Y", len(rows))
+        return (LinMap._from_rows(f, dom, cod, tuple(dict(r) for r in rows)),
+                LinMap._from_rows(f, t, cod, tuple({} for _ in rows)))
+
+    with_empty, without = system([{}, x, z, p]), system([x, z, p])
+    assert outcome(rref_solve, *with_empty) == "NotInvertible"
+    assert outcome(solve_alone, *with_empty) == "NotInvertible"
+    assert outcome(rref_solve, *without).rank == 2
+    assert outcome(solve_alone, *without) == rref_solve(*without).particular
+

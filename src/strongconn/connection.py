@@ -127,7 +127,7 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
         [L o (I (x) X (x) I) o R](o, i)
             = sum L(o, (a, e, b)) X(e, d) R((a, d, b), i).
     """
-    one = field.one
+    one, zero = field.one, field.zero
     n = dom_dim * cod_dim
 
     def columns(m, dim, sign):
@@ -164,7 +164,7 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
                             v = lv * rv
                             old = row.get(col)
                             row[col] = v if old is None else old + v
-        rows.extend({c: v for c, v in row.items() if v} for row in block)
+        rows.extend({c: v for c, v in row.items() if v is not zero} for row in block)
     return LinMap._from_rows(field, SpaceLabel.base("unknowns", n),
                              SpaceLabel.base("constraints", len(rows)), tuple(rows))
 
@@ -357,8 +357,10 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
     rep = VerificationReport()
     comul = ext.coalgebra.comul
     sigma = section.sigma
-    right_col = apply_at(sigma, comul, 0) == apply_at(ext.coaction.rho, sigma, 1)
-    left_col = apply_at(sigma, comul, 1) == apply_at(ext.coaction.rho_left, sigma, 0)
+    sigma_0 = apply_at(sigma, comul, 0)
+    sigma_1 = apply_at(sigma, comul, 1)
+    right_col = sigma_0 == apply_at(ext.coaction.rho, sigma, 1)
+    left_col = sigma_1 == apply_at(ext.coaction.rho_left, sigma, 0)
     if right_col and left_col:
         klass = "bicolinear"
     elif right_col:
@@ -369,14 +371,14 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
         klass = "neither"
     rep.add_info("section-colinearity-class", {"class": klass})
     if right_col:
-        reduced = apply_at(conn.gamma, apply_at(sigma, comul, 1), 0)
+        reduced = apply_at(conn.gamma, sigma_1, 0)
         ok = rep.add("reduction-right-agrees", reduced == conn.ell)
         if not ok:
             raise InternalContradiction("right-reduced formula disagrees")
     else:
         rep.add_na("reduction-right-agrees", "sigma is not right colinear")
     if left_col:
-        reduced = apply_at(conn.alpha, apply_at(sigma, comul, 0), 1)
+        reduced = apply_at(conn.alpha, sigma_0, 1)
         ok = rep.add("reduction-left-agrees", reduced == conn.ell)
         if not ok:
             raise InternalContradiction("left-reduced formula disagrees")

@@ -25,11 +25,14 @@ Conventions frozen here and shared with the instance file format:
   row sweep read that index instead of scanning the rows, so the cost
   is the arithmetic on the nonzeros and their fill-in, not
   rows x columns.
-* Parsing and arithmetic return the field's ``one`` and ``minus_one``
-  objects for +-1 (see ``scalars``), so the ``is one`` tests of the
-  products here (``apply_at``, ``precompose_at``, ``map_kron``, the
-  elimination's pivot) see every one and copy instead of multiplying,
-  and a product with a sweep factor or entry of minus one is a negation.
+* There is one Field object per field, and parsing and arithmetic
+  return its ``zero``, ``one`` and ``minus_one`` objects for 0 and +-1
+  (see ``scalars``).  So the kernels here hoist those objects once per
+  call and test identity, not truth: a result that ``is zero`` is
+  dropped, with no call to ``Scalar.__bool__``; an entry that ``is
+  one`` is copied instead of multiplied; and a factor that is one or
+  minus one adds or subtracts a row (``_accumulate``, ``precompose_at``,
+  the elimination's sweep) instead of scaling it first.
 * Maps act on tensor legs: ``apply_at(f, g, at)`` is (I (x) f (x) I) o g
   and ``precompose_at(g, f, at)`` is g o (I (x) f (x) I), f on the
   factors from position ``at``, and the padded map is never formed.
@@ -48,6 +51,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -70,6 +74,15 @@ class SpaceLabel:
             dim *= d
         self.dim = dim
 
+    @classmethod
+    def _of(cls, factors: tuple, dim: int) -> "SpaceLabel":
+        """From factors taken from valid labels and their dimension,
+        unchecked."""
+        label = object.__new__(cls)
+        label.factors = factors
+        label.dim = dim
+        return label
+
     @staticmethod
     def base(name: str, dim: int) -> "SpaceLabel":
         return SpaceLabel([(name, dim)])
@@ -79,7 +92,7 @@ class SpaceLabel:
         return SpaceLabel([])
 
     def tensor(self, other: "SpaceLabel") -> "SpaceLabel":
-        return SpaceLabel(self.factors + other.factors)
+        return SpaceLabel._of(self.factors + other.factors, self.dim * other.dim)
 
     def __eq__(self, other):
         if not isinstance(other, SpaceLabel):
@@ -161,28 +174,34 @@ def _dense(row: dict, n: int, zero: Scalar) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def _accumulate(acc: dict, row: dict, f: Scalar | None = None) -> dict:
-    """acc += f * row in place (f None: acc += row) and return acc.
+def _accumulate(acc: dict, row: dict, f: Scalar) -> dict:
+    """acc += f * row in place and return acc.
 
-    An entry that cancels is removed, and so is a product of zero
-    divisors, so acc stays free of zeros.  An entry that is the field's
-    own one is replaced by f, no new Scalar.
+    A factor that ``is`` one adds row and one that ``is`` minus one
+    subtracts it; any other multiplies, and an entry of row that is the
+    field's own one is replaced by f, no new Scalar.  An entry that
+    cancels is removed, and so is a product of zero divisors, so acc
+    stays free of zeros.
     """
-    one = None if f is None else f.field.one
-    for j, b in row.items():
-        if f is not None:
-            b = f if b is one else f * b
-            if not b:
-                continue
+    field = f.field
+    zero = field.zero
+    add = f is not field.minus_one
+    if f is field.one or not add:
+        terms = row.items()
+    else:
+        one = field.one
+        terms = [(j, p) for j, b in row.items()
+                 if (p := f if b is one else f * b) is not zero]
+    for j, b in terms:
         old = acc.get(j)
         if old is None:
-            acc[j] = b
+            acc[j] = b if add else -b
         else:
-            b = old + b
-            if b:
-                acc[j] = b
-            else:
+            b = old + b if add else old - b
+            if b is zero:
                 del acc[j]
+            else:
+                acc[j] = b
     return acc
 
 
@@ -248,6 +267,7 @@ class LinMap:
     @staticmethod
     def from_rules(field: Field, domain: SpaceLabel, codomain: SpaceLabel, rule) -> "LinMap":
         """Build from a rule mapping a domain multi-index to (multi-index, coeff) pairs."""
+        zero = field.zero
         rows = [{} for _ in range(codomain.dim)]
         for c in range(domain.dim):
             for cod_idx, coeff in rule(domain.unflatten(c)):
@@ -257,7 +277,7 @@ class LinMap:
                 old = row.get(c)
                 row[c] = coeff if old is None else old + coeff
         return LinMap._from_rows(field, domain, codomain,
-                                 tuple({c: v for c, v in row.items() if v}
+                                 tuple({c: v for c, v in row.items() if v is not zero}
                                        for row in rows))
 
     # -- basic structure ----------------------------------------------
@@ -311,24 +331,17 @@ class LinMap:
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._check_parallel(other)
+        one = self.field.one
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate(dict(ra), rb)
+                                 tuple(_accumulate(dict(ra), rb, one)
                                        for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._check_parallel(other)
-        out = []
-        for ra, rb in zip(self.rows, other.rows):
-            acc = dict(ra)
-            for j, b in rb.items():
-                old = acc.get(j)
-                b = -b if old is None else old - b
-                if b:
-                    acc[j] = b
-                else:
-                    del acc[j]
-            out.append(acc)
-        return LinMap._from_rows(self.field, self.domain, self.codomain, tuple(out))
+        minus_one = self.field.minus_one
+        return LinMap._from_rows(self.field, self.domain, self.codomain,
+                                 tuple(_accumulate(dict(ra), rb, minus_one)
+                                       for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
@@ -351,7 +364,7 @@ class LinMap:
 
 def map_kron(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product consistent with row-major flattening."""
-    one = f.field.one
+    one, zero = f.field.one, f.field.zero
     ng = g.ncols
     g_rows = g.rows
     out = []
@@ -366,7 +379,7 @@ def map_kron(f: LinMap, g: LinMap) -> LinMap:
                     continue
                 for l, gjl in grow.items():
                     p = fik if gjl is one else fik * gjl
-                    if p:
+                    if p is not zero:
                         row[base + l] = p
             out.append(row)
     return LinMap._from_rows(f.field, f.domain.tensor(g.domain),
@@ -380,16 +393,19 @@ def kron_all(*maps: LinMap) -> LinMap:
     return out
 
 
-def _swap_legs(space: SpaceLabel, old: tuple, new: tuple,
+def _swap_legs(space: SpaceLabel, old: SpaceLabel, new: SpaceLabel,
                at: int) -> tuple[int, SpaceLabel]:
-    """The dimension of the factors of space after ``old``, which must be
-    its factors from position at, and space with ``new`` in their place."""
+    """The dimension of the factors of space after ``old``'s, which must
+    be its factors from position at, and space with ``new``'s factors in
+    their place."""
     factors = space.factors
-    end = at + len(old)
-    if not 0 <= at <= len(factors) - len(old) or factors[at:end] != old:
-        raise ShapeError(f"{SpaceLabel(old)!r} is not at factor {at} of {space!r}")
+    end = at + len(old.factors)
+    if not 0 <= at <= len(factors) - len(old.factors) or factors[at:end] != old.factors:
+        raise ShapeError(f"{old!r} is not at factor {at} of {space!r}")
     rest = factors[end:]
-    return SpaceLabel(rest).dim, SpaceLabel(factors[:at] + new + rest)
+    swapped = SpaceLabel._of(factors[:at] + new.factors + rest,
+                             space.dim // old.dim * new.dim)
+    return prod(d for _, d in rest), swapped
 
 
 def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
@@ -399,16 +415,15 @@ def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
     Scatters: each nonempty row (p, y, q) of g goes, scaled, into the
     rows (p, z, q) that column y of f reaches.
     """
-    q, codomain = _swap_legs(g.codomain, f.domain.factors, f.codomain.factors, at)
+    q, codomain = _swap_legs(g.codomain, f.domain, f.codomain, at)
     dy, dz = f.domain.dim, f.codomain.dim
-    one = f.field.one
     f_cols = _transpose(f.rows, dy)
     out = [{} for _ in range(codomain.dim)]
     for r, row in enumerate(g.rows):
         if row:
             base = r // (dy * q) * dz * q + r % q
             for z, fv in f_cols[r // q % dy].items():
-                _accumulate(out[base + z * q], row, None if fv is one else fv)
+                _accumulate(out[base + z * q], row, fv)
     return LinMap._from_rows(f.field, g.domain, codomain, tuple(out))
 
 
@@ -417,12 +432,14 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
     and its domain or codomain may be k.
 
     Gathers: each column (p, z, q) of g is read through row z of f into
-    the columns (p, y, q).  A factor that is the field's own one
-    (identities, permutations) is skipped, so no new Scalar is made.
+    the columns (p, y, q).  An entry of g that is the field's own one or
+    minus one adds or subtracts that row of f, and any other entry
+    multiplies it, skipping the entries of f that are one, so identities
+    and permutations make no new Scalar.
     """
-    q, domain = _swap_legs(g.domain, f.codomain.factors, f.domain.factors, at)
+    q, domain = _swap_legs(g.domain, f.codomain, f.domain, at)
     dy, dz = f.domain.dim, f.codomain.dim
-    one = g.field.one
+    one, minus_one, zero = g.field.one, g.field.minus_one, g.field.zero
     f_rows = f.rows if q == 1 else [{y * q: v for y, v in row.items()}
                                     for row in f.rows]
     split = [(c // (dz * q) * dy * q + c % q, f_rows[c // q % dz])
@@ -432,12 +449,19 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
         acc = {}
         for c, gv in row_g.items():
             base, f_row = split[c]
-            for y, fv in f_row.items():
-                v = fv if gv is one else gv if fv is one else gv * fv
+            add = gv is not minus_one
+            if gv is one or not add:
+                terms = f_row.items()
+            else:
+                terms = [(y, gv if fv is one else gv * fv) for y, fv in f_row.items()]
+            for y, v in terms:
                 y += base
                 old = acc.get(y)
-                acc[y] = v if old is None else old + v
-        out.append({j: v for j, v in acc.items() if v})
+                if old is None:
+                    acc[y] = v if add else -v
+                else:
+                    acc[y] = old + v if add else old - v
+        out.append({j: v for j, v in acc.items() if v is not zero})
     return LinMap._from_rows(g.field, domain, g.codomain, tuple(out))
 
 
@@ -450,7 +474,7 @@ def compose_legs(domain: SpaceLabel, *steps) -> LinMap:
     """
     codomain = domain
     for f, at in reversed(steps):
-        codomain = _swap_legs(codomain, f.domain.factors, f.codomain.factors, at)[1]
+        codomain = _swap_legs(codomain, f.domain, f.codomain, at)[1]
     field = steps[0][0].field
     if domain.dim <= codomain.dim:
         m = LinMap.identity(field, domain)
@@ -551,7 +575,9 @@ def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
         del cols[c]
         rowr = rows[r]
         piv = rowr[c]
-        if piv is not piv.field.one:
+        field = piv.field
+        one, zero = field.one, field.zero
+        if piv is not one:
             inv = piv.inv()
             rowr = rows[r] = {j: x * inv for j, x in rowr.items()}
         # Column c cancels in every swept row: old - old * 1.
@@ -560,22 +586,27 @@ def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
             if i == r:
                 continue
             row = rows[i]
-            f = -row.pop(c)
-            for j, x in rest:
-                x = f * x
-                if not x:
-                    continue
+            # row -= f * rowr: subtract rowr for f = 1, add it for
+            # f = -1, else add the nonzero products of -f.
+            f = row.pop(c)
+            add = f is not one
+            if not add or f is field.minus_one:
+                terms = rest
+            else:
+                f = -f
+                terms = [(j, p) for j, x in rest if (p := f * x) is not zero]
+            for j, x in terms:
                 old = row.get(j)
                 if old is None:
-                    row[j] = x
+                    row[j] = x if add else -x
                     cols[j].add(i)
                 else:
-                    x = old + x
-                    if x:
-                        row[j] = x
-                    else:
+                    x = old + x if add else old - x
+                    if x is zero:
                         del row[j]
                         cols[j].discard(i)
+                    else:
+                        row[j] = x
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -91,4 +91,5 @@ def check_map_equal(report: VerificationReport, name: str, lhs, rhs) -> bool:
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         return report.add(name, False, {"reason": "shape mismatch",
                                         "lhs": repr(lhs), "rhs": repr(rhs)})
-    return report.add(name, lhs == rhs, first_column_mismatch(lhs, rhs))
+    ok = lhs == rhs
+    return report.add(name, ok, None if ok else first_column_mismatch(lhs, rhs))

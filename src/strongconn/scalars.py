@@ -18,15 +18,21 @@ degree-1 quotients) takes an inline path.  ``coeffs`` reads the value
 as a tuple of reduced Fractions.  Scalars are immutable and all
 operations are pure; concurrent reads are safe.
 
-One and minus one are singletons: each field holds ``one`` and
-``minus_one``, and ``Field.scalar``, ``parse_scalar``, ``+``, ``-``,
-``*``, ``/``, negation and ``inv`` return those objects for those
-values, so ``x is field.one`` decides whether x is one.  A product with
-a side that ``is`` one returns the other side, and with a side that
-``is`` minus one, its negation, without arithmetic; the structure maps
-are mostly such entries.  The trusting ``Scalar(field, num, den)``
-constructor does not intern: a one built that way is still equal to
-``field.one``, and only misses the shortcut.
+There is one ``Field`` object per field: ``Field(kind, min_poly)`` looks
+its descriptor up in a module table, so two fields built separately from
+equal descriptors are the same object.  Zero, one and minus one are
+singletons: each field holds ``zero``, ``one`` and ``minus_one``, and
+``Field.scalar``, ``parse_scalar``, ``+``, ``-``, ``*``, ``/``, negation
+and ``inv`` return those objects for those values (a product of zero
+divisors in a reducible Q[x]/(p) included), so ``x is field.zero``
+decides whether x is zero, with no call to ``__bool__``, and likewise
+for one and minus one.  A product with a side that ``is`` one returns
+the other side, and with a side that ``is`` minus one, its negation,
+without arithmetic; the structure maps are mostly such entries.  The
+trusting ``Scalar(field, num, den)`` constructor does not intern: a
+value built that way is still equal to the singleton, but a zero built
+so would pass an ``is zero`` test as nonzero, so it must not reach a
+map.
 
 Irreducibility of p is deliberately not checked: a reducible p yields a
 ring, and inverting a zero divisor raises NotInvertible.
@@ -55,13 +61,23 @@ from .errors import (
 )
 
 
+_FIELDS: dict = {}  # (kind, min_poly) -> the Field of that descriptor
+
+
 class Field:
-    """Arithmetic context shared by all scalars of one ground field."""
+    """Arithmetic context shared by all scalars of one ground field.
+
+    There is one Field object per descriptor: ``Field(kind, min_poly)``
+    returns the object made by the first call with equal arguments, so
+    fields compare and hash by identity.
+    """
 
     __slots__ = ("kind", "min_poly", "degree", "zero", "one", "minus_one",
                  "_powers")
 
-    def __init__(self, kind: str, min_poly: tuple[int, ...] | None = None):
+    def __new__(cls, kind: str, min_poly: tuple[int, ...] | None = None):
+        """The one Field object of this descriptor; validated before the
+        table lookup, so a malformed descriptor is never cached."""
         if kind == "rationals":
             if min_poly is not None:
                 raise MalformedField("a rationals descriptor carries no polynomial")
@@ -69,15 +85,22 @@ class Field:
         elif kind == "number_field":
             if min_poly is None or len(min_poly) < 2:
                 raise MalformedField("min_poly must have degree >= 1")
+            # True == 1, so a bool must not reach the table key
             if any(not isinstance(c, int) or isinstance(c, bool) for c in min_poly):
                 raise MalformedField("min_poly coefficients must be integers")
             if min_poly[-1] != 1:
                 raise MalformedField("min_poly must be monic")
             degree = len(min_poly) - 1
+            min_poly = tuple(min_poly)
         else:
             raise MalformedField(f"unknown field kind {kind!r}")
+        key = (kind, min_poly)
+        self = _FIELDS.get(key)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
         self.kind = kind
-        self.min_poly = tuple(min_poly) if min_poly is not None else None
+        self.min_poly = min_poly
         self.degree = degree
         # _powers[k] = x^(d+k) mod p for k = 0 .. d-2, as d integers:
         # x^d = -(p0 + ... + p_{d-1} x^(d-1)), and each next power is the
@@ -96,6 +119,12 @@ class Field:
         self.zero = Scalar(self, (0,) * degree, 1)
         self.one = Scalar(self, (1,) + (0,) * (degree - 1), 1)
         self.minus_one = Scalar(self, (-1,) + (0,) * (degree - 1), 1)
+        # setdefault: of two threads building one field, both get the first
+        return _FIELDS.setdefault(key, self)
+
+    def __reduce__(self):
+        # copies and unpickled fields are the table's object
+        return Field, (self.kind, self.min_poly)
 
     @staticmethod
     def rationals() -> "Field":
@@ -104,14 +133,6 @@ class Field:
     @staticmethod
     def number_field(min_poly) -> "Field":
         return Field("number_field", tuple(min_poly))
-
-    def __eq__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        return self.kind == other.kind and self.min_poly == other.min_poly
-
-    def __hash__(self):
-        return hash((self.kind, self.min_poly))
 
     def __repr__(self):
         if self.kind == "rationals":
@@ -149,7 +170,9 @@ class Field:
 
 def _canonical(field: Field, num, den: int) -> "Scalar":
     """The scalar num/den (den > 0) with the common factor divided out;
-    the field's own ``one`` or ``minus_one`` for those values."""
+    the field's own ``zero``, ``one`` or ``minus_one`` for those values."""
+    if not any(num):
+        return field.zero
     g = gcd(den, *num)
     if g != 1:
         num, den = tuple([n // g for n in num]), den // g
@@ -170,6 +193,8 @@ def _rational(field: Field, n: int, den: int) -> "Scalar":
             return field.one
         if n == -1:
             return field.minus_one
+        if n == 0:
+            return field.zero
     return Scalar(field, (n,), den)
 
 
@@ -177,8 +202,10 @@ class Scalar:
     """An exact field element: integer numerators ``num`` (c0 .. c_{d-1})
     over one positive denominator ``den``, in canonical form.
 
-    The constructor trusts its arguments; build scalars with
-    ``Field.scalar``, ``parse_scalar`` or arithmetic.
+    The constructor trusts its arguments and does not intern; build
+    scalars with ``Field.scalar``, ``parse_scalar`` or arithmetic.  A
+    zero built by the constructor must not reach a map: the map kernels
+    drop zeros by testing ``is field.zero``.
     """
 
     __slots__ = ("field", "num", "den")
@@ -195,7 +222,7 @@ class Scalar:
         return tuple(Fraction(n, den) for n in self.num)
 
     def _check(self, other: "Scalar") -> None:
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def __bool__(self):
@@ -253,6 +280,8 @@ class Scalar:
             return f.minus_one
         if self is f.minus_one:
             return f.one
+        if self is f.zero:
+            return self
         return Scalar(f, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":

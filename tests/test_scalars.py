@@ -321,6 +321,11 @@ def test_one_and_zero_are_canonical_singletons():
             ((-1,) + (0,) * (f.degree - 1), 1)
         assert (f.zero.num, f.zero.den) == ((0,) * f.degree, 1)
         assert f.one is not f.minus_one and f.minus_one == -f.one
+        assert f.scalar(0) is f.zero and -f.zero is f.zero
+        assert f.zero is not f.one and f.zero is not f.minus_one
+        # a field built again from its descriptor is the same object, so
+        # its zero, one and minus one are these
+        assert Field(f.kind, f.min_poly) is f
 
 
 def as_list(f, c0):

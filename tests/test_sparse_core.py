@@ -17,9 +17,12 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
+    _accumulate,
+    apply_at,
     kernel_basis,
     map_kron,
     map_vectorize,
+    precompose_at,
     rref_solve,
 )
 from strongconn.scalars import Field
@@ -158,6 +161,80 @@ def assert_canonical(lm):
     for row in lm.rows:
         assert all(row.values())
         assert all(0 <= c < lm.ncols for c in row)
+
+
+def d_identity(field, n):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
+def signed_grid(field, rng, m, n):
+    """An m x n grid of the singletons one and minus one, no zeros."""
+    return [[rng.choice([field.one, field.minus_one]) for _ in range(n)]
+            for _ in range(m)]
+
+
+# -- the signed branches: a factor that is +-1 adds or subtracts -------
+
+
+@pytest.mark.parametrize("kind", ["one", "minus_one", "other"])
+@pytest.mark.parametrize("name", FIELDS)
+def test_accumulate_matches_dense(name, kind):
+    """acc += f * row for f = 1, -1 and other values, with entries that
+    cancel; no zero is left in acc."""
+    field = FIELDS[name]
+    rng = random.Random(f"accumulate {name} {kind}")
+    n = 8
+    cancelled = 0
+    for _ in range(40):
+        f = {"one": field.one, "minus_one": field.minus_one,
+             "other": random_scalar(field, rng)}[kind]
+        row = [random_scalar(field, rng) for _ in range(n)]
+        # acc cancels f * row at some positions, holds +-1 or others elsewhere
+        acc = [-(f * b) if rng.random() < 0.4 else
+               rng.choice([field.one, field.minus_one, random_scalar(field, rng)])
+               for b in row]
+        want = [a + f * b for a, b in zip(acc, row)]
+        sparse_acc = {j: a for j, a in enumerate(acc) if a}
+        sparse_row = {j: b for j, b in enumerate(row) if b}
+        got = _accumulate(sparse_acc, sparse_row, f)
+        assert got is sparse_acc
+        assert [got.get(j, field.zero) for j in range(n)] == want
+        assert all(v and v is not field.zero for v in got.values())
+        if f is field.one:  # an entry new to acc is row's own object
+            assert all(got[j] is b for j, b in sparse_row.items() if not acc[j])
+        cancelled += sum(1 for a, b in zip(acc, row) if a and b and not a + f * b)
+    assert cancelled
+
+
+LEG_SHAPES = [(1, 2, 2, 1), (2, 2, 3, 1), (1, 3, 2, 2), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_legs_on_signed_maps_match_dense(name):
+    """apply_at and precompose_at on maps whose entries are all +-1,
+    so that sums cancel, against the dense padded composite."""
+    field = FIELDS[name]
+    rng = random.Random(f"signed legs {name}")
+    cancelled = 0
+    for seed in SEEDS:
+        lft, dy, dz, rgt = LEG_SHAPES[seed % len(LEG_SHAPES)]
+        n = rng.randint(1, 3)
+        L, R = space("L", lft), space("R", rgt)
+        Y, Z, N = space("Y", dy), space("Z", dz), space("N", n)
+        f = signed_grid(field, rng, dz, dy)
+        F = LinMap(field, Y, Z, f)
+        pad = d_kron(d_kron(d_identity(field, lft), f), d_identity(field, rgt))
+        g = signed_grid(field, rng, lft * dy * rgt, n)
+        G = LinMap(field, N, L.tensor(Y).tensor(R), g)
+        h = signed_grid(field, rng, n, lft * dz * rgt)
+        H = LinMap(field, L.tensor(Z).tensor(R), N, h)
+        for sparse, dense in ((apply_at(F, G, 1), d_mul(pad, g, field.zero)),
+                              (precompose_at(H, F, 1), d_mul(h, pad, field.zero))):
+            assert_canonical(sparse)
+            assert all(v is not field.zero for row in sparse.rows for v in row.values())
+            assert grid(sparse) == dense
+            cancelled += sum(1 for row in dense for x in row if not x)
+    assert cancelled
 
 
 CASES = [(name, seed) for name in FIELDS for seed in SEEDS]

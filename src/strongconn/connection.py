@@ -317,8 +317,19 @@ def build_connection(section: SectionMap, delta: Cointegral,
 
 def _defining_conditions(ell: LinMap, ext: EntwinedExtension):
     """(name, lhs, rhs) of the three defining conditions on ell, as map
-    identities: (a) sections the canonical map, (b) right and (c) left
-    C-colinear."""
+    identities, evaluated once per map and extension: the verify stage
+    and the oracle's check of the canonical map's solution read one
+    evaluation when the two maps are equal."""
+    cache = ext.condition_cache
+    conditions = cache.get(ell)
+    if conditions is None:
+        conditions = cache[ell] = _evaluate_conditions(ell, ext)
+    return conditions
+
+
+def _evaluate_conditions(ell: LinMap, ext: EntwinedExtension):
+    """The three defining conditions on ell: (a) sections the canonical
+    map, (b) right and (c) left C-colinear."""
     coa = ext.coalgebra
     rho, lam = ext.coaction.rho, ext.coaction.rho_left
     return (("connection-sections-canonical", ext.canonical_map @ ell,

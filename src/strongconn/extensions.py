@@ -94,6 +94,12 @@ class EntwinedExtension:
         return rref_solve(self.canonical_map,
                           map_kron(self.algebra.unit, self.coalgebra.identity()))
 
+    @cached_property
+    def condition_cache(self) -> dict:
+        """A connection form's three defining conditions, by the map they
+        were evaluated on (connection._defining_conditions)."""
+        return {}
+
 
 def _psi_shapes(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra) -> None:
     if psi.domain != coa.space.tensor(alg.space) or \

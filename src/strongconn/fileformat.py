@@ -118,8 +118,26 @@ def _space_label(names, spaces: dict[str, int], where: str) -> SpaceLabel:
     return SpaceLabel(factors)
 
 
+def _scalar_parser(fld: Field):
+    """parse_scalar in fld for one file: each distinct text is parsed
+    once.  Only successful parses are kept, so a bad text raises its own
+    error at each of its entries."""
+    parsed = {}
+
+    def parse(text):
+        s = parsed.get(text) if isinstance(text, str) else None
+        if s is None:
+            s = parsed[text] = parse_scalar(text, fld)
+        return s
+    return parse
+
+
 def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
-                 fld: Field) -> LinMap:
+                 fld: Field, parse=None) -> LinMap:
+    """The tensor of one instance-file entry; parse(text), by default
+    parse_scalar in fld, reads its scalars."""
+    if parse is None:
+        parse = _scalar_parser(fld)
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError(f"tensor {name!r}: expected an object with entries")
     dom = _space_label(obj.get("domain", []), spaces, f"tensor {name!r}")
@@ -146,10 +164,10 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
             raise ParseError(f"tensor {name!r} entry {pos}: duplicate index")
         seen.add((r, c))
         try:
-            s = parse_scalar(text, fld)
+            s = parse(text)
         except ParseError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
-        if s:
+        if s is not fld.zero:
             rows[r][c] = s
     return LinMap._from_rows(fld, dom, cod, tuple(rows))
 
@@ -185,7 +203,8 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
     tensors_doc = doc.get("tensors", {})
     if not isinstance(tensors_doc, dict):
         raise ParseError("tensors must be an object")
-    tensors = {nm: parse_tensor(nm, obj, spaces, fld)
+    parse = _scalar_parser(fld)
+    tensors = {nm: parse_tensor(nm, obj, spaces, fld, parse)
                for nm, obj in tensors_doc.items()}
     desig = doc.get("designations", {})
     if not isinstance(desig, dict):
@@ -219,7 +238,7 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
         if not isinstance(texts, list) or len(texts) != spaces["C"]:
             raise ParseError("grouplike must list one scalar per C basis element")
         grouplike = vector(fld, SpaceLabel.base("C", spaces["C"]),
-                           [parse_scalar(t, fld) for t in texts])
+                           [parse(t) for t in texts])
     b_subspace = None
     if "coinvariant_subalgebra" in doc:
         rows = doc["coinvariant_subalgebra"]
@@ -231,7 +250,7 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
             if not isinstance(row, list) or len(row) != spaces["A"]:
                 raise ParseError(f"coinvariant_subalgebra row {i}: expected "
                                  f"{spaces['A']} scalars")
-            vecs.append([parse_scalar(t, fld) for t in row])
+            vecs.append([parse(t) for t in row])
         b_subspace = Subspace.from_vectors(fld, a_label, vecs)
     return InstanceFile(name, fld, dict(spaces), tensors,
                         dict(desig), grouplike, b_subspace)

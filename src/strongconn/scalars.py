@@ -16,23 +16,42 @@ builds once, whose entries are integers because p is monic with integer
 coefficients.  Each result is normalised with one gcd.  Degree 1 (Q and
 degree-1 quotients) takes an inline path.  ``coeffs`` reads the value
 as a tuple of reduced Fractions.  Scalars are immutable and all
-operations are pure; concurrent reads are safe.
+operations are pure.
 
 There is one ``Field`` object per field: ``Field(kind, min_poly)`` looks
 its descriptor up in a module table, so two fields built separately from
-equal descriptors are the same object.  Zero, one and minus one are
-singletons: each field holds ``zero``, ``one`` and ``minus_one``, and
-``Field.scalar``, ``parse_scalar``, ``+``, ``-``, ``*``, ``/``, negation
-and ``inv`` return those objects for those values (a product of zero
-divisors in a reducible Q[x]/(p) included), so ``x is field.zero``
-decides whether x is zero, with no call to ``__bool__``, and likewise
-for one and minus one.  A product with a side that ``is`` one returns
-the other side, and with a side that ``is`` minus one, its negation,
-without arithmetic; the structure maps are mostly such entries.  The
-trusting ``Scalar(field, num, den)`` constructor does not intern: a
-value built that way is still equal to the singleton, but a zero built
-so would pass an ``is zero`` test as nonzero, so it must not reach a
-map.
+equal descriptors are the same object.
+
+Shared values.  Each field keeps a table with one shared scalar per
+value, filled by ``Field.scalar``, ``parse_scalar``, arithmetic and
+copies, up to VALUE_CAP values.  Once it is full, a value outside it is
+a new unshared scalar, and degree-1 arithmetic looks up only 0 and +-1,
+so an input with too many distinct values runs at about the uncached
+speed.  The table is never cleared, so a shared scalar lives as long as
+its field and carries a serial number (``shared``, 0 when unshared) that
+no other object of the field gets.  ``+``, ``-``, ``*`` and negation of
+shared operands look their result up by the operation and the serials
+in a per-field cache of at most RESULT_CAP results, so each distinct
+operation of a run is computed once; any other operand skips the cache
+after one attribute test.  ``inv`` and ``/`` are not cached: a failing
+inversion raises every time.  ``==`` and ``hash`` stay value-based.  At
+the caps a field's tables hold about 2 MiB, whatever the input.
+Concurrent use is safe: a value is added with ``setdefault``, so threads
+that make one value get one object, and serials come from one atomic
+counter.
+
+Zero, one and minus one are always shared: each field holds ``zero``,
+``one`` and ``minus_one`` as the first three objects of its table, and
+every producer above returns them for those values (a product of zero
+divisors in a reducible Q[x]/(p) included), even past the caps, so ``x
+is field.zero`` decides whether x is zero, with no call to ``__bool__``,
+and likewise for one and minus one.  A product with a side that ``is``
+one returns the other side, and with a side that ``is`` minus one, its
+negation, without arithmetic; the structure maps are mostly such
+entries.  The trusting ``Scalar(field, num, den)`` constructor does not
+share: a value built that way is still equal to the table's, but a zero
+built so would pass an ``is zero`` test as nonzero, so it must not reach
+a map.
 
 Irreducibility of p is deliberately not checked: a reducible p yields a
 ring, and inverting a zero divisor raises NotInvertible.
@@ -49,6 +68,7 @@ coefficients c0, c1, ... and must not exceed the extension degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 from .errors import (
@@ -63,6 +83,15 @@ from .errors import (
 
 _FIELDS: dict = {}  # (kind, min_poly) -> the Field of that descriptor
 
+# Per-field caps of the shared-value table and of the result cache.  The
+# densest measured run (graded_n12 over Q in a filled-in basis) meets 78
+# values and 966 distinct results.
+VALUE_CAP = 1024
+RESULT_CAP = 8192
+# a result's key: (a.shared * _SPAN + b.shared) * 4 + op, with op 0 for
+# +, 1 for -, 2 for * and 3 for negation (b.shared = 0)
+_SPAN = VALUE_CAP + 1
+
 
 class Field:
     """Arithmetic context shared by all scalars of one ground field.
@@ -73,7 +102,7 @@ class Field:
     """
 
     __slots__ = ("kind", "min_poly", "degree", "zero", "one", "minus_one",
-                 "_powers")
+                 "_powers", "_values", "_serials", "_full", "_results")
 
     def __new__(cls, kind: str, min_poly: tuple[int, ...] | None = None):
         """The one Field object of this descriptor; validated before the
@@ -116,9 +145,13 @@ class Field:
                 if c:
                     row = [r + c * t for r, t in zip(row, top)]
         self._powers = tuple(powers)
-        self.zero = Scalar(self, (0,) * degree, 1)
-        self.one = Scalar(self, (1,) + (0,) * (degree - 1), 1)
-        self.minus_one = Scalar(self, (-1,) + (0,) * (degree - 1), 1)
+        self._values = {}   # (*num, den) -> the shared scalar of that value
+        self._serials = count(1)
+        self._full = False  # set once every serial is taken
+        self._results = {}  # result key (see _SPAN) -> result
+        self.zero = _shared(self, (0,) * degree + (1,))
+        self.one = _shared(self, (1,) + (0,) * (degree - 1) + (1,))
+        self.minus_one = _shared(self, (-1,) + (0,) * (degree - 1) + (1,))
         # setdefault: of two threads building one field, both get the first
         return _FIELDS.setdefault(key, self)
 
@@ -169,51 +202,63 @@ class Field:
 
 
 def _canonical(field: Field, num, den: int) -> "Scalar":
-    """The scalar num/den (den > 0) with the common factor divided out;
-    the field's own ``zero``, ``one`` or ``minus_one`` for those values."""
-    if not any(num):
-        return field.zero
+    """The scalar num/den (den > 0) with the common factor divided out,
+    as the field's shared object of that value where there is one."""
     g = gcd(den, *num)
     if g != 1:
-        num, den = tuple([n // g for n in num]), den // g
-    else:
-        num = tuple(num)
-    if den == 1:
-        if num == field.one.num:
-            return field.one
-        if num == field.minus_one.num:
-            return field.minus_one
-    return Scalar(field, num, den)
+        return _shared(field, tuple([n // g for n in num]) + (den // g,))
+    return _shared(field, (*num, den))
 
 
 def _rational(field: Field, n: int, den: int) -> "Scalar":
-    """The degree-1 scalar n/den, already reduced, den > 0."""
-    if den == 1:
-        if n == 1:
-            return field.one
-        if n == -1:
-            return field.minus_one
-        if n == 0:
-            return field.zero
+    """The degree-1 scalar n/den, already reduced, den > 0.  Once the
+    table is full, only 0 and +-1 are looked up, and without a key."""
+    if not field._full:
+        return _shared(field, (n, den))
+    if den == 1 and -1 <= n <= 1:
+        return (field.zero, field.one, field.minus_one)[n]
     return Scalar(field, (n,), den)
+
+
+def _shared(field: Field, key: tuple) -> "Scalar":
+    """The scalar of canonical value key = (*num, den): the table's object,
+    made and given the next serial number while serials up to VALUE_CAP
+    are left; past the cap, a new unshared scalar."""
+    s = field._values.get(key)
+    if s is None:
+        s = Scalar(field, key[:-1], key[-1])
+        if not field._full:
+            serial = next(field._serials)  # atomic: no two objects get one
+            if serial <= VALUE_CAP:
+                s.shared = serial
+                # setdefault: of two threads making one value, both get the first
+                s = field._values.setdefault(key, s)
+            else:
+                field._full = True
+    return s
 
 
 class Scalar:
     """An exact field element: integer numerators ``num`` (c0 .. c_{d-1})
     over one positive denominator ``den``, in canonical form.
 
-    The constructor trusts its arguments and does not intern; build
+    The constructor trusts its arguments and does not share; build
     scalars with ``Field.scalar``, ``parse_scalar`` or arithmetic.  A
     zero built by the constructor must not reach a map: the map kernels
     drop zeros by testing ``is field.zero``.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "shared")
 
     def __init__(self, field: Field, num: tuple[int, ...], den: int):
         self.field = field
         self.num = num
         self.den = den
+        self.shared = 0  # the serial number of a table object, 0 otherwise
+
+    def __reduce__(self):
+        # copies and unpickled scalars are the table's object of the value
+        return _canonical, (self.field, self.num, self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -242,6 +287,11 @@ class Scalar:
         f = self.field
         if other.field is not f:
             self._check(other)
+        key = self.shared and other.shared and (self.shared * _SPAN + other.shared) * 4
+        if key:
+            r = f._results.get(key)
+            if r is not None:
+                return r
         da, db = self.den, other.den
         if f.degree == 1:
             if da == db:
@@ -250,16 +300,25 @@ class Scalar:
                 n = self.num[0] * db + other.num[0] * da
                 da *= db
             g = gcd(n, da)
-            return _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
-        if da == db:
-            return _canonical(f, [a + b for a, b in zip(self.num, other.num)], da)
-        return _canonical(f, [a * db + b * da for a, b in zip(self.num, other.num)],
-                          da * db)
+            r = _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
+        elif da == db:
+            r = _canonical(f, [a + b for a, b in zip(self.num, other.num)], da)
+        else:
+            r = _canonical(f, [a * db + b * da for a, b in zip(self.num, other.num)],
+                           da * db)
+        if key and len(f._results) < RESULT_CAP:
+            f._results[key] = r
+        return r
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         f = self.field
         if other.field is not f:
             self._check(other)
+        key = self.shared and other.shared and (self.shared * _SPAN + other.shared) * 4 + 1
+        if key:
+            r = f._results.get(key)
+            if r is not None:
+                return r
         da, db = self.den, other.den
         if f.degree == 1:
             if da == db:
@@ -268,21 +327,27 @@ class Scalar:
                 n = self.num[0] * db - other.num[0] * da
                 da *= db
             g = gcd(n, da)
-            return _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
-        if da == db:
-            return _canonical(f, [a - b for a, b in zip(self.num, other.num)], da)
-        return _canonical(f, [a * db - b * da for a, b in zip(self.num, other.num)],
-                          da * db)
+            r = _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
+        elif da == db:
+            r = _canonical(f, [a - b for a, b in zip(self.num, other.num)], da)
+        else:
+            r = _canonical(f, [a * db - b * da for a, b in zip(self.num, other.num)],
+                           da * db)
+        if key and len(f._results) < RESULT_CAP:
+            f._results[key] = r
+        return r
 
     def __neg__(self) -> "Scalar":
         f = self.field
-        if self is f.one:
-            return f.minus_one
-        if self is f.minus_one:
-            return f.one
-        if self is f.zero:
-            return self
-        return Scalar(f, tuple([-a for a in self.num]), self.den)
+        if not self.shared:
+            return Scalar(f, tuple([-a for a in self.num]), self.den)
+        key = self.shared * _SPAN * 4 + 3
+        r = f._results.get(key)
+        if r is None:
+            r = _shared(f, (*[-a for a in self.num], self.den))
+            if len(f._results) < RESULT_CAP:
+                f._results[key] = r
+        return r
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         f = self.field
@@ -296,23 +361,32 @@ class Scalar:
             return -other
         if other is f.minus_one:
             return -self
+        key = self.shared and other.shared and (self.shared * _SPAN + other.shared) * 4 + 2
+        if key:
+            r = f._results.get(key)
+            if r is not None:
+                return r
         den = self.den * other.den
         if f.degree == 1:
             n = self.num[0] * other.num[0]
             g = gcd(n, den)
-            return _rational(f, n // g, den // g) if g != 1 else _rational(f, n, den)
-        d, b = f.degree, other.num
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.num):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    prod[j] += ai * bj
-        out = prod[:d]
-        for c, row in zip(prod[d:], f._powers):
-            if c:
-                for j, t in enumerate(row):
-                    out[j] += c * t
-        return _canonical(f, out, den)
+            r = _rational(f, n // g, den // g) if g != 1 else _rational(f, n, den)
+        else:
+            d, b = f.degree, other.num
+            prod = [0] * (2 * d - 1)
+            for i, ai in enumerate(self.num):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        prod[j] += ai * bj
+            out = prod[:d]
+            for c, row in zip(prod[d:], f._powers):
+                if c:
+                    for j, t in enumerate(row):
+                        out[j] += c * t
+            r = _canonical(f, out, den)
+        if key and len(f._results) < RESULT_CAP:
+            f._results[key] = r
+        return r
 
     def inv(self) -> "Scalar":
         if not self:
@@ -322,7 +396,7 @@ class Scalar:
             return self
         if f.degree == 1:
             n = self.num[0]
-            return Scalar(f, (-self.den,), -n) if n < 0 else Scalar(f, (self.den,), n)
+            return _rational(f, -self.den, -n) if n < 0 else _rational(f, self.den, n)
         g, u = _invert_mod(list(self.coeffs), [Fraction(c) for c in f.min_poly])
         if g is None:
             raise NotInvertible("zero divisor in a reducible quotient")

@@ -1,6 +1,8 @@
 """Each pipeline run derives the lifted canonical map once per extension,
 eliminates it once, builds the connection once (with its gamma and
-alpha, which the colinearity reduction reuses), inverts an antipode
+alpha, which the colinearity reduction reuses), evaluates the defining
+conditions on it once (the oracle's check of the canonical map's
+solution reads the verify stage's evaluation), inverts an antipode
 once, and solves the cointegral of a homogeneous quotient once.
 
 The counters wrap a callable in every strongconn module that imported
@@ -93,6 +95,16 @@ def test_connection_built_once(name, monkeypatch):
     built = statuses.get("connection-built") == "pass"
     assert built == (name != "sweedler_h4")
     assert len(connections) == (1 if built else 0)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_defining_conditions_evaluated_once(name, monkeypatch):
+    evaluated = record_calls(monkeypatch, "connection", "_evaluate_conditions")
+    statuses, _, connections, _ = traced_run(name, monkeypatch)
+    # with a connection, verify and the oracle both ask, on equal maps
+    assert ("connection-sections-canonical" in statuses) == bool(connections)
+    assert "oracle-solution-exists" in statuses
+    assert len(evaluated) == 1
 
 
 @pytest.mark.parametrize("name", GOLDEN)

@@ -8,7 +8,7 @@ from strongconn.fileformat import (
     serialize_linmap,
 )
 from strongconn.golden import GOLDEN_BUILDERS, build_golden
-from strongconn.scalars import Field
+from strongconn.scalars import Field, parse_scalar
 
 QQ = Field.rationals()
 
@@ -77,6 +77,39 @@ def test_bad_scalar_diagnostics():
     with pytest.raises(ParseError) as exc:
         parse_instance_dict(doc)
     assert "entry 0" in str(exc.value)
+
+
+def test_each_scalar_text_parsed_once_per_file(monkeypatch):
+    from strongconn import fileformat
+    parsed = []
+    real = fileformat.parse_scalar
+
+    def counted(text, fld):
+        parsed.append(text)
+        return real(text, fld)
+    monkeypatch.setattr(fileformat, "parse_scalar", counted)
+    doc = minimal_doc()
+    doc["grouplike"] = ["1"]
+    inst = parse_instance_dict(doc)
+    assert sorted(parsed) == ["1", "2"]
+    assert inst.designated("mul").entries[0][3] is QQ.scalar(2)
+    parse_instance_dict(minimal_doc())  # a new file parses afresh
+    assert sorted(parsed) == ["1", "1", "2", "2"]
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", ["1"], "[1, 2]"])
+def test_a_bad_scalar_text_names_its_entry(bad):
+    """The memo keeps only successful parses: a bad text, an unhashable
+    one included, raises parse_scalar's own error, prefixed by the entry."""
+    with pytest.raises(ParseError) as want:
+        parse_scalar(bad, QQ)
+    for pos in (0, 2):
+        doc = minimal_doc()
+        doc["tensors"]["mul"]["entries"][pos][3] = bad
+        doc["tensors"]["unit"]["entries"][0] = [0, bad]
+        with pytest.raises(ParseError) as exc:
+            parse_instance_dict(doc)
+        assert str(exc.value) == f"tensor 'mul' entry {pos}: {want.value}"
 
 
 def test_duplicate_entry_rejected():

@@ -41,8 +41,9 @@ delta = solve_cointegral(ext.coalgebra)
 print("\ncointegral matrix:", [[str(s) for s in row] for row in delta.delta.entries])
 
 # Step 2: a section of the canonical map.  x*x = 2 forces
-# sigma(g) = 1/2 x (x) x; normalisation pins sigma(e) = 1 (x) 1.
-sigma = normalize_section(solve_section(ext), ext.grouplike, ext)
+# sigma(g) = 1/2 x (x) x; normalisation pins sigma(e) = 1 (x) 1 at the
+# extension's own grouplike e.
+sigma = normalize_section(solve_section(ext), ext)
 print("sigma(g) column:", [str(s) for s in sigma.sigma.column(1)])
 
 # Step 3: assemble ell and re-verify the three defining conditions

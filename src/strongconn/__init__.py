@@ -44,7 +44,6 @@ from .extensions import (
     galois_check,
     hopf_entwining,
     induced_left_coaction,
-    invert_entwining,
     key_identity_check,
     lifted_canonical,
     make_extension,

@@ -7,8 +7,9 @@ Usage::
                [--dim-cap N] [--oracle-cap N]
 
 Exit codes: 0 = every check passed, 1 = at least one FAIL entry,
-2 = usage, parse or dependency error, or an internal error (reported
-on one stderr line, without a traceback).
+2 = usage, parse or dependency error, a zero divisor met in a reducible
+quotient ring, or an internal error (reported on one stderr line,
+without a traceback).
 """
 
 from __future__ import annotations
@@ -16,8 +17,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DependencyError, ParseError, StrongConnError, TooLarge
-from .fileformat import parse_instance
+from .connection import ORACLE_CAP
+from .errors import (
+    DependencyError,
+    NotInvertible,
+    ParseError,
+    StrongConnError,
+    TooLarge,
+)
+from .fileformat import DIM_CAP, parse_instance
 from .pipeline import STAGE_ORDER, emit_report, run_pipeline
 
 
@@ -31,12 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of: " + ", ".join(STAGE_ORDER))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--dim-cap", type=int, default=32,
+    p.add_argument("--dim-cap", type=int, default=DIM_CAP,
                    help="maximum dimension per base space and maximum "
-                        "field degree (default 32)")
-    p.add_argument("--oracle-cap", type=int, default=4096,
+                        "field degree (default %(default)s)")
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
                    help="maximum unknown count for the brute-force oracle "
-                        "(default 4096)")
+                        "(default %(default)s)")
     return p
 
 
@@ -64,7 +72,9 @@ def main(argv: list[str] | None = None) -> int:
         inst = parse_instance(args.instance, dim_cap=args.dim_cap)
         rep = run_pipeline(inst, stages, oracle_cap=args.oracle_cap)
         emit_report(rep, args.format, args.out)
-    except (ParseError, TooLarge, DependencyError, OSError) as exc:
+    except (ParseError, TooLarge, DependencyError, NotInvertible, OSError) as exc:
+        # NotInvertible: a zero divisor exists only when the file's
+        # min_poly is reducible, so it is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StrongConnError as exc:

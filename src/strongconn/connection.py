@@ -55,6 +55,9 @@ from .linmaps import (
 from .report import VerificationReport, check_map_equal, first_column_mismatch
 from .structures import HopfAlgebra, StructureCoalgebra
 
+# the default cap on the oracle's unknown count
+ORACLE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class Cointegral:
@@ -265,12 +268,13 @@ def solve_section(ext: EntwinedExtension) -> SectionMap:
                       solution_dim=sol.kernel.dim * coa.dim)
 
 
-def normalize_section(section: SectionMap, grouplike: LinMap,
-                      ext: EntwinedExtension) -> SectionMap:
-    """Shift sigma so that sigma(e) = 1 (x) 1, preserving the section law."""
-    alg, coa = ext.algebra, ext.coalgebra
-    if ext.unit_coaction() != map_kron(alg.unit, grouplike):
-        raise NoGrouplikeUnit("rho(1) is not 1 (x) e")
+def normalize_section(section: SectionMap, ext: EntwinedExtension) -> SectionMap:
+    """Shift sigma so that sigma(e) = 1 (x) 1 for the extension's
+    grouplike e, preserving the section law.  rho(1) = 1 (x) e was
+    checked when the extension was built (unit-coacts-to-grouplike)."""
+    alg, coa, grouplike = ext.algebra, ext.coalgebra, ext.grouplike
+    if grouplike is None:
+        raise NoGrouplikeUnit("the extension has no designated grouplike")
     unit_pair = map_kron(alg.unit, alg.unit)
     sigma = section.sigma + unit_pair @ coa.counit - \
         (section.sigma @ grouplike) @ coa.counit
@@ -462,7 +466,7 @@ def _oracle_infeasible(row: int, ext: EntwinedExtension) -> Infeasible:
                                      f"first obstruction lies in {which}")
 
 
-def brute_force_connections(ext: EntwinedExtension, cap: int = 4096):
+def brute_force_connections(ext: EntwinedExtension, cap: int = ORACLE_CAP):
     """Every map satisfying the three defining conditions: the affine
     solution set of the stacked system of oracle_system (particular
     solution with free variables zero, plus the canonical echelon basis

@@ -37,20 +37,12 @@ class AntipodeNotBijective(StrongConnError):
     pass
 
 
-class PsiNotBijective(StrongConnError):
-    pass
-
-
-class NotComoduleAlgebra(StrongConnError):
-    pass
-
-
 class NotGalois(StrongConnError):
     """Surjectivity of the lifted canonical map fails."""
 
 
 class NoGrouplikeUnit(StrongConnError):
-    """rho(1) is not of the form 1 (x) e for the designated grouplike e."""
+    """The extension has no designated grouplike e with rho(1) = 1 (x) e."""
 
 
 class ValidationFailed(StrongConnError):

@@ -54,6 +54,9 @@ from .scalars import Field, parse_scalar
 
 FORMAT_NAME = "strongconn-instance"
 
+# the default cap on each base-space dimension and on the field degree
+DIM_CAP = 32
+
 ROLE_SHAPES = {
     "mul": (("A", "A"), ("A",)),
     "unit": ((), ("A",)),
@@ -172,7 +175,7 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
     return LinMap._from_rows(fld, dom, cod, tuple(rows))
 
 
-def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
+def parse_instance_dict(doc: dict, dim_cap: int = DIM_CAP) -> InstanceFile:
     if not isinstance(doc, dict):
         raise ParseError("instance file must be a JSON object")
     if doc.get("format", FORMAT_NAME) != FORMAT_NAME:
@@ -256,7 +259,7 @@ def parse_instance_dict(doc: dict, dim_cap: int = 32) -> InstanceFile:
                         dict(desig), grouplike, b_subspace)
 
 
-def parse_instance(path: str, dim_cap: int = 32) -> InstanceFile:
+def parse_instance(path: str, dim_cap: int = DIM_CAP) -> InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -24,11 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .connection import Cointegral
 from .errors import (
     InternalContradiction,
     IotaNotBicolinear,
     NotCoideal,
     NotHomogeneous,
+)
+from .extensions import (
+    validate_and_build,
+    validate_left_coaction,
+    validate_right_coaction,
 )
 from .linmaps import (
     LinMap,
@@ -43,7 +49,6 @@ from .linmaps import (
 )
 from .report import VerificationReport, check_map_equal
 from .structures import HopfAlgebra, StructureCoalgebra, validate_coalgebra
-from .connection import Cointegral
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,6 @@ def quotient_coalgebra(hopf: HopfAlgebra, b_sub: Subspace) -> HomogeneousDatum:
 
 def induced_coactions(datum: HomogeneousDatum):
     """Both induced coactions, with their laws re-verified."""
-    from .extensions import validate_left_coaction, validate_right_coaction
     rep = VerificationReport()
     a_space = datum.hopf.space
     rep.extend(validate_right_coaction(datum.right_coaction, datum.quotient, a_space))
@@ -203,11 +207,10 @@ def extension_from_homogeneous(datum: HomogeneousDatum):
     """Wire the quotient into an entwined extension.
 
     The entwining sends c (x) a to a_1 (x) pi(i(c) a_2); bijectivity of
-    the antipode of A is the standing hypothesis and is recorded, with
-    the entwining matrix inverted numerically as everywhere else.
+    the antipode of A is the standing hypothesis and is recorded, and
+    validate_and_build inverts the entwining matrix as everywhere else.
     Returns (extension | None, report).
     """
-    from .extensions import validate_and_build
     rep = VerificationReport()
     hopf = datum.hopf
     a_space = hopf.space

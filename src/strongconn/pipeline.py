@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 from .connection import (
+    ORACLE_CAP,
     Cointegral,
     ConnectionForm,
     SectionMap,
@@ -242,7 +243,7 @@ def _section(run: _Run, vrep: VerificationReport) -> None:
         run.sigma = raw
         vrep.add_na("section-normalized", NO_GROUPLIKE)
     else:
-        run.sigma = normalize_section(raw, ext.grouplike, ext)
+        run.sigma = normalize_section(raw, ext)
         vrep.add("section-normalized", True)
     run.report.derived["section"] = run.sigma.sigma
     run.report.solution_dims["section"] = run.sigma.solution_dim
@@ -355,7 +356,7 @@ def _check_stage_request(inst: InstanceFile, stages: list[str]) -> list[str]:
 
 
 def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
-                 oracle_cap: int = 4096) -> PipelineReport:
+                 oracle_cap: int = ORACLE_CAP) -> PipelineReport:
     """Execute the requested stages in dependency order."""
     if stages is None:
         stages = default_stages(inst)

@@ -96,7 +96,7 @@ def suite_extensions():
 
 def formula_connection(ext):
     delta = solve_cointegral(ext.coalgebra)
-    sigma = normalize_section(solve_section(ext), ext.grouplike, ext)
+    sigma = normalize_section(solve_section(ext), ext)
     return build_connection(sigma, delta, ext), delta, sigma
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,9 +9,13 @@ import pytest
 
 import strongconn
 from strongconn import fileformat
-from strongconn.cli import main
-from strongconn.fileformat import write_instance
-from strongconn.golden import build_golden, write_golden_files
+from strongconn.cli import build_parser, main
+from strongconn.connection import brute_force_connections
+from strongconn.fileformat import parse_instance, parse_instance_dict, write_instance
+from strongconn.golden import build_golden, instance_from_extension, write_golden_files
+from strongconn.instances import build_graded_extension
+from strongconn.pipeline import run_pipeline
+from strongconn.scalars import Field
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +111,31 @@ def test_cli_field_degree_over_dim_cap_exits_two(golden_dir, tmp_path, capsys,
     assert main([str(p), "--dim-cap", "3"]) == 2
     assert capsys.readouterr().err == "error: field degree 40 > cap 3\n"
     assert built == []
+
+
+def test_cli_zero_divisor_is_an_input_error(tmp_path, capsys):
+    # over Q[x]/(x^2 - 1), 1 + x is a nonzero zero divisor; the pipeline
+    # meets it as a pivot, which only a reducible min_poly allows
+    ring = Field.number_field([-1, 0, 1])
+    ext = build_graded_extension(2, ring.one + ring.generator(), ring)
+    p = tmp_path / "zero_divisor.json"
+    write_instance(instance_from_extension("zero_divisor", ext), str(p))
+    assert main([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero divisor in a reducible quotient\n"
+
+
+def default_of(fn, param: str):
+    return inspect.signature(fn).parameters[param].default
+
+
+def test_cli_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["instance.json"])
+    assert args.dim_cap == default_of(parse_instance, "dim_cap") == \
+        default_of(parse_instance_dict, "dim_cap")
+    assert args.oracle_cap == default_of(run_pipeline, "oracle_cap") == \
+        default_of(brute_force_connections, "cap")
 
 
 def test_cli_oracle_cap_skips(golden_dir, capsys):

@@ -24,6 +24,7 @@ from strongconn.connection import (
     verify_connection,
 )
 from strongconn.errors import NoGrouplikeUnit, NotGalois, TooLarge
+from strongconn.extensions import make_extension
 from strongconn.instances import (
     build_graded_extension,
     build_group_self_extension,
@@ -37,7 +38,6 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
-    basis_vector,
     map_from_vector,
     map_kron,
 )
@@ -205,7 +205,7 @@ def test_solve_section_not_galois():
 def test_normalize_section_fixes_unit_value(z2, graded22, trivial2):
     for ext in (z2, graded22, trivial2):
         s = solve_section(ext)
-        ns = normalize_section(s, ext.grouplike, ext)
+        ns = normalize_section(s, ext)
         assert ns.normalized
         assert ns.sigma @ ext.grouplike == map_kron(ext.algebra.unit,
                                                     ext.algebra.unit)
@@ -213,15 +213,17 @@ def test_normalize_section_fixes_unit_value(z2, graded22, trivial2):
 
 def test_normalize_section_noop_when_already_normalized(z2):
     s = solve_section(z2)
-    ns = normalize_section(s, z2.grouplike, z2)
-    ns2 = normalize_section(ns, z2.grouplike, z2)
+    ns = normalize_section(s, z2)
+    ns2 = normalize_section(ns, z2)
     assert ns2.sigma == ns.sigma
 
 
-def test_normalize_section_requires_grouplike_unit(z2):
-    g = basis_vector(QQ, z2.coalgebra.space, 1)
+def test_normalize_section_without_grouplike_raises(z2):
+    ext = make_extension(z2.algebra, z2.coalgebra, z2.entwining.psi,
+                         z2.coaction.rho)
+    assert ext.grouplike is None
     with pytest.raises(NoGrouplikeUnit):
-        normalize_section(solve_section(z2), g, z2)
+        normalize_section(solve_section(ext), ext)
 
 
 # -- gamma, alpha, the connection ------------------------------------------
@@ -258,7 +260,7 @@ def test_trivial_gamma_alpha_collapse(trivial2):
 
 def connection_for(ext):
     delta = solve_cointegral(ext.coalgebra)
-    sigma = normalize_section(solve_section(ext), ext.grouplike, ext)
+    sigma = normalize_section(solve_section(ext), ext)
     return build_connection(sigma, delta, ext), delta, sigma
 
 

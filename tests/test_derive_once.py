@@ -3,7 +3,8 @@ eliminates it once, builds the connection once (with its gamma and
 alpha, which the colinearity reduction reuses), evaluates the defining
 conditions on it once (the oracle's check of the canonical map's
 solution reads the verify stage's evaluation), inverts an antipode
-once, and solves the cointegral of a homogeneous quotient once.
+once, and solves the cointegral of a homogeneous quotient once.  A
+library build inverts its entwining once, in make_extension.
 
 The counters wrap a callable in every strongconn module that imported
 it, so a call made through any module is counted.
@@ -17,6 +18,12 @@ import pytest
 
 from strongconn import linmaps
 from strongconn.fileformat import parse_instance
+from strongconn.instances import (
+    build_graded_extension,
+    build_group_self_extension,
+    self_extension,
+    sweedler_hopf,
+)
 from strongconn.pipeline import run_pipeline
 
 from test_golden_files import REPORT_SHA256
@@ -143,3 +150,19 @@ def test_quotient_cointegral_solved_once(monkeypatch):
     assert len(solved) == 1
     assert hashlib.sha256(rep.to_json().encode("utf-8")).hexdigest() == \
         REPORT_SHA256[name]
+
+
+LIBRARY_BUILDS = {
+    "graded_n5": lambda: build_graded_extension(5, 1),
+    "group_self_z4": lambda: build_group_self_extension(4),
+    "sweedler_self": lambda: self_extension(sweedler_hopf()),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_BUILDS)
+def test_library_build_inverts_psi_once(name, monkeypatch):
+    """hopf_entwining checks its closed-form inverse by composition;
+    only make_extension eliminates psi."""
+    eliminated = record_eliminations(monkeypatch)
+    ext = LIBRARY_BUILDS[name]()
+    assert sum(holds_map(rows, ext.entwining.psi) for rows in eliminated) == 1

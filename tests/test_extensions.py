@@ -1,11 +1,11 @@
 import pytest
 
-from strongconn.errors import PsiNotBijective, ShapeError, ValidationFailed
+from strongconn.errors import ShapeError, ValidationFailed
 from strongconn.extensions import (
     coaction_from_unit_check,
     galois_check,
+    hopf_entwining,
     induced_left_coaction,
-    invert_entwining,
     key_identity_check,
     lifted_canonical,
     make_extension,
@@ -17,6 +17,8 @@ from strongconn.instances import (
     build_group_self_extension,
     build_trivial,
     cyclic_group_hopf,
+    self_extension,
+    sweedler_hopf,
     truncated_polynomial_algebra,
 )
 from strongconn.linmaps import (
@@ -25,10 +27,12 @@ from strongconn.linmaps import (
     basis_vector,
     flip_map,
     map_kron,
+    try_inverse,
 )
 from strongconn.scalars import Field
 
 QQ = Field.rationals()
+ZETA3 = Field.number_field([1, 1, 1])
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +54,9 @@ def test_flip_entwining_on_commutative_pair():
     psi = flip_map(QQ, h.space, a_space)
     rep = validate_entwining_rr(psi, alg, h.coalgebra)
     assert rep.passed
-    entw = invert_entwining(psi, alg, h.coalgebra)
-    assert entw.psi_inv == flip_map(QQ, a_space, h.space)
+    e = basis_vector(QQ, h.space, 0)
+    ext = make_extension(alg, h.coalgebra, psi, map_kron(alg.identity(), e), e)
+    assert ext.entwining.psi_inv == flip_map(QQ, a_space, h.space)
 
 
 def test_hopf_entwining_z2_formula(z2_ext):
@@ -76,6 +81,53 @@ def test_hopf_entwining_at_unit_grouplike_gives_coaction(z2_ext):
     assert psi @ map_kron(e, ia) == rho
 
 
+def hopf_entwining_cases():
+    """(hopf, algebra, rho) of every library Hopf entwining."""
+    cases = []
+    for field in (QQ, ZETA3):
+        for n in range(1, 5):
+            hopf = cyclic_group_hopf(n, field)
+            for ext in (self_extension(hopf), build_graded_extension(n, 1, field)):
+                cases.append((hopf, ext.algebra, ext.coaction.rho))
+    hopf = sweedler_hopf()
+    ext = self_extension(hopf)
+    return cases + [(hopf, ext.algebra, ext.coaction.rho)]
+
+
+def test_hopf_entwining_inverse_equals_the_matrix_inverse():
+    for hopf, alg, rho in hopf_entwining_cases():
+        entw = hopf_entwining(hopf, alg, rho)
+        assert entw.psi_inv == try_inverse(entw.psi)
+
+
+def test_non_multiplicative_rho_fails_make_extension():
+    # Q[x]/(x^3 - 1) with 1 in degree 0 and x, x^2 in degree 1: a
+    # Z_2-coaction that is unital but not multiplicative (x x = x^2)
+    hopf = cyclic_group_hopf(2)
+    alg = truncated_polynomial_algebra(3, 1)
+    rho = LinMap.from_rules(QQ, alg.space, alg.space.tensor(hopf.space),
+                            lambda k: [((k[0], min(k[0], 1)), 1)])
+    entw = hopf_entwining(hopf, alg, rho)  # the inverse still composes
+    e = hopf.algebra.unit
+    with pytest.raises(ValidationFailed):
+        make_extension(alg, hopf.coalgebra, entw.psi, rho, e)
+    _, rep = validate_and_build(alg, hopf.coalgebra, entw.psi, rho, e)
+    assert rep.named("entwined-module-right").status == "fail"
+    assert rep.named("coaction-right-coassociativity").status == "pass"
+    assert rep.named("unit-coacts-to-grouplike").status == "pass"
+
+
+def test_hopf_entwining_rejects_an_inverse_that_does_not_compose():
+    # rho(a) = a (x) (1 + g) breaks counitality; then psi_inv psi is
+    # c (x) a -> c (1 + g)^2 (x) a = 2 c (1 + g) (x) a, not the identity
+    hopf = cyclic_group_hopf(2)
+    alg = truncated_polynomial_algebra(2, 2)
+    rho = LinMap.from_rules(QQ, alg.space, alg.space.tensor(hopf.space),
+                            lambda k: [((k[0], 0), 1), ((k[0], 1), 1)])
+    with pytest.raises(ValidationFailed):
+        hopf_entwining(hopf, alg, rho)
+
+
 def test_entwining_validator_catches_broken_unitality(z2_ext):
     psi = z2_ext.entwining.psi
     # zero out the a = 1 columns: psi(c (x) 1) = 0
@@ -91,22 +143,28 @@ def test_entwining_validator_catches_broken_unitality(z2_ext):
     assert unitality.witness["basis"] == [0]
 
 
-def test_invert_entwining_shape_mismatch_raises():
+def test_validate_and_build_label_mismatch_raises():
     # a C (x) A -> A (x) C map is automatically square, so the shape
     # error surfaces as a label mismatch against the wrong algebra
     h = cyclic_group_hopf(2)
     alg3 = truncated_polynomial_algebra(3, 1)
     alg2 = truncated_polynomial_algebra(2, 2)
     psi = LinMap.zero(QQ, h.space.tensor(alg3.space), alg3.space.tensor(h.space))
+    rho = map_kron(alg2.identity(), basis_vector(QQ, h.space, 0))
     with pytest.raises(ShapeError):
-        invert_entwining(psi, alg2, h.coalgebra)
+        validate_and_build(alg2, h.coalgebra, psi, rho)
 
 
-def test_invert_entwining_singular_raises(z2_ext):
+def test_validate_and_build_singular_psi_fails_bijectivity(z2_ext):
     singular = LinMap.zero(QQ, z2_ext.entwining.psi.domain,
                            z2_ext.entwining.psi.codomain)
-    with pytest.raises(PsiNotBijective):
-        invert_entwining(singular, z2_ext.algebra, z2_ext.coalgebra)
+    ext, rep = validate_and_build(z2_ext.algebra, z2_ext.coalgebra, singular,
+                                  z2_ext.coaction.rho, z2_ext.grouplike)
+    assert ext is None
+    bijective = rep.named("entwining-bijective")
+    assert bijective.status == "fail"
+    assert bijective.witness == {"reason": "psi matrix is singular"}
+    assert not [c.name for c in rep.checks if c.name.startswith("entwining-ll-")]
 
 
 def test_left_coaction_z2(z2_ext):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import strongconn
 from strongconn.connection import solve_cointegral
 from strongconn.errors import NotHomogeneous
 from strongconn.homogeneous import (
@@ -18,6 +24,19 @@ from strongconn.scalars import Field
 from strongconn.structures import validate_coalgebra
 
 QQ = Field.rationals()
+
+
+def test_homogeneous_imports_first_in_a_fresh_interpreter():
+    # homogeneous imports extensions at module level; no cycle may stop it
+    src = str(Path(strongconn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import strongconn.homogeneous as h; print(h.validate_and_build.__module__)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "strongconn.extensions\n", "")
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +188,7 @@ def test_homogeneous_full_pipeline_connection(z4z2):
     )
     ext, _ = extension_from_homogeneous(z4z2)
     delta = solve_cointegral(ext.coalgebra)
-    sigma = normalize_section(solve_section(ext), ext.grouplike, ext)
+    sigma = normalize_section(solve_section(ext), ext)
     conn = build_connection(sigma, delta, ext)
     assert verify_connection(conn, ext).passed
     s, rep = splitting(conn, ext)

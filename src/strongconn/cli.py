@@ -6,10 +6,11 @@ Usage::
                [--format text|json] [--out PATH]
                [--dim-cap N] [--oracle-cap N]
 
-Exit codes: 0 = every check passed, 1 = at least one FAIL entry,
-2 = usage, parse or dependency error, a zero divisor met in a reducible
-quotient ring, or an internal error (reported on one stderr line,
-without a traceback).
+Exit codes: 0 = every check passed, 1 = at least one FAIL entry (a zero
+divisor met in the Galois check fails ``galois``), 2 = usage, parse or
+dependency error, a zero divisor met elsewhere in a reducible quotient
+ring, or an internal error (reported on one stderr line, without a
+traceback).
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         emit_report(rep, args.format, args.out)
     except (ParseError, TooLarge, DependencyError, NotInvertible, OSError) as exc:
         # NotInvertible: a zero divisor exists only when the file's
-        # min_poly is reducible, so it is an input error
+        # min_poly is reducible, so it is an input error (the Galois
+        # check records its own as a failed check)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StrongConnError as exc:

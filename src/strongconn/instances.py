@@ -121,9 +121,9 @@ def self_extension(hopf: HopfAlgebra) -> EntwinedExtension:
     return make_extension(alg, hopf.coalgebra, entw.psi, rho, grouplike)
 
 
-def build_trivial(alg: StructureAlgebra, field: Field | None = None) -> EntwinedExtension:
+def build_trivial(alg: StructureAlgebra) -> EntwinedExtension:
     """The trivial extension: one-dimensional C, rho(a) = a (x) e, flip psi."""
-    field = field or alg.field
+    field = alg.field
     coa = trivial_coalgebra(field)
     e = basis_vector(field, coa.space, 0)
     rho = map_kron(alg.identity(), e)

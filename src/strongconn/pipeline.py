@@ -36,7 +36,13 @@ from .connection import (
     splitting,
     verify_connection,
 )
-from .errors import DependencyError, NotGalois, StrongConnError, TooLarge
+from .errors import (
+    DependencyError,
+    NotGalois,
+    NotInvertible,
+    StrongConnError,
+    TooLarge,
+)
 from .extensions import EntwinedExtension, galois_check, validate_and_build
 from .fileformat import InstanceFile, field_to_dict, serialize_linmap
 from .homogeneous import (
@@ -123,6 +129,7 @@ class _Run:
     qdelta: Cointegral | Infeasible | None = None  # solved on the quotient
     ext: EntwinedExtension | None = None
     galois_ok: bool = False
+    canonical_error: str | None = None  # why the canonical map's elimination failed
     delta: Cointegral | None = None
     sigma: SectionMap | None = None
     conn: ConnectionForm | None = None
@@ -191,9 +198,16 @@ def _validate(run: _Run, vrep: VerificationReport) -> str | None:
         return "homogeneous construction failed"
     vrep.extend(brep)
     if run.ext is not None:
-        grep = galois_check(run.ext)
-        vrep.extend(grep)
-        run.galois_ok = grep.named("galois").status == PASS
+        try:
+            grep = galois_check(run.ext)
+        except NotInvertible as exc:
+            # a zero divisor of a reducible min_poly met as a pivot; the
+            # section and the oracle read the same elimination
+            run.canonical_error = str(exc)
+            vrep.add("galois", False, {"reason": run.canonical_error})
+        else:
+            vrep.extend(grep)
+            run.galois_ok = grep.named("galois").status == PASS
     return None
 
 
@@ -231,13 +245,15 @@ def _integral(run: _Run, vrep: VerificationReport) -> None:
     vrep.add("integral-roundtrip", back.lam == out.lam)
 
 
-def _section(run: _Run, vrep: VerificationReport) -> None:
+def _section(run: _Run, vrep: VerificationReport) -> str | None:
+    if run.canonical_error:
+        return run.canonical_error
     ext = run.ext
     try:
         raw = solve_section(ext)
     except NotGalois as exc:
         vrep.add("section-exists", False, {"reason": str(exc)})
-        return
+        return None
     vrep.add("section-exists", True)
     if ext.grouplike is None:
         run.sigma = raw
@@ -247,6 +263,7 @@ def _section(run: _Run, vrep: VerificationReport) -> None:
         vrep.add("section-normalized", True)
     run.report.derived["section"] = run.sigma.sigma
     run.report.solution_dims["section"] = run.sigma.solution_dim
+    return None
 
 
 def _connection(run: _Run, vrep: VerificationReport) -> None:
@@ -277,6 +294,8 @@ def _splitting(run: _Run, vrep: VerificationReport) -> None:
 
 
 def _oracle(run: _Run, vrep: VerificationReport) -> str | None:
+    if run.canonical_error:
+        return run.canonical_error
     try:
         out = brute_force_connections(run.ext, cap=run.oracle_cap)
     except TooLarge as exc:

@@ -9,14 +9,17 @@ denominator: ``num``, a tuple of d ints, and ``den``, a positive int.
 The form is canonical: ``gcd(den, *num) == 1``, so zero is
 ``(0, ..., 0) / 1`` and two scalars are equal exactly when their ``num``
 and ``den`` are; ``==`` and ``hash`` compare them directly.  Addition
-adds numerators (cross-multiplying when the denominators differ);
-multiplication convolves the numerators and folds the terms of degree
-d .. 2d-2 back through a table of x^d .. x^(2d-2) mod p that the field
-builds once, whose entries are integers because p is monic with integer
-coefficients.  Each result is normalised with one gcd.  Degree 1 (Q and
-degree-1 quotients) takes an inline path.  ``coeffs`` reads the value
-as a tuple of reduced Fractions.  Scalars are immutable and all
-operations are pure.
+cross-multiplies the numerators by the other denominator; multiplication
+convolves the numerators and folds the terms of degree d .. 2d-2 back
+through a table of x^d .. x^(2d-2) mod p that the field builds once,
+whose entries are integers because p is monic with integer coefficients.
+Each result is normalised with one gcd.  Every field, Q included, runs
+this same integer code.  ``inv`` of a degree-1 value swaps numerator and
+denominator; in higher degree it solves a*u = 1 on the d x d matrix of
+multiplication by a, whose columns x^j*a are a shifted up j times, each
+overflow folded back by the table's x^d.  ``coeffs`` reads the value as
+a tuple of reduced Fractions.  Scalars are immutable and all operations
+are pure.
 
 There is one ``Field`` object per field: ``Field(kind, min_poly)`` looks
 its descriptor up in a module table, so two fields built separately from
@@ -25,15 +28,14 @@ equal descriptors are the same object.
 Shared values.  Each field keeps a table with one shared scalar per
 value, filled by ``Field.scalar``, ``parse_scalar``, arithmetic and
 copies, up to VALUE_CAP values.  Once it is full, a value outside it is
-a new unshared scalar, and degree-1 arithmetic looks up only 0 and +-1,
-so an input with too many distinct values runs at about the uncached
-speed.  The table is never cleared, so a shared scalar lives as long as
-its field and carries a serial number (``shared``, 0 when unshared) that
-no other object of the field gets.  ``+``, ``-``, ``*`` and negation of
-shared operands look their result up by the operation and the serials
-in a per-field cache of at most RESULT_CAP results, so each distinct
-operation of a run is computed once; any other operand skips the cache
-after one attribute test.  ``inv`` and ``/`` are not cached: a failing
+a new unshared scalar, so an input with too many distinct values runs at
+about the uncached speed.  The table is never cleared, so a shared
+scalar lives as long as its field and carries a serial number
+(``shared``, 0 when unshared) that no other object of the field gets.
+``+``, ``-``, ``*`` and negation of shared operands look their result
+up by the operation and the serials in a per-field cache of at most
+RESULT_CAP results, so each distinct operation of a run is computed
+once; any other operand skips the cache after one attribute test.  ``inv`` and ``/`` are not cached: a failing
 inversion raises every time.  ``==`` and ``hash`` stay value-based.  At
 the caps a field's tables hold about 2 MiB, whatever the input.
 Concurrent use is safe: a value is added with ``setdefault``, so threads
@@ -54,7 +56,8 @@ built so would pass an ``is zero`` test as nonzero, so it must not reach
 a map.
 
 Irreducibility of p is deliberately not checked: a reducible p yields a
-ring, and inverting a zero divisor raises NotInvertible.
+ring, where the multiplication matrix of a zero divisor is singular and
+inverting it raises NotInvertible.
 
 Scalar text grammar (used verbatim by the instance file format)::
 
@@ -140,10 +143,7 @@ class Field:
             row = top
             for _ in range(degree - 1):
                 powers.append(tuple(row))
-                c = row[-1]
-                row = [0] + row[:-1]
-                if c:
-                    row = [r + c * t for r, t in zip(row, top)]
+                row = _times_x(row, top)
         self._powers = tuple(powers)
         self._values = {}   # (*num, den) -> the shared scalar of that value
         self._serials = count(1)
@@ -210,14 +210,12 @@ def _canonical(field: Field, num, den: int) -> "Scalar":
     return _shared(field, (*num, den))
 
 
-def _rational(field: Field, n: int, den: int) -> "Scalar":
-    """The degree-1 scalar n/den, already reduced, den > 0.  Once the
-    table is full, only 0 and +-1 are looked up, and without a key."""
-    if not field._full:
-        return _shared(field, (n, den))
-    if den == 1 and -1 <= n <= 1:
-        return (field.zero, field.one, field.minus_one)[n]
-    return Scalar(field, (n,), den)
+def _times_x(v: list[int], top) -> list[int]:
+    """x * v for v of degree < d, its x^d term folded back by top = x^d
+    mod p."""
+    c = v[-1]
+    v = [0] + v[:-1]
+    return [r + c * t for r, t in zip(v, top)] if c else v
 
 
 def _shared(field: Field, key: tuple) -> "Scalar":
@@ -293,19 +291,8 @@ class Scalar:
             if r is not None:
                 return r
         da, db = self.den, other.den
-        if f.degree == 1:
-            if da == db:
-                n = self.num[0] + other.num[0]
-            else:
-                n = self.num[0] * db + other.num[0] * da
-                da *= db
-            g = gcd(n, da)
-            r = _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
-        elif da == db:
-            r = _canonical(f, [a + b for a, b in zip(self.num, other.num)], da)
-        else:
-            r = _canonical(f, [a * db + b * da for a, b in zip(self.num, other.num)],
-                           da * db)
+        r = _canonical(f, [a * db + b * da for a, b in zip(self.num, other.num)],
+                       da * db)
         if key and len(f._results) < RESULT_CAP:
             f._results[key] = r
         return r
@@ -320,19 +307,8 @@ class Scalar:
             if r is not None:
                 return r
         da, db = self.den, other.den
-        if f.degree == 1:
-            if da == db:
-                n = self.num[0] - other.num[0]
-            else:
-                n = self.num[0] * db - other.num[0] * da
-                da *= db
-            g = gcd(n, da)
-            r = _rational(f, n // g, da // g) if g != 1 else _rational(f, n, da)
-        elif da == db:
-            r = _canonical(f, [a - b for a, b in zip(self.num, other.num)], da)
-        else:
-            r = _canonical(f, [a * db - b * da for a, b in zip(self.num, other.num)],
-                           da * db)
+        r = _canonical(f, [a * db - b * da for a, b in zip(self.num, other.num)],
+                       da * db)
         if key and len(f._results) < RESULT_CAP:
             f._results[key] = r
         return r
@@ -366,24 +342,18 @@ class Scalar:
             r = f._results.get(key)
             if r is not None:
                 return r
-        den = self.den * other.den
-        if f.degree == 1:
-            n = self.num[0] * other.num[0]
-            g = gcd(n, den)
-            r = _rational(f, n // g, den // g) if g != 1 else _rational(f, n, den)
-        else:
-            d, b = f.degree, other.num
-            prod = [0] * (2 * d - 1)
-            for i, ai in enumerate(self.num):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        prod[j] += ai * bj
-            out = prod[:d]
-            for c, row in zip(prod[d:], f._powers):
-                if c:
-                    for j, t in enumerate(row):
-                        out[j] += c * t
-            r = _canonical(f, out, den)
+        d, b = f.degree, other.num
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.num):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        out = prod[:d]
+        for c, row in zip(prod[d:], f._powers):
+            if c:
+                for j, t in enumerate(row):
+                    out[j] += c * t
+        r = _canonical(f, out, self.den * other.den)
         if key and len(f._results) < RESULT_CAP:
             f._results[key] = r
         return r
@@ -394,13 +364,27 @@ class Scalar:
         f = self.field
         if self is f.one or self is f.minus_one:
             return self
-        if f.degree == 1:
-            n = self.num[0]
-            return _rational(f, -self.den, -n) if n < 0 else _rational(f, self.den, n)
-        g, u = _invert_mod(list(self.coeffs), [Fraction(c) for c in f.min_poly])
-        if g is None:
-            raise NotInvertible("zero divisor in a reducible quotient")
-        return f.scalar(u)
+        n, den, d = self.num, self.den, f.degree
+        if d == 1:  # den/n, the sign moved to the numerator
+            sign = -1 if n[0] < 0 else 1
+            return _canonical(f, (sign * den,), sign * n[0])
+        # a = n/den, so a*u = 1 is n*u = den: the columns are x^j * n
+        cols = [list(n)]
+        for _ in range(d - 1):
+            cols.append(_times_x(cols[-1], f._powers[0]))
+        rows = [[Fraction(col[i]) for col in cols] + [Fraction(den if i == 0 else 0)]
+                for i in range(d)]
+        for k in range(d):
+            p = next((i for i in range(k, d) if rows[i][k]), None)
+            if p is None:
+                raise NotInvertible("zero divisor in a reducible quotient")
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            for i, row in enumerate(rows):
+                if i != k and row[k]:
+                    c = row[k] / pivot[k]
+                    rows[i] = [x - c * y for x, y in zip(row, pivot)]
+        return f.scalar([row[d] / row[k] for k, row in enumerate(rows)])
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -412,47 +396,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of a by b over Q; b need not be monic."""
-    a = a[:]
-    db = len(b) - 1
-    while db >= 0 and not b[db]:
-        db -= 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[db]
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            c = a[i] / lead
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _invert_mod(a: list[Fraction], p: list[Fraction]):
-    """Extended Euclid: find u with u*a = 1 mod p, or (None, None)."""
-    r0, r1 = p[:], a[:]
-    while len(r1) > 1 and not r1[-1]:
-        r1.pop()
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        if len(r1) == 1:
-            c = r1[0]
-            return r1, [x / c for x in s1]
-        q, r = _poly_divmod(r0, r1)
-        # s = s0 - q*s1
-        s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        s[i + j] -= qi * sj
-        r0, r1, s0, s1 = r1, r, s1, s
-    return None, None
 
 
 _RAT_CHARS = set("0123456789/+- ")

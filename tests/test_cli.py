@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -14,6 +15,7 @@ from strongconn.connection import brute_force_connections
 from strongconn.fileformat import parse_instance, parse_instance_dict, write_instance
 from strongconn.golden import build_golden, instance_from_extension, write_golden_files
 from strongconn.instances import build_graded_extension
+from strongconn.linmaps import LinMap, SpaceLabel, kron_all
 from strongconn.pipeline import run_pipeline
 from strongconn.scalars import Field
 
@@ -113,17 +115,61 @@ def test_cli_field_degree_over_dim_cap_exits_two(golden_dir, tmp_path, capsys,
     assert built == []
 
 
+RING = Field.number_field([-1, 0, 1])  # 1 + x and 1 - x divide zero
+ZERO_DIVISOR = "zero divisor in a reducible quotient"
+
+
+def with_a_basis_through_a_zero_divisor(inst):
+    """inst with A's basis changed by P = [[1, 1 + x], [0, 1]], which is
+    invertible, so that eliminating psi pivots on 1 + x."""
+    u = RING.one + RING.generator()
+    A = SpaceLabel.base("A", inst.spaces["A"])
+    fwd = LinMap(RING, A, A, [[RING.one, u], [RING.zero, RING.one]])
+    back = LinMap(RING, A, A, [[RING.one, -u], [RING.zero, RING.one]])
+
+    def along(label, a_map):
+        maps = [a_map if n == "A" else LinMap.identity(RING, SpaceLabel.base(n, d))
+                for n, d in label.factors]
+        return kron_all(*maps) if maps else LinMap.identity(RING, label)
+
+    tensors = {k: along(t.codomain, fwd) @ t @ along(t.domain, back)
+               for k, t in inst.tensors.items()}
+    return dataclasses.replace(inst, tensors=tensors)
+
+
 def test_cli_zero_divisor_is_an_input_error(tmp_path, capsys):
-    # over Q[x]/(x^2 - 1), 1 + x is a nonzero zero divisor; the pipeline
-    # meets it as a pivot, which only a reducible min_poly allows
-    ring = Field.number_field([-1, 0, 1])
-    ext = build_graded_extension(2, ring.one + ring.generator(), ring)
+    # a zero divisor met as a pivot outside the Galois check (here while
+    # inverting psi) exists only when min_poly is reducible
+    inst = instance_from_extension("zero_divisor", build_graded_extension(2, 1, RING))
+    p = tmp_path / "zero_divisor.json"
+    write_instance(with_a_basis_through_a_zero_divisor(inst), str(p))
+    for stages in ([], ["--stages", "validate"]):
+        assert main([str(p)] + stages) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ZERO_DIVISOR}\n"
+
+
+@pytest.mark.parametrize("stages,summary", [
+    ([], "summary: 36 checks, 1 failures"),
+    (["--stages", "validate"], "summary: 29 checks, 1 failures"),
+])
+def test_cli_zero_divisor_in_the_galois_check_keeps_the_report(tmp_path, capsys,
+                                                               stages, summary):
+    # every structural check passes; the canonical map's elimination then
+    # pivots on the zero divisor 1 + x (the skips: test_stage_reasons)
+    ext = build_graded_extension(2, RING.one + RING.generator(), RING)
     p = tmp_path / "zero_divisor.json"
     write_instance(instance_from_extension("zero_divisor", ext), str(p))
-    assert main([str(p)]) == 2
+    assert main([str(p)] + stages) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: zero divisor in a reducible quotient\n"
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    fails = [line for line in lines if " FAIL " in line]
+    assert len(fails) == 1
+    assert fails[0].endswith(f'] FAIL galois  {{"reason": "{ZERO_DIVISOR}"}}')
+    assert sum(" PASS " in line for line in lines) >= 28
+    assert lines[-1] == summary
 
 
 def default_of(fn, param: str):

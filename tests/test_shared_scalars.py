@@ -4,8 +4,8 @@ Each field keeps one shared scalar per value, up to VALUE_CAP, and caches
 the results of +, -, * and negation on shared operands, up to
 RESULT_CAP.  These tests pin that a cached result is the exact value,
 that failures are never cached, that the tables stop at their caps with
-0 and +-1 still the singletons, and that copies and threads meet the
-table's objects.
+0 and +-1 still the singletons, that the map kernels stay exact past the
+caps, and that copies and threads meet the table's objects.
 
 Field tables live as long as the process, so a test that needs empty
 tables uses a field no other test builds (``fresh_field``) or runs in a
@@ -30,9 +30,19 @@ from strongconn.errors import DivisionByZero, FieldMismatch, NotInvertible
 from strongconn.fileformat import InstanceFile, parse_instance, write_instance
 from strongconn.golden import instance_from_extension
 from strongconn.instances import build_graded_extension, cyclic_group_hopf
-from strongconn.linmaps import LinMap, SpaceLabel, kron_all, try_inverse
+from strongconn.linmaps import (
+    LinMap,
+    SpaceLabel,
+    apply_at,
+    kron_all,
+    map_kron,
+    precompose_at,
+    rref_solve,
+    try_inverse,
+)
 from strongconn.pipeline import run_pipeline
 from strongconn.scalars import RESULT_CAP, VALUE_CAP, Field, Scalar, parse_scalar
+import test_sparse_core as sc
 from test_scalars import REF_FIELDS, random_coeffs, ref_field, ref_mul
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -215,6 +225,75 @@ def test_past_both_caps_results_stay_exact_and_units_stay_singletons(degree):
         assert a / a is f.one and -(a / a) is f.minus_one
         assert (-a) / a is f.minus_one and f.zero - f.one is f.minus_one
     assert len(f._values) == VALUE_CAP and len(f._results) == RESULT_CAP
+
+
+def check_kernels_past_the_cap(name: str) -> None:
+    """map_kron, apply_at, precompose_at and rref_solve agree with the
+    dense reference of test_sparse_core on maps whose entries other than
+    0 and +-1 are unshared, because the field's value table is full."""
+    field = sc.FIELDS[name]
+    pad = [0] * (field.degree - 1)
+    for k in range(VALUE_CAP + 1):  # 9973 is prime: k/9973 is no entry below
+        field.scalar([Fraction(k, 9973)] + pad)
+    assert field._full and len(field._values) == VALUE_CAP
+    rng = random.Random(f"kernels past the cap {name}")
+    units = (field.zero, field.one, field.minus_one)
+
+    def entry():
+        k = rng.randrange(6)
+        if k < 3:
+            return units[k]
+        s = field.scalar([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                          for _ in range(field.degree)])
+        assert s in units or not s.shared
+        return s
+
+    def entries(m, n):
+        return [[entry() for _ in range(n)] for _ in range(m)]
+
+    def check(sparse, dense):
+        sc.assert_canonical(sparse)
+        assert all(v is not field.zero for row in sparse.rows for v in row.values())
+        assert sc.grid(sparse) == dense
+
+    space, solved = sc.space, 0
+    for seed in range(12):
+        m, n, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, h = entries(m, n), entries(p, m)
+        check(map_kron(LinMap(field, space("X", n), space("Y", m), a),
+                       LinMap(field, space("Z", m), space("W", p), h)),
+              sc.d_kron(a, h))
+        lft, dy, dz, rgt = sc.LEG_SHAPES[seed % len(sc.LEG_SHAPES)]
+        L, R, N = space("L", lft), space("R", rgt), space("N", n)
+        f = entries(dz, dy)
+        Y, Z = space("Y", dy), space("Z", dz)
+        F = LinMap(field, Y, Z, f)
+        padded = sc.d_kron(sc.d_kron(sc.d_identity(field, lft), f),
+                           sc.d_identity(field, rgt))
+        g, h = entries(lft * dy * rgt, n), entries(n, lft * dz * rgt)
+        check(apply_at(F, LinMap(field, N, L.tensor(Y).tensor(R), g), 1),
+              sc.d_mul(padded, g, field.zero))
+        check(precompose_at(LinMap(field, L.tensor(Z).tensor(R), N, h), F, 1),
+              sc.d_mul(h, padded, field.zero))
+        mg, t = entries(m, n), entries(m, p)
+        if seed % 2 == 0:  # a target in the image
+            t = sc.d_mul(mg, entries(n, p), field.zero)
+        got = rref_solve(LinMap(field, space("X", n), space("Y", m), mg),
+                         LinMap(field, space("T", p), space("Y", m), t))
+        particular, rank, kernel = sc.d_solve(field, mg, t)
+        assert (got.rank, got.kernel.basis) == (rank, tuple(kernel))
+        if isinstance(particular, sc.Infeasible):
+            assert got.particular == particular
+        else:
+            check(got.particular, particular)
+            solved += 1
+    assert solved
+    assert len(field._values) == VALUE_CAP
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(zeta3)"])
+def test_map_kernels_past_the_value_cap_match_dense(name):
+    in_fresh_interpreter("check_kernels_past_the_cap", name)
 
 
 # -- threads ----------------------------------------------------------------

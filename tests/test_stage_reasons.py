@@ -4,11 +4,17 @@ pinned by stage, check name and wording, in report order."""
 import pytest
 
 from strongconn import pipeline
-from strongconn.fileformat import instance_to_dict, parse_instance_dict
+from strongconn.fileformat import (
+    instance_to_dict,
+    parse_instance,
+    parse_instance_dict,
+    write_instance,
+)
 from strongconn.golden import build_golden, instance_from_extension
 from strongconn.instances import build_graded_extension
 from strongconn.pipeline import STAGE_ORDER, run_pipeline
 from strongconn.report import VerificationReport
+from strongconn.scalars import Field
 
 
 def golden_doc(name):
@@ -69,6 +75,29 @@ def test_missing_section_skips_the_connection():
                             ("verify", "no connection form"),
                             ("splitting", "no connection form")]
     assert not_applicable(rep) == [NO_C_HOPF]
+
+
+def test_zero_divisor_in_the_galois_check_skips_section_and_oracle(tmp_path):
+    # over Q[x]/(x^2 - 1) the canonical map's elimination pivots on 1 + x;
+    # the section and the oracle read that elimination
+    ring = Field.number_field([-1, 0, 1])
+    ext = build_graded_extension(2, ring.one + ring.generator(), ring)
+    path = tmp_path / "zero_divisor.json"
+    write_instance(instance_from_extension("zero_divisor", ext), str(path))
+    inst = parse_instance(str(path))
+    why = "zero divisor in a reducible quotient"
+    full, validate = run_pipeline(inst), run_pipeline(inst, ["validate"])
+    for rep in (full, validate):
+        assert [(s, c.name, c.witness) for s, c in rep.failures] == [
+            ("validate", "galois", {"reason": why})]
+        assert rep.exit_code == 1
+    assert skipped(validate) == []
+    assert skipped(full) == [("section", why),
+                             ("connection", "no section"),
+                             ("verify", "no connection form"),
+                             ("splitting", "no connection form"),
+                             ("oracle", why)]
+    assert not_applicable(full) == [NO_C_HOPF]
 
 
 def test_oracle_cap_skips_the_oracle_with_the_count():

@@ -25,7 +25,7 @@ from strongconn.scalars import Field
 QQ = Field.rationals()
 
 datum = build_homogeneous_z4_z2()
-print("quotient dimension:", datum.quotient_dim)
+print("quotient dimension:", datum.quotient.dim)
 print("pi columns (g^j -> class):",
       [[str(s) for s in datum.pi.column(j)] for j in range(4)])
 

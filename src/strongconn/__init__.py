@@ -30,7 +30,6 @@ from .structures import (
     HopfAlgebra,
     StructureAlgebra,
     StructureCoalgebra,
-    antipode_inverse,
     check_grouplike,
     validate_algebra,
     validate_coalgebra,

@@ -33,10 +33,6 @@ class ShapeError(StrongConnError):
     pass
 
 
-class AntipodeNotBijective(StrongConnError):
-    pass
-
-
 class NotGalois(StrongConnError):
     """Surjectivity of the lifted canonical map fails."""
 

@@ -17,7 +17,8 @@ subalgebra B = {b : rho(b a) = b rho(a) for all a}.
 validate_and_build (strictly: make_extension) is the one place that
 checks these laws and inverts psi; an EntwinedExtension exists only
 after every one of them passed, so builders before it and consumers
-after it do not repeat them.
+after it do not repeat them.  Builders hand it psi alone: hopf_entwining
+returns psi(c (x) a) = a_0 (x) c a_1 and no inverse.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .structures import (
     HopfAlgebra,
     StructureAlgebra,
     StructureCoalgebra,
-    antipode_inverse,
     check_grouplike,
     validate_algebra,
     validate_coalgebra,
@@ -144,30 +144,21 @@ def validate_entwining_ll(psi_inv: LinMap, alg: StructureAlgebra,
     return rep
 
 
-def hopf_entwining(hopf: HopfAlgebra, alg: StructureAlgebra, rho: LinMap) -> Entwining:
+def hopf_entwining(hopf: HopfAlgebra, alg: StructureAlgebra, rho: LinMap) -> LinMap:
     """The entwining of a comodule algebra over a Hopf algebra:
-    psi(c (x) a) = a_0 (x) c a_1 with inverse a (x) c -> c S^{-1}(a_1) (x) a_0.
+    psi(c (x) a) = a_0 (x) c a_1.
 
-    Only the closed-form inverse is checked here: psi is square, so
-    psi_inv o psi = id makes psi_inv its two-sided inverse.  That rho is
-    a coaction and is multiplicative and unital is checked where psi is
-    used, by make_extension (coaction-right-*, entwined-module-right,
+    Only shapes are checked here.  make_extension inverts psi and checks
+    that rho is a coaction and is multiplicative and unital
+    (entwining-bijective, coaction-right-*, entwined-module-right,
     unit-coacts-to-grouplike).
     """
     h_space = hopf.space
     a_space = alg.space
     if rho.domain != a_space or rho.codomain != a_space.tensor(h_space):
         raise ShapeError("rho must map A -> A(x)H")
-    field = alg.field
-    h_mul = hopf.algebra.mul
-    flip_ha = flip_map(field, h_space, a_space)
-    flip_ah = flip_map(field, a_space, h_space)
-    psi = compose_legs(flip_ha.domain, (h_mul, 1), (flip_ha, 0), (rho, 1))
-    psi_inv = compose_legs(flip_ah.domain, (h_mul, 0), (flip_ah, 1),
-                           (antipode_inverse(hopf), 2), (rho, 1), (flip_ah, 0))
-    if psi_inv @ psi != LinMap.identity(field, psi.domain):
-        raise ValidationFailed("the closed-form inverse does not invert psi")
-    return Entwining(psi, psi_inv)
+    flip_ha = flip_map(alg.field, h_space, a_space)
+    return compose_legs(flip_ha.domain, (hopf.algebra.mul, 1), (flip_ha, 0), (rho, 1))
 
 
 def validate_right_coaction(rho: LinMap, coa: StructureCoalgebra,
@@ -273,9 +264,9 @@ def galois_check(ext: EntwinedExtension) -> VerificationReport:
     kernel_ok = rep.add("galois-kernel-equals-relations", ker == rel,
                         {"kernel_dim": ker.dim, "relations_dim": rel.dim},
                         keep=True)
-    quotient_dim = alg.dim * alg.dim - rel.dim
-    rep.add("galois-dimension-count", quotient_dim == full,
-            {"balanced_tensor_dim": quotient_dim, "target_dim": full},
+    balanced_dim = alg.dim * alg.dim - rel.dim
+    rep.add("galois-dimension-count", balanced_dim == full,
+            {"balanced_tensor_dim": balanced_dim, "target_dim": full},
             keep=True)
     rep.add("galois", surj and kernel_ok,
             {"surjective": surj, "kernel_equals_relations": kernel_ok},

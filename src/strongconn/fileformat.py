@@ -94,16 +94,6 @@ class InstanceFile:
         return self.designated("psi") is not None and \
             self.designated("rho") is not None
 
-    @property
-    def has_c_hopf_data(self) -> bool:
-        return all(self.designated(r) is not None
-                   for r in ("c_mul", "c_unit", "c_antipode", "comul", "counit"))
-
-    @property
-    def has_a_hopf_data(self) -> bool:
-        return all(self.designated(r) is not None
-                   for r in ("mul", "unit", "a_comul", "a_counit", "a_antipode"))
-
 
 def _is_int(x) -> bool:
     """A JSON integer; Python's bool is an int, but true is not an index."""

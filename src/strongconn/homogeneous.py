@@ -62,10 +62,6 @@ class HomogeneousDatum:
     left_coaction: LinMap      # (pi (x) A) o Delta
     right_coaction: LinMap     # (A (x) pi) o Delta
 
-    @property
-    def quotient_dim(self) -> int:
-        return self.quotient.dim
-
 
 def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     """Construct the quotient datum, collecting every check in a report.
@@ -160,13 +156,13 @@ def quotient_coalgebra(hopf: HopfAlgebra, b_sub: Subspace) -> HomogeneousDatum:
     raise NotCoideal(first)
 
 
-def induced_coactions(datum: HomogeneousDatum):
-    """Both induced coactions, with their laws re-verified."""
+def induced_coactions(datum: HomogeneousDatum) -> VerificationReport:
+    """The laws of both induced coactions, re-verified."""
     rep = VerificationReport()
     a_space = datum.hopf.space
     rep.extend(validate_right_coaction(datum.right_coaction, datum.quotient, a_space))
     rep.extend(validate_left_coaction(datum.left_coaction, datum.quotient, a_space))
-    return (datum.left_coaction, datum.right_coaction), rep
+    return rep
 
 
 def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
@@ -182,11 +178,12 @@ def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
     field = hopf.field
     i_map = section if section is not None else datum.section
     comul_c = quotient.comul
+    comul_a = hopf.coalgebra.comul
     iota = compose_legs(
         quotient.space,
         (delta.delta, 1), (delta.delta, 0),             # -> A
         (pi, 3), (pi, 1),                               # -> C C A C C
-        (hopf.coalgebra.comul2(), 1),                   # -> C (x) A A A (x) C
+        (apply_at(comul_a, comul_a, 0), 1),             # -> C (x) A A A (x) C
         (i_map, 1),                                     # -> C (x) A (x) C
         (comul_c, 0), (comul_c, 0))                     # C -> C (x) C (x) C
     rep.add_na("averaging-reading",
@@ -214,7 +211,7 @@ def extension_from_homogeneous(datum: HomogeneousDatum):
     rep = VerificationReport()
     hopf = datum.hopf
     a_space = hopf.space
-    rep.add("antipode-bijective", hopf._solved_antipode_inv is not None)
+    rep.add("antipode-bijective", hopf.solved_antipode_inv is not None)
     psi = compose_legs(datum.quotient.space.tensor(a_space),
                        (datum.pi, 1), (hopf.algebra.mul, 1),
                        (flip_map(hopf.field, a_space, a_space), 0),

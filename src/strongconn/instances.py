@@ -116,9 +116,8 @@ def self_extension(hopf: HopfAlgebra) -> EntwinedExtension:
         hopf.algebra.unit.relabel(codomain=a_space))
     rho = hopf.coalgebra.comul.relabel(domain=a_space,
                                        codomain=a_space.tensor(c_space))
-    entw = hopf_entwining(hopf, alg, rho)
-    grouplike = hopf.algebra.unit
-    return make_extension(alg, hopf.coalgebra, entw.psi, rho, grouplike)
+    psi = hopf_entwining(hopf, alg, rho)
+    return make_extension(alg, hopf.coalgebra, psi, rho, hopf.algebra.unit)
 
 
 def build_trivial(alg: StructureAlgebra) -> EntwinedExtension:
@@ -148,9 +147,9 @@ def build_graded_extension(n: int, t, field: Field | None = None) -> EntwinedExt
     a_space, c_space = alg.space, hopf.space
     rho = LinMap.from_rules(field, a_space, a_space.tensor(c_space),
                             lambda k: [((k[0], k[0]), 1)])
-    entw = hopf_entwining(hopf, alg, rho)
+    psi = hopf_entwining(hopf, alg, rho)
     grouplike = basis_vector(field, c_space, 0)
-    return make_extension(alg, hopf.coalgebra, entw.psi, rho, grouplike)
+    return make_extension(alg, hopf.coalgebra, psi, rho, grouplike)
 
 
 def build_homogeneous_z4_z2(field: Field | None = None) -> HomogeneousDatum:

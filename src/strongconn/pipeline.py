@@ -140,10 +140,22 @@ NOT_COSEPARABLE = {"reason": "not coseparable over this field"}
 NO_GROUPLIKE = "no designated grouplike"
 
 
-def _hopf(inst: InstanceFile, *roles: str) -> HopfAlgebra:
-    """The Hopf algebra designated by mul, unit, comul, counit and
-    antipode roles; the antipode's inverse is the last role + "_inv"."""
-    mul, unit, comul, counit, antipode = map(inst.designated, roles)
+# the mul, unit, comul, counit and antipode roles of a Hopf algebra on
+# each space; the antipode's optional inverse is the last role + "_inv"
+HOPF_ROLES = {
+    "A": ("mul", "unit", "a_comul", "a_counit", "a_antipode"),
+    "C": ("c_mul", "c_unit", "comul", "counit", "c_antipode"),
+}
+
+
+def _hopf(inst: InstanceFile, space: str) -> HopfAlgebra | None:
+    """The Hopf algebra designated on space "A" or "C"; None when one of
+    its roles is missing."""
+    roles = HOPF_ROLES[space]
+    maps = [inst.designated(r) for r in roles]
+    if any(m is None for m in maps):
+        return None
+    mul, unit, comul, counit, antipode = maps
     return HopfAlgebra(StructureAlgebra(mul, unit),
                        StructureCoalgebra(comul, counit), antipode,
                        inst.designated(roles[-1] + "_inv"))
@@ -159,7 +171,7 @@ def _found(vrep: VerificationReport, name: str, out, witness: dict) -> bool:
 
 
 def _homogeneous(run: _Run, vrep: VerificationReport) -> None:
-    hopf_a = _hopf(run.inst, "mul", "unit", "a_comul", "a_counit", "a_antipode")
+    hopf_a = _hopf(run.inst, "A")
     vrep.extend(validate_hopf(hopf_a))
     if not vrep.passed:
         return
@@ -168,8 +180,8 @@ def _homogeneous(run: _Run, vrep: VerificationReport) -> None:
     if datum is None:
         return
     run.datum = datum
-    vrep.add_info("quotient-dimension", {"dim": datum.quotient_dim})
-    vrep.extend(induced_coactions(datum)[1])
+    vrep.add_info("quotient-dimension", {"dim": datum.quotient.dim})
+    vrep.extend(induced_coactions(datum))
     run.qdelta = solve_cointegral(datum.quotient)
     if not _found(vrep, "quotient-cointegral-exists", run.qdelta,
                   NOT_COSEPARABLE):
@@ -225,10 +237,10 @@ def _cointegral(run: _Run, vrep: VerificationReport) -> None:
 
 
 def _integral(run: _Run, vrep: VerificationReport) -> None:
-    if not run.inst.has_c_hopf_data:
+    hopf_c = _hopf(run.inst, "C")
+    if hopf_c is None:
         vrep.add_na("integral-exists", "no Hopf structure designated on C")
         return
-    hopf_c = _hopf(run.inst, "c_mul", "c_unit", "comul", "counit", "c_antipode")
     vrep.extend(validate_hopf(hopf_c))
     if not vrep.passed:
         return
@@ -363,7 +375,7 @@ def _check_stage_request(inst: InstanceFile, stages: list[str]) -> list[str]:
         if inst.b_subspace is None:
             raise DependencyError("stage 'homogeneous' requires a "
                                   "coinvariant_subalgebra designation")
-        if not inst.has_a_hopf_data:
+        if _hopf(inst, "A") is None:
             raise DependencyError("stage 'homogeneous' requires Hopf data "
                                   "on A (a_comul, a_counit, a_antipode)")
     if "validate" in requested and not inst.has_entwined_data:

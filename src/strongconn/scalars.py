@@ -66,10 +66,13 @@ Scalar text grammar (used verbatim by the instance file format)::
 
 A bare rational is the constant c0 in any field; a bracketed list gives
 coefficients c0, c1, ... and must not exceed the extension degree.
+Digits are ASCII.  Whitespace may surround a rational, never sit inside
+one: "1 2" is a ParseError, not 12.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -398,16 +401,17 @@ class Scalar:
         return f"Scalar({self})"
 
 
-_RAT_CHARS = set("0123456789/+- ")
+# the grammar's rational, ASCII digits only; no space inside
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _parse_rational(text: str) -> Fraction:
     t = text.strip()
-    if not t or not set(t) <= _RAT_CHARS:
+    if not _RATIONAL.fullmatch(t):
         raise ParseError(f"malformed rational {text!r}")
     try:
-        return Fraction(t.replace(" ", ""))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(t)
+    except (ValueError, ZeroDivisionError) as exc:  # past int's digit limit, or /0
         raise ParseError(f"malformed rational {text!r}") from exc
 
 

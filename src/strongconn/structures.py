@@ -5,8 +5,12 @@ A structure is a bundle of LinMaps over one named base space: an algebra
 is (mul: X(x)X -> X, unit: k -> X), a coalgebra is (comul: X -> X(x)X,
 counit: X -> k).  Validators return a VerificationReport whose failures
 carry the first offending basis tuple; they never raise on bad axioms.
-Downstream modules assume validated inputs (validation is eager at
-construction time in the instance builders).
+Downstream modules assume validated inputs.
+
+A Hopf algebra may carry a designated antipode inverse; validate_hopf
+checks it (hopf-antipode-inverse).  Its solved_antipode_inv is the
+antipode's inverse from one elimination, made at most once, and
+validate_hopf checks that one when none is designated.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AntipodeNotBijective, ShapeError
+from .errors import ShapeError
 from .linmaps import (LinMap, SpaceLabel, apply_at, compose_legs, flip_map, map_kron,
                       precompose_at, try_inverse, vector_coeffs)
 from .report import VerificationReport, check_map_equal
@@ -52,13 +56,6 @@ class StructureAlgebra:
     def identity(self) -> LinMap:
         return LinMap.identity(self.field, self.space)
 
-    def left_mult(self, element: LinMap) -> LinMap:
-        """x -> a*x for a fixed element a: k -> X."""
-        return precompose_at(self.mul, element, 0)
-
-    def right_mult(self, element: LinMap) -> LinMap:
-        return precompose_at(self.mul, element, 1)
-
 
 @dataclass(frozen=True)
 class StructureCoalgebra:
@@ -91,10 +88,6 @@ class StructureCoalgebra:
     def identity(self) -> LinMap:
         return LinMap.identity(self.field, self.space)
 
-    def comul2(self) -> LinMap:
-        """The twofold coproduct X -> X(x)X(x)X (coassociative, so one form)."""
-        return apply_at(self.comul, self.comul, 0)
-
 
 @dataclass(frozen=True)
 class HopfAlgebra:
@@ -123,7 +116,7 @@ class HopfAlgebra:
         return self.algebra.field
 
     @cached_property
-    def _solved_antipode_inv(self) -> LinMap | None:
+    def solved_antipode_inv(self) -> LinMap | None:
         """The antipode's inverse from one exact elimination, made once
         and whether or not antipode_inv is designated; None when the
         antipode is singular."""
@@ -135,8 +128,8 @@ def validate_algebra(alg: StructureAlgebra) -> VerificationReport:
     ident = alg.identity()
     check_map_equal(rep, "algebra-associativity",
                     precompose_at(alg.mul, alg.mul, 0), precompose_at(alg.mul, alg.mul, 1))
-    check_map_equal(rep, "algebra-left-unit", alg.left_mult(alg.unit), ident)
-    check_map_equal(rep, "algebra-right-unit", alg.right_mult(alg.unit), ident)
+    check_map_equal(rep, "algebra-left-unit", precompose_at(alg.mul, alg.unit, 0), ident)
+    check_map_equal(rep, "algebra-right-unit", precompose_at(alg.mul, alg.unit, 1), ident)
     return rep
 
 
@@ -144,7 +137,7 @@ def validate_coalgebra(coa: StructureCoalgebra) -> VerificationReport:
     rep = VerificationReport()
     ident = coa.identity()
     check_map_equal(rep, "coalgebra-coassociativity",
-                    coa.comul2(), apply_at(coa.comul, coa.comul, 1))
+                    apply_at(coa.comul, coa.comul, 0), apply_at(coa.comul, coa.comul, 1))
     check_map_equal(rep, "coalgebra-left-counit", apply_at(coa.counit, coa.comul, 0), ident)
     check_map_equal(rep, "coalgebra-right-counit", apply_at(coa.counit, coa.comul, 1), ident)
     return rep
@@ -175,7 +168,7 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
                     alg.mul @ apply_at(h.antipode, coa.comul, 0), unit_counit)
     check_map_equal(rep, "hopf-antipode-right",
                     alg.mul @ apply_at(h.antipode, coa.comul, 1), unit_counit)
-    inv = _antipode_inverse_or_none(h)
+    inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
     if inv is None:
         rep.add("hopf-antipode-bijective", False,
                 {"reason": "antipode matrix is singular"})
@@ -184,22 +177,6 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
         check_map_equal(rep, "hopf-antipode-inverse",
                         inv @ h.antipode, ident)
     return rep
-
-
-def _antipode_inverse_or_none(h: HopfAlgebra) -> LinMap | None:
-    """The designated antipode_inv, else the solved inverse; None when
-    none is designated and the antipode is singular."""
-    if h.antipode_inv is not None:
-        return h.antipode_inv
-    return h._solved_antipode_inv
-
-
-def antipode_inverse(h: HopfAlgebra) -> LinMap:
-    """Exact matrix inverse of the antipode."""
-    inv = _antipode_inverse_or_none(h)
-    if inv is None:
-        raise AntipodeNotBijective("antipode matrix is singular")
-    return inv
 
 
 def check_grouplike(element: LinMap, coa: StructureCoalgebra) -> bool:

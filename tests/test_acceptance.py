@@ -319,7 +319,7 @@ def test_criterion_6_splitting_and_principality(suite_reports):
 
 def test_criterion_7_homogeneous_suite():
     datum = build_homogeneous_z4_z2()
-    assert datum.quotient_dim == 2
+    assert datum.quotient.dim == 2
     delta = solve_cointegral(datum.quotient)
     iota, rep = bicolinear_section_iota(datum, delta)
     assert rep.named("averaged-section-splits-projection").status == "pass"

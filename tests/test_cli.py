@@ -90,6 +90,22 @@ def test_cli_malformed_json_exit_two(tmp_path, capsys):
     assert main([str(p)]) == 2
 
 
+def test_cli_space_inside_a_scalar_is_an_input_error(golden_dir, tmp_path, capsys):
+    # x^2 = 2 with its "2" mistyped as "2 5"; read without the space,
+    # x^2 = 25 passes every check, so the typo must stop the run
+    doc = json.loads((golden_dir / "graded_n2_t2.json").read_text(encoding="utf-8"))
+    entries = doc["tensors"]["mul"]["entries"]
+    n = next(i for i, e in enumerate(entries) if e[-1] == "2")
+    entries[n][-1] = "2 5"
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: tensor 'mul' entry {n}: malformed rational '2 5'\n"
+
+
 def test_cli_dim_cap(tmp_path, capsys):
     inst = build_golden("group_self_z4")
     p = tmp_path / "z4.json"

@@ -161,8 +161,8 @@ LIBRARY_BUILDS = {
 
 @pytest.mark.parametrize("name", LIBRARY_BUILDS)
 def test_library_build_inverts_psi_once(name, monkeypatch):
-    """hopf_entwining checks its closed-form inverse by composition;
-    only make_extension eliminates psi."""
+    """hopf_entwining builds psi alone; only make_extension eliminates
+    psi."""
     eliminated = record_eliminations(monkeypatch)
     ext = LIBRARY_BUILDS[name]()
     assert sum(holds_map(rows, ext.entwining.psi) for rows in eliminated) == 1

@@ -25,6 +25,7 @@ from strongconn.linmaps import (
     LinMap,
     SpaceLabel,
     basis_vector,
+    compose_legs,
     flip_map,
     map_kron,
     try_inverse,
@@ -82,22 +83,31 @@ def test_hopf_entwining_at_unit_grouplike_gives_coaction(z2_ext):
 
 
 def hopf_entwining_cases():
-    """(hopf, algebra, rho) of every library Hopf entwining."""
+    """(hopf, extension) of every library Hopf entwining."""
     cases = []
     for field in (QQ, ZETA3):
         for n in range(1, 5):
             hopf = cyclic_group_hopf(n, field)
             for ext in (self_extension(hopf), build_graded_extension(n, 1, field)):
-                cases.append((hopf, ext.algebra, ext.coaction.rho))
+                cases.append((hopf, ext))
     hopf = sweedler_hopf()
-    ext = self_extension(hopf)
-    return cases + [(hopf, ext.algebra, ext.coaction.rho)]
+    return cases + [(hopf, self_extension(hopf))]
+
+
+def closed_form_psi_inv(hopf, alg, rho):
+    """a (x) c -> c S^{-1}(a_1) (x) a_0, the inverse of the Hopf entwining."""
+    flip_ah = flip_map(alg.field, alg.space, hopf.space)
+    return compose_legs(flip_ah.domain, (hopf.algebra.mul, 0), (flip_ah, 1),
+                        (try_inverse(hopf.antipode), 2), (rho, 1), (flip_ah, 0))
 
 
 def test_hopf_entwining_inverse_equals_the_matrix_inverse():
-    for hopf, alg, rho in hopf_entwining_cases():
-        entw = hopf_entwining(hopf, alg, rho)
-        assert entw.psi_inv == try_inverse(entw.psi)
+    # make_extension inverts psi by elimination; that inverse is the
+    # closed form
+    for hopf, ext in hopf_entwining_cases():
+        alg, rho = ext.algebra, ext.coaction.rho
+        assert ext.entwining.psi == hopf_entwining(hopf, alg, rho)
+        assert ext.entwining.psi_inv == closed_form_psi_inv(hopf, alg, rho)
 
 
 def test_non_multiplicative_rho_fails_make_extension():
@@ -107,25 +117,32 @@ def test_non_multiplicative_rho_fails_make_extension():
     alg = truncated_polynomial_algebra(3, 1)
     rho = LinMap.from_rules(QQ, alg.space, alg.space.tensor(hopf.space),
                             lambda k: [((k[0], min(k[0], 1)), 1)])
-    entw = hopf_entwining(hopf, alg, rho)  # the inverse still composes
+    psi = hopf_entwining(hopf, alg, rho)
     e = hopf.algebra.unit
     with pytest.raises(ValidationFailed):
-        make_extension(alg, hopf.coalgebra, entw.psi, rho, e)
-    _, rep = validate_and_build(alg, hopf.coalgebra, entw.psi, rho, e)
+        make_extension(alg, hopf.coalgebra, psi, rho, e)
+    _, rep = validate_and_build(alg, hopf.coalgebra, psi, rho, e)
     assert rep.named("entwined-module-right").status == "fail"
     assert rep.named("coaction-right-coassociativity").status == "pass"
     assert rep.named("unit-coacts-to-grouplike").status == "pass"
 
 
 def test_hopf_entwining_rejects_an_inverse_that_does_not_compose():
-    # rho(a) = a (x) (1 + g) breaks counitality; then psi_inv psi is
-    # c (x) a -> c (1 + g)^2 (x) a = 2 c (1 + g) (x) a, not the identity
+    # rho(a) = a (x) (1 + g) breaks counitality; the closed-form inverse
+    # would send psi(c (x) a) = c (1 + g) (x) a to 2 c (1 + g) (x) a,
+    # and psi itself is singular, since (1 + g) g = 1 + g
     hopf = cyclic_group_hopf(2)
     alg = truncated_polynomial_algebra(2, 2)
     rho = LinMap.from_rules(QQ, alg.space, alg.space.tensor(hopf.space),
                             lambda k: [((k[0], 0), 1), ((k[0], 1), 1)])
+    psi = hopf_entwining(hopf, alg, rho)
     with pytest.raises(ValidationFailed):
-        hopf_entwining(hopf, alg, rho)
+        make_extension(alg, hopf.coalgebra, psi, rho, hopf.algebra.unit)
+    _, rep = validate_and_build(alg, hopf.coalgebra, psi, rho, hopf.algebra.unit)
+    assert [c.name for c in rep.failures] == [
+        "entwining-rr-multiplicativity", "entwining-rr-unitality",
+        "entwining-rr-comultiplicativity", "entwining-rr-counitality",
+        "entwining-bijective"]
 
 
 def test_entwining_validator_catches_broken_unitality(z2_ext):

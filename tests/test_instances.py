@@ -80,7 +80,7 @@ def test_sweedler_self_extension_builds():
 
 def test_homogeneous_builder():
     datum = build_homogeneous_z4_z2()
-    assert datum.quotient_dim == 2
+    assert datum.quotient.dim == 2
     assert datum.b_subalgebra.dim == 2
 
 

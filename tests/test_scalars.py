@@ -123,6 +123,30 @@ def test_parse_errors():
         parse_scalar("1.5", QQ)
 
 
+@pytest.mark.parametrize("text", ["1 2", "1/2 0", "- 1", "1 / 2", "+ 3", "1_0",
+                                  "\u0661", "1e3", "/2", "1/", "--1", ""])
+def test_parse_rejects_text_outside_the_grammar(text):
+    # with the space dropped, "1 2" would silently read as 12
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_scalar(text, QQ)
+
+
+def test_parse_rejects_a_numeral_past_the_digit_limit():
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_scalar("1" * 5000, QQ)
+
+
+def test_parse_rejects_a_space_inside_a_coefficient():
+    f = Field.number_field([1, 1, 1])
+    with pytest.raises(ParseError, match="malformed rational '1 2'"):
+        parse_scalar("[1 2, 3]", f)
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_scalar("[1, ]", f)
+    assert parse_scalar(" [ 1/2 ,-2/3 ] ", f) == \
+        f.scalar([Fraction(1, 2), Fraction(-2, 3)])
+    assert parse_scalar("+3/6", QQ) == QQ.scalar(Fraction(1, 2))
+
+
 def test_print_parse_roundtrip():
     f = Field.number_field([1, 1, 1])
     for s in [QQ.scalar(Fraction(-5, 3)), QQ.zero, f.generator(),

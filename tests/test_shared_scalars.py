@@ -34,7 +34,6 @@ from strongconn.linmaps import (
     LinMap,
     SpaceLabel,
     apply_at,
-    kron_all,
     map_kron,
     precompose_at,
     rref_solve,
@@ -43,6 +42,7 @@ from strongconn.linmaps import (
 from strongconn.pipeline import run_pipeline
 from strongconn.scalars import RESULT_CAP, VALUE_CAP, Field, Scalar, parse_scalar
 import test_sparse_core as sc
+from basis_change import transport
 from test_scalars import REF_FIELDS, random_coeffs, ref_field, ref_mul
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -346,26 +346,16 @@ def rational_conjugate(inst: InstanceFile, seed: int) -> InstanceFile:
     p/q with |p|, q <= 9, so the files hold many distinct values."""
     rng = random.Random(seed)
     field = inst.field
-    fwd, inv = {}, {}
+    fwd = {}
     for name, dim in sorted(inst.spaces.items()):
         space = SpaceLabel.base(name, dim)
-        while name not in inv:
-            fwd[name] = LinMap(field, space, space, [
+        while name not in fwd:
+            p = LinMap(field, space, space, [
                 [field.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                  for _ in range(dim)] for _ in range(dim)])
-            back = try_inverse(fwd[name])
-            if back is not None:
-                inv[name] = back
-    scalar_line = LinMap.identity(field, SpaceLabel.scalar())
-
-    def along(maps):
-        return kron_all(*maps) if maps else scalar_line
-
-    tensors = {key: along([fwd[n] for n, _ in t.codomain.factors]) @ t @
-               along([inv[n] for n, _ in t.domain.factors])
-               for key, t in inst.tensors.items()}
-    return InstanceFile(inst.name, field, dict(inst.spaces), tensors,
-                        dict(inst.designations), fwd["C"] @ inst.grouplike)
+            if try_inverse(p) is not None:
+                fwd[name] = p
+    return transport(inst, fwd)
 
 
 def test_graded_n3_in_a_rational_basis_passes_within_the_caps(tmp_path):

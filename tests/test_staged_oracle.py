@@ -107,7 +107,7 @@ def ground_field_over_z2():
     alg = truncated_polynomial_algebra(1, 0, f, "A")
     rho = LinMap.from_rules(f, alg.space, alg.space.tensor(hopf.space),
                             lambda k: [((0, 0), 1)])
-    psi = hopf_entwining(hopf, alg, rho).psi
+    psi = hopf_entwining(hopf, alg, rho)
     return make_extension(alg, hopf.coalgebra, psi, rho, basis_vector(f, hopf.space, 0))
 
 

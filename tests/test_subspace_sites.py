@@ -35,13 +35,15 @@ from strongconn.linmaps import (
     basis_vector,
     map_kron,
     map_vectorize,
+    precompose_at,
     vector,
     vector_coeffs,
 )
 from strongconn.pipeline import run_pipeline
 from strongconn.scalars import Field
 
-from test_systems import CASES, conjugate, extension_of
+from basis_change import conjugate
+from test_systems import CASES, extension_of
 
 ZETA3 = Field.number_field([1, 1, 1])
 
@@ -72,7 +74,8 @@ def looped_relation_subspace(alg, coinv):
     vecs = []
     for b in coinv.basis:
         bv = vector(field, a_space, b)
-        m = map_kron(alg.right_mult(bv), ia) - map_kron(ia, alg.left_mult(bv))
+        m = map_kron(precompose_at(alg.mul, bv, 1), ia) - \
+            map_kron(ia, precompose_at(alg.mul, bv, 0))
         for c in range(m.ncols):
             col = m.column(c)
             if any(col):
@@ -114,7 +117,7 @@ def looped_splitting_witnesses(s, ext):
                   if not b_tensor_a.contains_vector(s.column(j))), None)
     linear = None
     for bi, b in enumerate(ext.coinvariants.basis):
-        lm = alg.left_mult(vector(field, alg.space, b))
+        lm = precompose_at(alg.mul, vector(field, alg.space, b), 0)
         if s @ lm != map_kron(lm, ia) @ s:
             linear = {"coinvariant_basis_row": bi}
             break

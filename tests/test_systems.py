@@ -7,8 +7,6 @@ the structure maps.  Matrix and right-hand side must agree entry for
 entry, in the same row order.
 """
 
-import random
-
 import pytest
 
 from strongconn.connection import (
@@ -26,15 +24,15 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
-    kron_all,
     map_from_vector,
     map_kron,
     map_vectorize,
     rref_solve,
-    try_inverse,
     vector,
 )
 from strongconn.structures import HopfAlgebra, StructureAlgebra, StructureCoalgebra
+
+from basis_change import conjugate
 
 
 def probed_system(field, dom, cod, conditions, rhs):
@@ -111,33 +109,6 @@ def c_hopf_of(inst: InstanceFile):
         StructureAlgebra(inst.designated("c_mul"), inst.designated("c_unit")),
         StructureCoalgebra(inst.designated("comul"), inst.designated("counit")),
         inst.designated("c_antipode"))
-
-
-def conjugate(inst: InstanceFile, seed: int) -> InstanceFile:
-    """Every tensor moved along a seeded unimodular change of basis of A
-    and of C, built from public LinMap operations only."""
-    rng = random.Random(seed)
-    field = inst.field
-    fwd, inv = {}, {}
-    for name, dim in sorted(inst.spaces.items()):
-        space = SpaceLabel.base(name, dim)
-        upper = [[rng.choice((-1, 0, 1)) if j > i else 1 if j == i else 0
-                  for j in range(dim)] for i in range(dim)]
-        fwd[name] = LinMap.from_rules(
-            field, space, space,
-            lambda idx: [((i,), upper[i][idx[0]]) for i in range(dim)])
-        inv[name] = try_inverse(fwd[name])
-    one = LinMap.identity(field, SpaceLabel.scalar())
-
-    def along(maps):
-        return kron_all(*maps) if maps else one
-
-    tensors = {key: along([fwd[n] for n, _ in t.codomain.factors]) @ t @
-               along([inv[n] for n, _ in t.domain.factors])
-               for key, t in inst.tensors.items()}
-    grouplike = None if inst.grouplike is None else fwd["C"] @ inst.grouplike
-    return InstanceFile(inst.name, field, dict(inst.spaces), tensors,
-                        dict(inst.designations), grouplike)
 
 
 def cases():

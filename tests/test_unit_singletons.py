@@ -16,9 +16,11 @@ from strongconn.fileformat import (InstanceFile, parse_instance,
                                    write_instance)
 from strongconn.golden import instance_from_extension
 from strongconn.instances import build_graded_extension, cyclic_group_hopf
-from strongconn.linmaps import LinMap, SpaceLabel, kron_all, try_inverse
+from strongconn.linmaps import LinMap, SpaceLabel
 from strongconn.pipeline import STAGE_ORDER, run_pipeline
 from strongconn.scalars import Field, Scalar
+
+from basis_change import transport
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -45,24 +47,13 @@ def dense_conjugate(inst: InstanceFile) -> InstanceFile:
     """inst transported along the unimodular all-ones upper triangle with
     alternating signs on every space, so each tensor fills in with
     entries +-1, +-2, ..."""
-    field = inst.field
-    fwd, inv = {}, {}
+    fwd = {}
     for name, dim in inst.spaces.items():
         space = SpaceLabel.base(name, dim)
         fwd[name] = LinMap.from_rules(
-            field, space, space,
+            inst.field, space, space,
             lambda j: [((i,), (-1) ** i) for i in range(j[0] + 1)])
-        inv[name] = try_inverse(fwd[name])
-    scalar_line = LinMap.identity(field, SpaceLabel.scalar())
-
-    def along(maps):
-        return kron_all(*maps) if maps else scalar_line
-
-    tensors = {key: along([fwd[n] for n, _ in t.codomain.factors]) @ t @
-               along([inv[n] for n, _ in t.domain.factors])
-               for key, t in inst.tensors.items()}
-    return InstanceFile(inst.name, field, dict(inst.spaces), tensors,
-                        dict(inst.designations), fwd["C"] @ inst.grouplike)
+    return transport(inst, fwd)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_DIR.glob("*.json")))

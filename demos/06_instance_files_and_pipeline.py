@@ -24,7 +24,8 @@ with tempfile.NamedTemporaryFile(suffix=".json", delete=False, mode="w") as fh:
     path = fh.name
 write_instance(inst, path)
 print("wrote", path)
-print(json.dumps(json.loads(open(path).read())["designations"], indent=2))
+with open(path) as fh:
+    print(json.dumps(json.load(fh)["designations"], indent=2))
 
 # Parse and run; stage order and dependencies are fixed, and a failed
 # hypothesis skips downstream stages instead of crashing the run.

@@ -384,7 +384,7 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
         klass = "left-colinear"
     else:
         klass = "neither"
-    rep.add_info("section-colinearity-class", {"class": klass})
+    rep.add("section-colinearity-class", True, {"class": klass}, keep=True)
     if right_col:
         reduced = apply_at(conn.gamma, sigma_1, 0)
         ok = rep.add("reduction-right-agrees", reduced == conn.ell)

@@ -57,10 +57,6 @@ class NotCoideal(StrongConnError):
     pass
 
 
-class IotaNotBicolinear(StrongConnError):
-    pass
-
-
 class TooLarge(StrongConnError):
     """A configured size cap was exceeded."""
 

@@ -8,9 +8,10 @@ induced left and right C-coactions (pi (x) A) o Delta and
 (A (x) pi) o Delta.
 
 Coset representatives are deterministic and prefer low basis indices:
-the coideal is put in echelon form processing coordinates from the
-highest down, so the surviving complement consists of the smallest
-basis indices.  This makes i([1]) = 1 whenever possible.
+a Subspace keeps its reduced basis with pivots at the right, so the
+highest indices are pivots and the coordinates that are not, the
+smallest basis indices, represent the quotient (Subspace.quotient).
+This makes i([1]) = 1 whenever possible.
 
 With a cointegral delta on C, any linear section i of pi averages to a
 bicolinear section: contract the outer coproduct legs of i against
@@ -25,12 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connection import Cointegral
-from .errors import (
-    InternalContradiction,
-    IotaNotBicolinear,
-    NotCoideal,
-    NotHomogeneous,
-)
+from .errors import InternalContradiction, NotCoideal, NotHomogeneous
 from .extensions import (
     validate_and_build,
     validate_left_coaction,
@@ -38,7 +34,6 @@ from .extensions import (
 )
 from .linmaps import (
     LinMap,
-    SpaceLabel,
     Subspace,
     apply_at,
     compose_legs,
@@ -70,10 +65,7 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     quotient_coalgebra raises instead.
     """
     rep = VerificationReport()
-    field = hopf.field
     alg, coa = hopf.algebra, hopf.coalgebra
-    a_space = alg.space
-    n = a_space.dim
     ia = alg.identity()
 
     unital = b_sub.first_outside(alg.unit) is None
@@ -89,14 +81,14 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     if not (unital and closed and stable):
         return None, rep
 
-    # B+ = B n ker(counit), then B+A = span of products
-    b_plus = b_sub.intersection(kernel_basis(coa.counit))
-    bplus_a = Subspace.image(precompose_at(alg.mul, b_plus.inclusion(), 0))
+    # B+ = B n ker(counit), the counit's kernel on B; B+A = products
+    b_plus = incl @ kernel_basis(coa.counit @ incl).inclusion()
+    bplus_a = Subspace.image(precompose_at(alg.mul, b_plus, 0))
 
     # coideal checks
     ideal_incl = bplus_a.inclusion()
-    two_sided = Subspace.image(map_kron(ia, ideal_incl)).sum(
-        Subspace.image(map_kron(ideal_incl, ia)))
+    two_sided = Subspace.image(map_kron(ia, ideal_incl),
+                               map_kron(ideal_incl, ia))
     coideal_cop = two_sided.first_outside(coa.comul @ ideal_incl) is None
     rep.add("coideal-coproduct", coideal_cop)
     coideal_eps = (coa.counit @ ideal_incl).is_zero()
@@ -104,24 +96,8 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     if not (coideal_cop and coideal_eps):
         return None, rep
 
-    # Reduce modulo B+A in reversed coordinates, so that the highest
-    # indices become pivots and the lowest survive as representatives.
-    one = field.one
-    rev = LinMap._from_rows(field, a_space, a_space,
-                            tuple({n - 1 - i: one} for i in range(n)))
-    high = Subspace.image(rev @ ideal_incl)
-    reps = [i for i in range(n) if n - 1 - i not in high._pivots]
-    q = len(reps)
-    c_space = SpaceLabel.base("C", q)
-    row_of = {i: r for r, i in enumerate(reps)}
-    pi_rows = tuple({} for _ in range(q))
-    for j in range(n):
-        for k, x in high._reduce({n - 1 - j: one}).items():
-            pi_rows[row_of[n - 1 - k]][j] = x
-    pi = LinMap._from_rows(field, a_space, c_space, pi_rows)
-    section = LinMap._from_rows(field, c_space, a_space, tuple(
-        {row_of[i]: one} if i in row_of else {} for i in range(n)))
-    if pi @ section != LinMap.identity(field, c_space):
+    pi, section = bplus_a.quotient("C")
+    if pi @ section != LinMap.identity(hopf.field, pi.codomain):
         raise InternalContradiction("pi o i is not the identity")
 
     projected = apply_at(pi, apply_at(pi, coa.comul, 1), 0)
@@ -166,12 +142,12 @@ def induced_coactions(datum: HomogeneousDatum) -> VerificationReport:
 
 
 def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
-                            section: LinMap | None = None, strict: bool = True):
+                            section: LinMap | None = None):
     """Average a linear section of pi into a bicolinear one.
 
     iota(c) contracts delta against the projected outer coproduct legs
-    of i(c_2) on both sides.  Returns (iota, report); with strict=True a
-    failed verification raises IotaNotBicolinear.
+    of i(c_2) on both sides.  Returns (iota, report), whether or not
+    the report passes.
     """
     rep = VerificationReport()
     hopf, quotient, pi = datum.hopf, datum.quotient, datum.pi
@@ -195,8 +171,6 @@ def bicolinear_section_iota(datum: HomogeneousDatum, delta: Cointegral,
                     datum.left_coaction @ iota, apply_at(iota, comul_c, 1))
     check_map_equal(rep, "averaged-section-right-colinear",
                     datum.right_coaction @ iota, apply_at(iota, comul_c, 0))
-    if strict and not rep.passed:
-        raise IotaNotBicolinear(rep.failures[0].name)
     return iota, rep
 
 

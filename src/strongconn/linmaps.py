@@ -38,10 +38,14 @@ Conventions frozen here and shared with the instance file format:
   factors from position ``at``, and the padded map is never formed.
   ``f @ g`` is the case with no legs around g; ``compose_legs`` folds a
   chain of steps from its narrower end.
-* A subspace is a map: ``Subspace.image(f)`` is the span of f's
-  columns and ``inclusion()`` is the map whose columns are the basis,
-  so a closure or membership statement is one composed map checked by
-  ``first_outside`` (the first column outside the subspace, if any).
+* A subspace is held as its reduced echelon basis with pivots at the
+  right (each basis vector's last nonzero is a 1 that no other has), and
+  is a map: ``Subspace.image(f, ...)`` spans the maps' columns,
+  ``inclusion()`` has the basis as its columns and ``quotient()`` reads
+  the projection and a section off the basis.  A closure or membership
+  statement is one composed map checked by ``first_outside``.  A kernel
+  read off a solve is already in this form, so each kernel, image or
+  quotient costs one elimination at most.
 
 Everything is immutable after construction (the row dicts are never
 modified once a map or subspace holds them) and safe for concurrent
@@ -236,7 +240,7 @@ class LinMap:
         self.field = field
         self.domain = domain
         self.codomain = codomain
-        self.rows = tuple({c: s for c, s in enumerate(row) if s} for row in entries)
+        self.rows = tuple(_sparse(field, row) for row in entries)
 
     @classmethod
     def _from_rows(cls, field: Field, domain: SpaceLabel, codomain: SpaceLabel,
@@ -522,9 +526,10 @@ def vector_coeffs(v: LinMap) -> tuple[Scalar, ...]:
 # -- echelon machinery -------------------------------------------------
 
 
-def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
-    """Reduced row echelon form of sparse rows, leftmost pivots; returns
-    pivot columns.
+def _rref_inplace(rows: list[dict], ncols: int, right: bool = False) -> list[int]:
+    """Reduced row echelon form of sparse rows, leftmost pivots (or, with
+    right=True, pivots at the right: the columns are walked from the
+    last down); returns the pivot columns in the order found.
 
     A column index maps each column to the set of row positions that
     hold it.  It is built once from the rows and kept in step on row
@@ -538,8 +543,8 @@ def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
     arithmetic of the elimination itself, nonzeros and their fill-in,
     not rows x columns.
 
-    Rows at or below the current row hold no column left of c, so the
-    index of a column is dropped once its step is done.
+    Rows at or below the current row hold no column walked before c, so
+    the index of a column is dropped once its step is done.
     """
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -552,7 +557,7 @@ def _rref_inplace(rows: list[dict], ncols: int) -> list[int]:
     pivots = []
     r = 0
     nrows = len(rows)
-    for c in range(ncols):
+    for c in range(ncols - 1, -1, -1) if right else range(ncols):
         holders = cols.get(c)
         if not holders:
             continue
@@ -628,13 +633,13 @@ class Solution(NamedTuple):
 
 def rref_solve(M: LinMap, target: LinMap) -> Solution:
     """One elimination of [M | target]: the deterministic X with
-    M o X = target (or an Infeasible certificate), the rank of M and the
-    canonical echelon basis of ker M.
+    M o X = target (or an Infeasible certificate), the rank of M and
+    ker M.
 
     Pivots are chosen leftmost, free variables are zero.  The left block
     of the reduced form of [M | target] is the reduced form of M, so the
-    rank and kernel need no second elimination.  The returned map is
-    post-verified against the system exactly.
+    rank and kernel (see _kernel) need no second elimination.  The
+    returned map is post-verified against the system exactly.
     """
     if M.codomain != target.codomain:
         raise ShapeError("target codomain must match the system codomain")
@@ -662,7 +667,11 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
 
 
 def _kernel(field: Field, space: SpaceLabel, rows, pivots) -> "Subspace":
-    """ker of a reduced system: one vector per free column of ``space``."""
+    """ker of a system reduced with leftmost pivots: for each free column
+    f of ``space``, 1 at f and minus each pivot row's entry in f at its
+    pivot.  No pivot row holds a column left of its pivot, so these are
+    already a Subspace's basis, pivots at the right, and need no
+    elimination."""
     pivset = set(pivots)
     free = {f: {f: field.one} for f in range(space.dim) if f not in pivset}
     for row, p in zip(rows, pivots):
@@ -670,11 +679,11 @@ def _kernel(field: Field, space: SpaceLabel, rows, pivots) -> "Subspace":
             v = free.get(f)
             if v is not None:
                 v[p] = -x
-    return Subspace._span(field, space, list(free.values()))
+    return Subspace(field, space, free.values(), free)
 
 
 def kernel_basis(M: LinMap) -> "Subspace":
-    """Canonical echelon basis of ker M."""
+    """ker M, from one elimination of M."""
     return stacked_kernel([M])
 
 
@@ -692,13 +701,14 @@ def stacked_kernel(maps: list[LinMap]) -> "Subspace":
 
 
 class Subspace:
-    """Subspace of a labeled space, held as the unique reduced echelon
-    basis: sparse ``rows`` with leftmost pivots."""
+    """Subspace of a labeled space, held as its unique reduced echelon
+    basis with pivots at the right: sparse ``rows`` in ascending pivot
+    order, each row's last nonzero a 1 that no other row holds."""
 
     __slots__ = ("field", "ambient", "rows", "_pivots", "_basis")
 
     def __init__(self, field: Field, ambient: SpaceLabel, rows, pivots):
-        """From reduced echelon rows (sparse dicts) and their pivot
+        """From reduced rows (sparse dicts) in that form and their pivot
         columns; from_vectors spans arbitrary vectors."""
         self.field = field
         self.ambient = ambient
@@ -709,8 +719,9 @@ class Subspace:
     @staticmethod
     def _span(field: Field, ambient: SpaceLabel, rows: list[dict]) -> "Subspace":
         """Span of sparse rows; reduces (and takes) the given dicts."""
-        pivots = _rref_inplace(rows, ambient.dim)
-        return Subspace(field, ambient, rows[: len(pivots)], pivots)
+        pivots = _rref_inplace(rows, ambient.dim, right=True)
+        return Subspace(field, ambient, reversed(rows[: len(pivots)]),
+                        reversed(pivots))
 
     @staticmethod
     def from_vectors(field: Field, ambient: SpaceLabel, vectors) -> "Subspace":
@@ -770,9 +781,12 @@ class Subspace:
         return all(not self._reduce(dict(r)) for r in other.rows)
 
     @staticmethod
-    def image(f: LinMap) -> "Subspace":
-        """The span of f's columns, in f's codomain."""
-        return Subspace._span(f.field, f.codomain, _transpose(f.rows, f.ncols))
+    def image(f: LinMap, *more: LinMap) -> "Subspace":
+        """The span of the columns of f and of more maps into its codomain."""
+        if any(g.codomain != f.codomain for g in more):
+            raise ShapeError(f"the maps do not all map into {f.codomain!r}")
+        return Subspace._span(f.field, f.codomain, [
+            c for g in (f, *more) for c in _transpose(g.rows, g.ncols)])
 
     def inclusion(self) -> LinMap:
         """The basis as the columns of a map into the ambient space.
@@ -784,6 +798,26 @@ class Subspace:
         dom = SpaceLabel.base("_sub", max(self.dim, 1))
         return LinMap._from_rows(self.field, dom, self.ambient,
                                  tuple(_transpose(self.rows, self.ambient.dim)))
+
+    def quotient(self, name: str = "_quot") -> tuple[LinMap, LinMap]:
+        """(pi, section): the projection onto the quotient by this
+        subspace, a base space ``name``, and its section.  The
+        representatives are the non-pivot coordinates, lowest first; pi
+        keeps each and sends each pivot to minus the rest of its basis
+        row.  A 0-dimensional quotient is one zero row, as inclusion()
+        includes the zero subspace as one zero column."""
+        n, one = self.ambient.dim, self.field.one
+        row_of = dict(zip(self._pivots, self.rows))
+        at = {j: r for r, j in enumerate(j for j in range(n) if j not in row_of)}
+        # column j of pi, and row j of the section for a representative j
+        cols = [{at[k]: -x for k, x in row_of[j].items() if k != j}
+                if j in row_of else {at[j]: one} for j in range(n)]
+        space = SpaceLabel.base(name, max(len(at), 1))
+        pi = LinMap._from_rows(self.field, self.ambient, space,
+                               tuple(_transpose(cols, space.dim)))
+        section = LinMap._from_rows(self.field, space, self.ambient, tuple(
+            cols[j] if j in at else {} for j in range(n)))
+        return pi, section
 
     def first_outside(self, f: LinMap) -> int | None:
         """The first column of f that is not in this subspace, or None."""
@@ -800,24 +834,12 @@ class Subspace:
                               [dict(r) for r in self.rows + other.rows])
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        """self's inclusion applied to the kernel of other's projection
+        restricted to self."""
         self._check_ambient(other)
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
-            return Subspace.zero(self.field, self.ambient)
-        # Solve sum x_i u_i + sum y_j v_j = 0; each kernel vector gives
-        # an intersection element sum x_i u_i.
-        M = LinMap._from_rows(self.field, SpaceLabel.base("_join", p + q),
-                              self.ambient,
-                              tuple(_transpose(self.rows + other.rows,
-                                               self.ambient.dim)))
-        vecs = []
-        for kv in kernel_basis(M).rows:
-            acc = {}
-            for i, x in kv.items():
-                if i < p:
-                    _accumulate(acc, self.rows[i], x)
-            vecs.append(acc)
-        return Subspace._span(self.field, self.ambient, vecs)
+        incl = self.inclusion()
+        pi = other.quotient()[0]
+        return Subspace.image(incl @ kernel_basis(pi @ incl).inclusion())
 
 
 def try_inverse(M: LinMap):

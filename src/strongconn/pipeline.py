@@ -180,14 +180,15 @@ def _homogeneous(run: _Run, vrep: VerificationReport) -> None:
     if datum is None:
         return
     run.datum = datum
-    vrep.add_info("quotient-dimension", {"dim": datum.quotient.dim})
+    vrep.add("quotient-dimension", True, {"dim": datum.quotient.dim},
+             keep=True)
     vrep.extend(induced_coactions(datum))
     run.qdelta = solve_cointegral(datum.quotient)
     if not _found(vrep, "quotient-cointegral-exists", run.qdelta,
                   NOT_COSEPARABLE):
         return
     run.report.solution_dims["quotient_cointegral"] = run.qdelta.solution_dim
-    iota, irep = bicolinear_section_iota(datum, run.qdelta, strict=False)
+    iota, irep = bicolinear_section_iota(datum, run.qdelta)
     vrep.extend(irep)
     if irep.passed:
         run.report.derived["bicolinear_section"] = iota

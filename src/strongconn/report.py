@@ -43,10 +43,6 @@ class VerificationReport:
                                  witness if (not ok or keep) else None))
         return ok
 
-    def add_info(self, name: str, witness: dict) -> None:
-        """A passing check whose witness carries informational payload."""
-        self.checks.append(Check(name, PASS, witness))
-
     def add_na(self, name: str, reason: str) -> None:
         self.checks.append(Check(name, NA, {"reason": reason}))
 

@@ -2,10 +2,13 @@
 
 transport moves an instance along given invertible maps P_A and P_C;
 conjugate draws them seeded, upper-triangular with ones on the diagonal,
-so invertible over any ring.  A map X1..Xk -> Y1..Ym becomes
-(P_Y1 (x) .. (x) P_Ym) o t o (P_X1^-1 (x) .. (x) P_Xk^-1); the grouplike
-moves along P_C and the coinvariant subalgebra along P_A.  Every check
-status and solution dimension is unchanged while the numbers are not.
+or with lu=True the product L U of such a U and a unit lower-triangular
+L, which is not triangular; both are invertible over any ring.  A map
+X1..Xk -> Y1..Ym becomes (P_Y1 (x) .. (x) P_Ym) o t o (P_X1^-1 (x) ..
+(x) P_Xk^-1); the grouplike moves along P_C and the coinvariant
+subalgebra along P_A.  Every check status and solution dimension is
+unchanged while the numbers are not, except the statuses that follow
+the solver's choice of section (see test_basis_invariance).
 """
 
 import random
@@ -34,16 +37,20 @@ def transport(inst: InstanceFile, fwd: dict) -> InstanceFile:
                         dict(inst.designations), grouplike, b_sub)
 
 
-def conjugate(inst: InstanceFile, seed: int, entries=(-1, 0, 1)) -> InstanceFile:
-    """inst moved along seeded unimodular upper-triangular changes of
-    basis; the entries above the diagonal are drawn from entries."""
+def conjugate(inst: InstanceFile, seed: int, entries=(-1, 0, 1),
+              lu: bool = False) -> InstanceFile:
+    """inst moved along seeded unimodular changes of basis U, or L U with
+    lu=True; the entries off the diagonal are drawn from entries."""
     rng = random.Random(seed)
     fwd = {}
     for name, dim in sorted(inst.spaces.items()):
         space = SpaceLabel.base(name, dim)
-        upper = [[rng.choice(entries) if j > i else 1 if j == i else 0
-                  for j in range(dim)] for i in range(dim)]
-        fwd[name] = LinMap.from_rules(
-            inst.field, space, space,
-            lambda idx: [((i,), upper[i][idx[0]]) for i in range(dim)])
+
+        def unit_triangular(upper):
+            return LinMap(inst.field, space, space, [
+                [rng.choice(entries) if j != i and (j > i) == upper else int(j == i)
+                 for j in range(dim)] for i in range(dim)])
+        fwd[name] = unit_triangular(True)
+        if lu:
+            fwd[name] = unit_triangular(False) @ fwd[name]
     return transport(inst, fwd)

@@ -54,9 +54,9 @@ def record_eliminations(monkeypatch) -> list:
     real = linmaps._rref_inplace
     seen = []
 
-    def wrapper(rows, ncols):
+    def wrapper(rows, ncols, *args, **kwargs):
         seen.append([dict(r) for r in rows])
-        return real(rows, ncols)
+        return real(rows, ncols, *args, **kwargs)
 
     monkeypatch.setattr(linmaps, "_rref_inplace", wrapper)
     return seen

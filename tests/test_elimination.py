@@ -21,14 +21,18 @@ import random
 
 import pytest
 
+from strongconn import linmaps
 from strongconn.errors import NotInvertible
 from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
+    Subspace,
     _rref_inplace,
     kernel_basis,
     rref_solve,
+    stacked_kernel,
+    try_inverse,
 )
 from strongconn.scalars import Field
 
@@ -134,6 +138,29 @@ def test_one_elimination_equals_three(name, seed):
     assert sol.rank == M.rank()
     assert sol.kernel == kernel_basis(M)
     assert sol.rank + sol.kernel.dim == M.ncols
+    # a kernel read off the solver is the form a span is reduced to
+    assert Subspace.from_vectors(M.field, M.domain, sol.kernel.basis) == sol.kernel
+
+
+@pytest.mark.parametrize("name,seed", SYSTEMS[::6])
+def test_each_solver_call_runs_one_elimination(name, seed, monkeypatch):
+    real, calls = linmaps._rref_inplace, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linmaps, "_rref_inplace", counted)
+    M, target = random_system(FIELDS[name], seed)
+    rng = random.Random(seed)
+    other = random_map(M.field, rng, M.domain, M.codomain)
+    square = random_map(M.field, rng, M.codomain, M.domain) @ M
+    for call in (lambda: rref_solve(M, target), lambda: kernel_basis(M),
+                 lambda: stacked_kernel([M, other]),
+                 lambda: try_inverse(square), lambda: M.rank()):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 def test_cases_cover_every_kind():
@@ -216,7 +243,8 @@ def sparse_system(field, seed):
 
 
 def dense_kernel(M):
-    """The reduced echelon basis of ker M, densely."""
+    """The basis of ker M read off its dense reduced form, one vector per
+    free column: the reduced basis with pivots at the right."""
     n, field = M.ncols, M.field
     rows = [list(r) for r in M.entries]
     pivots = dense_rref(rows, n)
@@ -227,8 +255,8 @@ def dense_kernel(M):
             v[f] = field.one
             for row, p in zip(rows, pivots):
                 v[p] = -row[f]
-            vecs.append(v)
-    return tuple(tuple(v) for v in vecs[:len(dense_rref(vecs, n))])
+            vecs.append(tuple(v))
+    return tuple(vecs)
 
 
 SCALE_SYSTEMS = [(name, seed) for name in SCALE_FIELDS for seed in range(6)]
@@ -255,6 +283,8 @@ def test_sparse_elimination_matches_dense_at_scale(name, seed):
                                                   M.ncols)))
     kernel, want = outcome(kernel_basis, M), outcome(dense_kernel, M)
     assert kernel == want if want == "NotInvertible" else kernel.basis == want
+    if want != "NotInvertible":
+        assert Subspace.from_vectors(M.field, M.domain, kernel.basis) == kernel
     if sol != "NotInvertible":
         assert (sol.rank, sol.kernel) == (rank, kernel)
 

@@ -166,6 +166,15 @@ def test_iota_repairs_perturbed_section(z4z2):
     assert iota == z4z2.section  # averaging kills the coideal part
 
 
+def test_iota_returns_a_failing_report_instead_of_raising(z4z2):
+    delta = solve_cointegral(z4z2.quotient)
+    two = QQ.scalar(2)
+    # twice a section is no section; the averaging is linear in it
+    iota, rep = bicolinear_section_iota(z4z2, delta, z4z2.section.scale(two))
+    assert iota == z4z2.section.scale(two)
+    assert [c.name for c in rep.failures] == ["averaged-section-splits-projection"]
+
+
 def test_extension_from_homogeneous(z4z2):
     ext, rep = extension_from_homogeneous(z4z2)
     assert rep.passed, rep.failures

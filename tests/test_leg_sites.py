@@ -642,7 +642,7 @@ def test_homogeneous_maps_equal_the_composites(name, hopf, b_sub, recorded):
         chain = kron_all(ic, map_kron(coa.comul, ia) @ coa.comul, ic) @ chain
         chain = kron_all(ic, pi, ia, pi, ic) @ chain
         iota_ref = kron_all(delta.delta, ia, delta.delta) @ chain
-        iota, _ = bicolinear_section_iota(datum, delta, i_map, strict=False)
+        iota, _ = bicolinear_section_iota(datum, delta, i_map)
         assert iota == iota_ref
         assert_recorded(recorded, {
             "averaged-section-splits-projection": (

@@ -17,6 +17,7 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
+    Subspace,
     _accumulate,
     apply_at,
     kernel_basis,
@@ -90,12 +91,9 @@ def d_rref(rows, ncols):
     return pivots
 
 
-def d_echelon_basis(vectors, n):
-    rows = [list(v) for v in vectors]
-    return [tuple(r) for r in rows[: len(d_rref(rows, n))]]
-
-
 def d_kernel(field, rows, pivots, n):
+    """One vector per free column, read off the reduced rows: already
+    the reduced basis with pivots at the right that a Subspace keeps."""
     vecs = []
     for f in range(n):
         if f in pivots:
@@ -104,8 +102,8 @@ def d_kernel(field, rows, pivots, n):
         v[f] = field.one
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
-        vecs.append(v)
-    return d_echelon_basis(vecs, n)
+        vecs.append(tuple(v))
+    return vecs
 
 
 def d_solve(field, m, t):
@@ -290,6 +288,8 @@ def test_solvers_match_dense(name, seed):
     particular, rank, kernel = want
     assert got.rank == rank
     assert got.kernel.basis == tuple(kernel)
+    # a kernel read off the solver is the form a span is reduced to
+    assert Subspace.from_vectors(field, X, got.kernel.basis) == got.kernel
     if isinstance(particular, Infeasible):
         assert got.particular == particular
     else:

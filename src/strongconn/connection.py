@@ -421,7 +421,7 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
     s = apply_at(alg.mul, apply_at(conn.ell, rho, 1), 0)
     check_map_equal(rep, "splitting-sections-product", alg.mul @ s, ia)
     incl = ext.coinvariants.inclusion()
-    bad = Subspace.image(map_kron(incl, ia)).first_outside(s)
+    bad = ext.coinvariants.first_outside(s, 0)
     rep.add("splitting-image-in-coinvariants", bad is None,
             None if bad is None else {"basis": [bad]})
     lhs = s @ precompose_at(alg.mul, incl, 0)

@@ -38,14 +38,14 @@ Conventions frozen here and shared with the instance file format:
   factors from position ``at``, and the padded map is never formed.
   ``f @ g`` is the case with no legs around g; ``compose_legs`` folds a
   chain of steps from its narrower end.
-* A subspace is held as its reduced echelon basis with pivots at the
-  right (each basis vector's last nonzero is a 1 that no other has), and
-  is a map: ``Subspace.image(f, ...)`` spans the maps' columns,
-  ``inclusion()`` has the basis as its columns and ``quotient()`` reads
-  the projection and a section off the basis.  A closure or membership
-  statement is one composed map checked by ``first_outside``.  A kernel
-  read off a solve is already in this form, so each kernel, image or
-  quotient costs one elimination at most.
+* A subspace S is held as its reduced echelon rows with pivots at the
+  right (each row's last nonzero is a 1 that no other row has), and is a
+  map: ``Subspace.image(f)`` spans f's columns, ``inclusion()`` has the
+  rows as its columns and ``quotient()`` reads the projection pi and a
+  section off the rows.  ker pi = S, so membership in X (x) S (x) Y is
+  the zero test of I (x) pi (x) I, ``first_outside(f, at)``.  A kernel
+  read off a solve is already in this form, so a kernel or an image
+  costs one elimination, and a quotient or a membership test none.
 
 Everything is immutable after construction (the row dicts are never
 modified once a map or subspace holds them) and safe for concurrent
@@ -679,7 +679,7 @@ def _kernel(field: Field, space: SpaceLabel, rows, pivots) -> "Subspace":
             v = free.get(f)
             if v is not None:
                 v[p] = -x
-    return Subspace(field, space, free.values(), free)
+    return Subspace(field, space, free.values())
 
 
 def kernel_basis(M: LinMap) -> "Subspace":
@@ -702,26 +702,25 @@ def stacked_kernel(maps: list[LinMap]) -> "Subspace":
 
 class Subspace:
     """Subspace of a labeled space, held as its unique reduced echelon
-    basis with pivots at the right: sparse ``rows`` in ascending pivot
-    order, each row's last nonzero a 1 that no other row holds."""
+    rows alone, pivots at the right: sparse ``rows`` in ascending pivot
+    order, each row's last nonzero a 1 that no other row holds.
+    Membership is the zero test of the quotient projection, whose kernel
+    is this subspace, so it costs no elimination."""
 
-    __slots__ = ("field", "ambient", "rows", "_pivots", "_basis")
+    __slots__ = ("field", "ambient", "rows")
 
-    def __init__(self, field: Field, ambient: SpaceLabel, rows, pivots):
-        """From reduced rows (sparse dicts) in that form and their pivot
-        columns; from_vectors spans arbitrary vectors."""
+    def __init__(self, field: Field, ambient: SpaceLabel, rows):
+        """From reduced rows (sparse dicts) in that form; from_vectors
+        spans arbitrary vectors."""
         self.field = field
         self.ambient = ambient
         self.rows = tuple(rows)
-        self._pivots = tuple(pivots)
-        self._basis = None
 
     @staticmethod
     def _span(field: Field, ambient: SpaceLabel, rows: list[dict]) -> "Subspace":
         """Span of sparse rows; reduces (and takes) the given dicts."""
-        pivots = _rref_inplace(rows, ambient.dim, right=True)
-        return Subspace(field, ambient, reversed(rows[: len(pivots)]),
-                        reversed(pivots))
+        rank = len(_rref_inplace(rows, ambient.dim, right=True))
+        return Subspace(field, ambient, reversed(rows[:rank]))
 
     @staticmethod
     def from_vectors(field: Field, ambient: SpaceLabel, vectors) -> "Subspace":
@@ -730,13 +729,12 @@ class Subspace:
 
     @staticmethod
     def zero(field: Field, ambient: SpaceLabel) -> "Subspace":
-        return Subspace(field, ambient, [], [])
+        return Subspace(field, ambient, [])
 
     @staticmethod
     def full(field: Field, ambient: SpaceLabel) -> "Subspace":
         o = field.one
-        return Subspace(field, ambient, [{i: o} for i in range(ambient.dim)],
-                        range(ambient.dim))
+        return Subspace(field, ambient, [{i: o} for i in range(ambient.dim)])
 
     @property
     def dim(self) -> int:
@@ -745,10 +743,8 @@ class Subspace:
     @property
     def basis(self) -> tuple[tuple[Scalar, ...], ...]:
         """The echelon basis as dense coefficient tuples."""
-        if self._basis is None:
-            z, n = self.field.zero, self.ambient.dim
-            self._basis = tuple(_dense(row, n, z) for row in self.rows)
-        return self._basis
+        z, n = self.field.zero, self.ambient.dim
+        return tuple(_dense(row, n, z) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -761,16 +757,8 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient!r})"
 
-    def _reduce(self, v: dict) -> dict:
-        """Sparse remainder of v (modified in place) modulo the pivots."""
-        for row, p in zip(self.rows, self._pivots):
-            f = v.get(p)
-            if f is not None:
-                _accumulate(v, row, -f)
-        return v
-
     def contains_vector(self, v) -> bool:
-        return not self._reduce(_sparse_in(self.field, self.ambient, v))
+        return self.first_outside(vector(self.field, self.ambient, v)) is None
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
@@ -778,15 +766,12 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(not self._reduce(dict(r)) for r in other.rows)
+        return self.first_outside(other.inclusion()) is None
 
     @staticmethod
-    def image(f: LinMap, *more: LinMap) -> "Subspace":
-        """The span of the columns of f and of more maps into its codomain."""
-        if any(g.codomain != f.codomain for g in more):
-            raise ShapeError(f"the maps do not all map into {f.codomain!r}")
-        return Subspace._span(f.field, f.codomain, [
-            c for g in (f, *more) for c in _transpose(g.rows, g.ncols)])
+    def image(f: LinMap) -> "Subspace":
+        """The span of f's columns in its codomain."""
+        return Subspace._span(f.field, f.codomain, _transpose(f.rows, f.ncols))
 
     def inclusion(self) -> LinMap:
         """The basis as the columns of a map into the ambient space.
@@ -801,13 +786,15 @@ class Subspace:
 
     def quotient(self, name: str = "_quot") -> tuple[LinMap, LinMap]:
         """(pi, section): the projection onto the quotient by this
-        subspace, a base space ``name``, and its section.  The
-        representatives are the non-pivot coordinates, lowest first; pi
-        keeps each and sends each pivot to minus the rest of its basis
-        row.  A 0-dimensional quotient is one zero row, as inclusion()
-        includes the zero subspace as one zero column."""
+        subspace, a base space ``name``, and its section; ker pi is this
+        subspace.  Each row's pivot is its largest key, its last
+        nonzero.  The representatives are the non-pivot coordinates,
+        lowest first; pi keeps each and sends each pivot to minus the
+        rest of its basis row.  A 0-dimensional quotient is one zero
+        row, as inclusion() includes the zero subspace as one zero
+        column."""
         n, one = self.ambient.dim, self.field.one
-        row_of = dict(zip(self._pivots, self.rows))
+        row_of = {max(row): row for row in self.rows}
         at = {j: r for r, j in enumerate(j for j in range(n) if j not in row_of)}
         # column j of pi, and row j of the section for a representative j
         cols = [{at[k]: -x for k, x in row_of[j].items() if k != j}
@@ -819,14 +806,13 @@ class Subspace:
             cols[j] if j in at else {} for j in range(n)))
         return pi, section
 
-    def first_outside(self, f: LinMap) -> int | None:
-        """The first column of f that is not in this subspace, or None."""
-        if f.codomain != self.ambient:
-            raise ShapeError(f"{f!r} does not map into {self!r}")
-        for c, col in enumerate(_transpose(f.rows, f.ncols)):
-            if self._reduce(col):
-                return c
-        return None
+    def first_outside(self, f: LinMap, at: int = 0) -> int | None:
+        """The first column of f outside X (x) self (x) Y, with self on
+        f's codomain factors from position at, or None.  A column lies
+        there exactly when I (x) pi (x) I sends it to 0, pi this
+        subspace's projection, so no tensor-product subspace is built."""
+        projected = apply_at(self.quotient()[0], f, at)
+        return min((c for row in projected.rows for c in row), default=None)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

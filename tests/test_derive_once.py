@@ -27,6 +27,7 @@ from strongconn.instances import (
 from strongconn.pipeline import run_pipeline
 
 from test_golden_files import REPORT_SHA256
+from test_staged_oracle import z8_over_subgroup
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
@@ -123,6 +124,30 @@ def test_gamma_and_alpha_built_once(name, monkeypatch):
         statuses.get("reduction-left-agrees") == \
         ("pass" if connections else None)
     assert len(gammas) == len(alphas) == len(connections)
+
+
+# Eliminations of one default run of each golden file, parsing included
+# (homogeneous_z4_z2 spans its B there).  A membership test eliminates
+# nothing: B (x) A in the splitting, and A (x) B and
+# A (x) B+A + B+A (x) A in the quotient, are never spanned.
+ELIMINATIONS = {"graded_n2_t2": 7, "graded_n3_t1_cyclotomic": 7,
+                "group_self_z2": 7, "group_self_z4": 7,
+                "homogeneous_z4_z2": 10, "sweedler_h4": 7, "trivial_dim2": 6}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_eliminations_per_golden_run(name, monkeypatch):
+    eliminated = record_eliminations(monkeypatch)
+    run_pipeline(parse_instance(str(GOLDEN_DIR / f"{name}.json")))
+    assert len(eliminated) == ELIMINATIONS[name]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_eliminations_of_z8_over_a_subgroup(order, monkeypatch):
+    inst, _, _ = z8_over_subgroup(order)
+    eliminated = record_eliminations(monkeypatch)
+    run_pipeline(inst)
+    assert len(eliminated) == 9
 
 
 def test_antipode_inverted_once(monkeypatch):

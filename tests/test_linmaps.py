@@ -26,6 +26,8 @@ from strongconn.linmaps import (
 )
 from strongconn.scalars import Field
 
+from test_subspace_form import first_outside_by_rank
+
 
 QQ = Field.rationals()
 A2 = SpaceLabel.base("A", 2)
@@ -279,9 +281,11 @@ def test_first_outside_agrees_with_contains_vector(field, seed):
     f = LinMap(field, C3.tensor(A2), A4,
                [[x for pair in zip(ri, ra) for x in pair]
                 for ri, ra in zip(inside.entries, anywhere.entries)])
-    expected = next((c for c in range(f.ncols)
-                     if not sub.contains_vector(f.column(c))), None)
+    # the reference is rank, since contains_vector is first_outside
+    expected = first_outside_by_rank(sub.inclusion(), f)
     assert sub.first_outside(f) == expected
+    assert next((c for c in range(f.ncols)
+                 if not sub.contains_vector(f.column(c))), None) == expected
     assert sub.first_outside(inside) is None
     assert Subspace.full(field, A4).first_outside(f) is None
 

@@ -1,10 +1,12 @@
-"""Subspaces keep their reduced echelon basis with pivots at the right.
+"""Subspaces keep their reduced echelon rows with pivots at the right.
 
-Each basis vector's last nonzero coordinate is a 1 that no other basis
-vector holds, and the rows are in ascending order of those pivots.  A
-kernel read off a solve is already in this form, the quotient by a
-subspace is read off its basis, ``image`` spans several maps in one
-elimination, and ``intersection`` is one kernel and one image.  The
+Each row's last nonzero coordinate is a 1 that no other row holds, and
+the rows are in ascending order of those pivots.  A kernel read off a
+solve is already in this form, the quotient by a subspace is read off
+its rows, and ``intersection`` is one kernel and one image.  Membership
+in X (x) S (x) Y is the zero test of I (x) pi (x) I, ``first_outside(f,
+at)``; it is checked against ranks of [I (x) incl (x) I | column], which
+do not use pi, and A5 (x) S + S (x) A5 against ker(pi (x) pi).  The
 dense LinMap constructor converts entries that are not Scalars.  All on
 seeded subspaces of a 5-dimensional space over Q and Q(zeta3).
 """
@@ -15,7 +17,14 @@ from fractions import Fraction
 import pytest
 
 from strongconn.errors import ShapeError
-from strongconn.linmaps import LinMap, SpaceLabel, Subspace, kernel_basis
+from strongconn.linmaps import (
+    LinMap,
+    SpaceLabel,
+    Subspace,
+    kernel_basis,
+    kron_all,
+    map_kron,
+)
 from strongconn.scalars import Field, Scalar
 
 FIELDS = {"Q": Field.rationals(), "Q(zeta3)": Field.number_field([1, 1, 1])}
@@ -95,19 +104,72 @@ def test_quotient_by_zero_and_by_everything(name):
     assert pi.is_zero() and section.is_zero()
 
 
+def first_outside_by_rank(K, f):
+    """The first column of f outside the image of K, by ranks: column c
+    is outside when [K | column c] has a larger rank than K."""
+    rank = K.rank()
+    dom = SpaceLabel.base("K", K.ncols + 1)
+    for c in range(f.ncols):
+        col = f.column(c)
+        joined = LinMap(K.field, dom, K.codomain,
+                        [row + (x,) for row, x in zip(K.entries, col)])
+        if joined.rank() > rank:
+            return c
+    return None
+
+
+X2, Y2 = SpaceLabel.base("X", 2), SpaceLabel.base("Y", 2)
+# the legs around S: none, X on the left, Y on the right, both
+LEGS = {"S": ([], []), "X(x)S": ([X2], []), "S(x)Y": ([], [Y2]),
+        "X(x)S(x)Y": ([X2], [Y2])}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("legs", LEGS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_outside_over_tensor_legs_matches_ranks(name, legs, seed):
+    """S.first_outside(f, at) against the ranks of K = I (x) incl (x) I,
+    on maps whose columns are drawn from K's image or from anywhere."""
+    field = FIELDS[name]
+    left, right = LEGS[legs]
+    sub = seeded_subspace(field, seed)
+    K = kron_all(*[LinMap.identity(field, x) for x in left], sub.inclusion(),
+                 *[LinMap.identity(field, y) for y in right])
+    cols = SpaceLabel.base("N", 6)
+    inside = K @ seeded_map(field, cols, K.domain, seed + 100)
+    anywhere = seeded_map(field, cols, K.codomain, seed + 200, density=0.3)
+    rng = random.Random(seed + 300)
+    picks = [(inside if rng.random() < 0.6 else anywhere).entries
+             for _ in range(cols.dim)]
+    f = LinMap(field, cols, K.codomain,
+               [[m[r][c] for c, m in enumerate(picks)] for r in range(K.nrows)])
+    at = len(left)
+    assert sub.first_outside(f, at) == first_outside_by_rank(K, f)
+    assert sub.first_outside(inside, at) is None
+
+
 @pytest.mark.parametrize("name", FIELDS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_image_of_several_maps_is_the_sum_of_their_images(name, seed):
+def test_two_sided_sum_is_the_kernel_of_pi_tensor_pi(name, seed):
+    """A5 (x) S + S (x) A5 = ker(pi (x) pi), which lets a coideal check
+    test (pi (x) pi) o Delta for zero."""
     field = FIELDS[name]
-    f = seeded_map(field, SpaceLabel.base("X", 2), A5, seed, density=0.4)
-    g = seeded_map(field, SpaceLabel.base("Y", 1), A5, seed + 100)
-    h = seeded_map(field, SpaceLabel.base("Z", 3), A5, seed + 200, density=0.3)
-    assert Subspace.image(f, g) == Subspace.image(f).sum(Subspace.image(g))
-    both = Subspace.image(f, g, h)
-    assert both == Subspace.image(f, g).sum(Subspace.image(h))
-    pivots_at_the_right(both)
-    with pytest.raises(ShapeError):
-        Subspace.image(f, LinMap.zero(field, A5, SpaceLabel.base("B", 4)))
+    sub = seeded_subspace(field, seed)
+    ia, incl = LinMap.identity(field, A5), sub.inclusion()
+    pi = sub.quotient()[0]
+    assert Subspace.image(map_kron(ia, incl)).sum(
+        Subspace.image(map_kron(incl, ia))) == kernel_basis(map_kron(pi, pi))
+
+
+def test_first_outside_needs_the_subspace_at_its_position():
+    field = FIELDS["Q"]
+    sub = Subspace.zero(field, A5)
+    f = LinMap.zero(field, X2, X2.tensor(A5))
+    assert sub.first_outside(f, 1) is None
+    for g, at in ((f, 0), (f, 2), (f, -1), (LinMap.zero(field, X2, Y2), 0),
+                  (LinMap.zero(field, X2, A5.tensor(X2)), 1)):
+        with pytest.raises(ShapeError):
+            sub.first_outside(g, at)
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -6,7 +6,9 @@ The loops are kept here as the reference: the relations of the Galois
 condition, the closure of the coinvariants under the product, their
 trivial coaction, and the two splitting checks with their witnesses.
 The quotient checks of a quantum homogeneous space are pinned instead:
-the check statuses and report digests of six choices of B in kZ_4.
+the check statuses and report digests of six choices of B in kZ_4.  On
+seeded B in kZ_8 and Sweedler's H_4, not spanned by basis elements, the
+first three quotient checks are compared with ranks.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from strongconn.errors import InternalContradiction
 from strongconn.extensions import coinvariants, relation_subspace, validate_and_build
 from strongconn.golden import build_golden, instance_from_extension
 from strongconn.homogeneous import build_quotient
-from strongconn.instances import build_graded_extension, cyclic_group_hopf
+from strongconn.instances import build_graded_extension, cyclic_group_hopf, sweedler_hopf
 from strongconn.linmaps import (
     Infeasible,
     LinMap,
@@ -43,6 +45,7 @@ from strongconn.pipeline import run_pipeline
 from strongconn.scalars import Field
 
 from basis_change import conjugate
+from test_subspace_form import first_outside_by_rank
 from test_systems import CASES, extension_of
 
 ZETA3 = Field.number_field([1, 1, 1])
@@ -305,3 +308,47 @@ def test_quotient_checks_and_reports_are_pinned(variant):
     inst = dataclasses.replace(build_golden("homogeneous_z4_z2"), b_subspace=b_sub)
     report = run_pipeline(inst).to_json().encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+# B spanned by seeded vectors with entries -1, 0 and 1, in kZ_8 and in
+# Sweedler's H_4: the first three checks against ranks of [K | column]
+HOPFS = {"kZ8": lambda: cyclic_group_hopf(8, name="A"),
+         "H4": lambda: sweedler_hopf(name="A")}
+
+
+def seeded_b(hopf, seed):
+    """The span of 1 to 3 seeded vectors; for even seeds the first is
+    the unit, so half of them contain 1."""
+    rng = random.Random(seed)
+    field, dim = hopf.field, hopf.space.dim
+    vectors = [[field.scalar(rng.choice((-1, 0, 1))) for _ in range(dim)]
+               for _ in range(rng.randint(1, 3))]
+    if seed % 2 == 0:
+        vectors[0] = vector_coeffs(hopf.algebra.unit)
+    return Subspace.from_vectors(field, hopf.space, vectors)
+
+
+def group_statuses_by_rank(hopf, b_sub):
+    """1 in B, B B in B and Delta(B) in A (x) B, each as the columns of
+    a map that must lie in the image of K."""
+    alg, coa = hopf.algebra, hopf.coalgebra
+    incl = b_sub.inclusion()
+    statements = zip(GROUP, [(incl, alg.unit),
+                             (incl, alg.mul @ map_kron(incl, incl)),
+                             (map_kron(alg.identity(), incl), coa.comul @ incl)])
+    return {name: "pass" if first_outside_by_rank(K, f) is None else "fail"
+            for name, (K, f) in statements}
+
+
+@pytest.mark.parametrize("hopf_name", HOPFS)
+def test_quotient_group_checks_on_seeded_b_match_ranks(hopf_name):
+    hopf = HOPFS[hopf_name]()
+    seen = {name: set() for name in GROUP}
+    for seed in range(40):
+        b_sub = seeded_b(hopf, seed)
+        _, rep = build_quotient(hopf, b_sub)
+        statuses = {c.name: c.status for c in rep.checks if c.name in GROUP}
+        assert statuses == group_statuses_by_rank(hopf, b_sub)
+        for name, status in statuses.items():
+            seen[name].add(status)
+    assert all(outcomes == {"pass", "fail"} for outcomes in seen.values())

@@ -11,15 +11,15 @@ and assemble
 
     ell = (gamma (x) alpha) o (C (x) sigma (x) C) o (comul (x) C) o comul.
 
-Every produced object is re-verified rather than trusted: the defining
-conditions of a strong connection become per-instance machine checks,
-and a brute-force oracle describes the whole affine set of solutions
-for cross-checking.  The oracle stacks the three conditions as one
-linear system in the entries of ell, assembled by linear_system and
-solved outright, except when the canonical map is injective: then the
-one map satisfying condition (a), which the canonical map's own
-elimination already gives and the section also reads, is checked
-against all three conditions as map identities.
+Every produced object is re-verified rather than trusted.  The defining
+conditions of a cointegral, an integral and a strong connection are one
+table each, which the verifier evaluates as map identities and
+linear_system reads as a solver's system, and a brute-force oracle
+describes the whole affine set of connections for cross-checking.  It
+solves the three conditions on ell as one system, except when the
+canonical map is injective: then the one map satisfying condition (a),
+which the canonical map's own elimination already gives and the section
+also reads, is checked against all three conditions as map identities.
 
 All solves share the deterministic echelon solver (leftmost pivots, free
 variables zero).  When a solution space is positive-dimensional the
@@ -30,13 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InternalContradiction,
-    NoGrouplikeUnit,
-    NotGalois,
-    ShapeError,
-    TooLarge,
-)
+from .errors import InternalContradiction, NoGrouplikeUnit, NotGalois, TooLarge
 from .extensions import EntwinedExtension
 from .linmaps import (
     Infeasible,
@@ -50,6 +44,7 @@ from .linmaps import (
     map_vectorize,
     precompose_at,
     rref_solve,
+    swap_legs,
     vector,
 )
 from .report import VerificationReport, check_map_equal, first_column_mismatch
@@ -102,36 +97,82 @@ class BruteForceSolutions:
     kernel: Subspace
 
 
-# -- cointegrals and integrals ------------------------------------------
+# -- defining conditions -------------------------------------------------
+#
+# A table lists the conditions on an unknown map X as (name, domain,
+# lhs, rhs).  lhs is a chain of leg steps (f, at) in compose_legs'
+# format, leftmost first, with exactly one slot (None, at) for X; rhs is
+# another such chain or a fixed map.  evaluate_conditions fills the
+# slots with X, and linear_system reads the chains as rows in X's entries.
 
 
-def verify_cointegral(delta: LinMap, coa: StructureCoalgebra) -> VerificationReport:
+def cointegral_conditions(coa: StructureCoalgebra) -> tuple:
+    """delta o comul = counit and the centrality law, on delta: C (x) C -> k."""
+    return (("cointegral-counit-law", coa.space,
+             ((None, 0), (coa.comul, 0)), coa.counit),
+            ("cointegral-centrality", coa.space.tensor(coa.space),
+             ((None, 1), (coa.comul, 0)), ((None, 0), (coa.comul, 1))))
+
+
+def integral_conditions(hopf: HopfAlgebra) -> tuple:
+    """c_1 lam(c_2) = lam(c) 1, the C-valued invariance law, and
+    lam(1) = 1, on lam: C -> k."""
+    unit, k = hopf.algebra.unit, SpaceLabel.scalar()
+    return (("integral-invariance", hopf.space,
+             ((None, 1), (hopf.coalgebra.comul, 0)), ((unit, 0), (None, 0))),
+            ("integral-normalized", k,
+             ((None, 0), (unit, 0)), LinMap.identity(hopf.field, k)))
+
+
+def connection_conditions(ext: EntwinedExtension) -> tuple:
+    """On ell: C -> A (x) A, (a) lifted_canonical o ell = 1 (x) C, (b)
+    right and (c) left C-colinearity."""
+    coa = ext.coalgebra
+    return (("connection-sections-canonical", coa.space,
+             ((ext.canonical_map, 0), (None, 0)),
+             map_kron(ext.algebra.unit, coa.identity())),
+            ("connection-right-colinear", coa.space,
+             ((None, 0), (coa.comul, 0)), ((ext.coaction.rho, 1), (None, 0))),
+            ("connection-left-colinear", coa.space,
+             ((None, 1), (coa.comul, 0)), ((ext.coaction.rho_left, 0), (None, 0))))
+
+
+def evaluate_conditions(table, X: LinMap) -> tuple:
+    """(name, lhs, rhs) of each condition of table, with X in its slots."""
+    def side(domain, chain):
+        return chain if isinstance(chain, LinMap) else \
+            compose_legs(domain, *[(X if f is None else f, at) for f, at in chain])
+
+    return tuple((name, side(domain, lhs), side(domain, rhs))
+                 for name, domain, lhs, rhs in table)
+
+
+def check_conditions(table, X: LinMap) -> VerificationReport:
+    """The table's conditions on X as exact map-equality checks."""
     rep = VerificationReport()
-    check_map_equal(rep, "cointegral-counit-law", delta @ coa.comul, coa.counit)
-    check_map_equal(rep, "cointegral-centrality",
-                    compose_legs(delta.domain, (delta, 1), (coa.comul, 0)),
-                    compose_legs(delta.domain, (delta, 0), (coa.comul, 1)))
+    for name, lhs, rhs in evaluate_conditions(table, X):
+        check_map_equal(rep, name, lhs, rhs)
     return rep
 
 
-def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
-    """Linear conditions on an unknown map X (dom_dim -> cod_dim) as one
-    matrix over its entries.
+def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
+                  conditions) -> tuple[LinMap, LinMap]:
+    """(system, target): the conditions of a table on an unknown map
+    X: x_domain -> x_codomain as one system in X's entries.
 
-    A condition is a pair (lhs, rhs) of term lists and stands for the
-    sum of its lhs terms minus the sum of its rhs terms.  A term
-    (L, p, q, R) is the map L o (I_p (x) X (x) I_q) o R, where None is an
-    identity; all terms of a condition have one shape.  Each condition
-    contributes a block of rows in the column-major order of
-    map_vectorize, and unknown k is entry (k % cod_dim, k // cod_dim) of
-    X, as in map_from_vector.  The coefficients come straight from the
-    nonzeros of L and R:
+    Each condition contributes a block of rows, lhs minus rhs, in the
+    column-major order of map_vectorize, and unknown k is entry
+    (k % cod_dim, k // cod_dim) of X, as in map_from_vector.  A chain
+    side is L o (I_p (x) X (x) I_q) o R, with L composed of the steps
+    before its slot and R of those after it (an identity when there are
+    none); a fixed side goes into the target.  The coefficients come
+    straight from the nonzeros of L and R:
 
         [L o (I (x) X (x) I) o R](o, i)
             = sum L(o, (a, e, b)) X(e, d) R((a, d, b), i).
     """
     one, zero = field.one, field.zero
-    n = dom_dim * cod_dim
+    dom_dim, cod_dim = x_domain.dim, x_codomain.dim
 
     def columns(m, dim, sign):
         """Signed nonzeros of each column of m; None is the identity."""
@@ -143,16 +184,19 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
                 cols[c].append((r, v if sign is one else -v))
         return cols
 
-    rows = []
-    for lhs, rhs in conditions:
+    rows, target = [], []
+    for _, domain, lhs, rhs in conditions:
         block = None
-        for sign, (L, p, q, R) in [(one, t) for t in lhs] + [(-one, t) for t in rhs]:
-            if (L is not None and L.ncols != p * cod_dim * q) or \
-                    (R is not None and R.nrows != p * dom_dim * q):
-                raise ShapeError("term does not fit around the unknown")
-            l_cols = columns(L, p * cod_dim * q, sign)
-            r_cols = columns(R, p * dom_dim * q, one)
-            out_dim = p * cod_dim * q if L is None else L.nrows
+        sides = [(one, lhs)] if isinstance(rhs, LinMap) else [(one, lhs), (-one, rhs)]
+        for sign, chain in sides:
+            slot = next(i for i, (f, _) in enumerate(chain) if f is None)
+            R = compose_legs(domain, *chain[slot + 1:]) if chain[slot + 1:] else None
+            q, out = swap_legs(domain if R is None else R.codomain,
+                               x_domain, x_codomain, chain[slot][1])
+            L = compose_legs(out, *chain[:slot]) if slot else None
+            l_cols = columns(L, out.dim, sign)
+            r_cols = columns(R, domain.dim, one)
+            out_dim = out.dim if L is None else L.nrows
             if block is None:
                 block = [{} for _ in range(out_dim * len(r_cols))]
             for i, r_col in enumerate(r_cols):
@@ -168,26 +212,25 @@ def linear_system(field, dom_dim: int, cod_dim: int, conditions) -> LinMap:
                             old = row.get(col)
                             row[col] = v if old is None else old + v
         rows.extend({c: v for c, v in row.items() if v is not zero} for row in block)
-    return LinMap._from_rows(field, SpaceLabel.base("unknowns", n),
-                             SpaceLabel.base("constraints", len(rows)), tuple(rows))
+        target.extend(map_vectorize(rhs) if isinstance(rhs, LinMap)
+                      else [zero] * len(block))
+    constraints = SpaceLabel.base("constraints", len(rows))
+    return (LinMap._from_rows(field, SpaceLabel.base("unknowns", dom_dim * cod_dim),
+                              constraints, tuple(rows)),
+            vector(field, constraints, target))
 
 
-def _with_target(system: LinMap, rhs) -> tuple[LinMap, LinMap]:
-    """The system and its right-hand side, zero past the given values."""
-    rhs = list(rhs) + [system.field.zero] * (system.nrows - len(rhs))
-    return system, vector(system.field, system.codomain, rhs)
+def _solve(field, x_domain: SpaceLabel, x_codomain: SpaceLabel, table):
+    """(X, kernel): the table's solution with free variables zero and its
+    system's kernel, or the system's Infeasible certificate."""
+    sol = rref_solve(*linear_system(field, x_domain, x_codomain, table))
+    if isinstance(sol.particular, Infeasible):
+        return sol.particular
+    return (map_from_vector(field, x_domain, x_codomain, sol.particular.column(0)),
+            sol.kernel)
 
 
-def cointegral_system(coa: StructureCoalgebra) -> tuple[LinMap, LinMap]:
-    """delta o comul = counit and the centrality law, on delta: C (x) C -> k."""
-    c = coa.dim
-    ic = coa.identity()
-    system = linear_system(coa.field, c * c, 1, [
-        ([(None, 1, 1, coa.comul)], []),
-        ([(None, c, 1, map_kron(coa.comul, ic))],
-         [(None, 1, c, map_kron(ic, coa.comul))]),
-    ])
-    return _with_target(system, map_vectorize(coa.counit))
+# -- cointegrals and integrals ------------------------------------------
 
 
 def solve_cointegral(coa: StructureCoalgebra):
@@ -196,55 +239,32 @@ def solve_cointegral(coa: StructureCoalgebra):
     Infeasibility means C is not coseparable over this field; over a
     larger field the system could in principle become solvable.
     """
-    sol = rref_solve(*cointegral_system(coa))
-    if isinstance(sol.particular, Infeasible):
-        return sol.particular
-    cc = coa.space.tensor(coa.space)
-    delta = map_from_vector(coa.field, cc, SpaceLabel.scalar(),
-                            sol.particular.column(0))
-    if not verify_cointegral(delta, coa).passed:
+    table = cointegral_conditions(coa)
+    out = _solve(coa.field, coa.space.tensor(coa.space), SpaceLabel.scalar(), table)
+    if isinstance(out, Infeasible):
+        return out
+    delta, kernel = out
+    if not check_conditions(table, delta).passed:
         raise InternalContradiction("solved cointegral fails its defining laws")
-    return Cointegral(delta, sol.kernel.dim)
-
-
-def verify_integral(lam: LinMap, hopf: HopfAlgebra) -> VerificationReport:
-    rep = VerificationReport()
-    # c_1 lam(c_2) = lam(c) 1, the C-valued invariance law
-    check_map_equal(rep, "integral-invariance",
-                    apply_at(lam, hopf.coalgebra.comul, 1), hopf.algebra.unit @ lam)
-    check_map_equal(rep, "integral-normalized",
-                    lam @ hopf.algebra.unit,
-                    LinMap.identity(hopf.field, SpaceLabel.scalar()))
-    return rep
-
-
-def integral_system(hopf: HopfAlgebra) -> tuple[LinMap, LinMap]:
-    """Invariance and normalisation, on lam: C -> k."""
-    c = hopf.dim
-    unit = hopf.algebra.unit
-    system = linear_system(hopf.field, c, 1, [
-        ([(None, c, 1, hopf.coalgebra.comul)], [(unit, 1, 1, None)]),
-        ([(None, 1, 1, unit)], []),
-    ])
-    return _with_target(system, [hopf.field.zero] * (c * c) + [hopf.field.one])
+    return Cointegral(delta, kernel.dim)
 
 
 def solve_integral(hopf: HopfAlgebra):
     """Deterministic normalised integral on a Hopf algebra, or Infeasible."""
-    sol = rref_solve(*integral_system(hopf))
-    if isinstance(sol.particular, Infeasible):
-        return sol.particular
-    lam = map_from_vector(hopf.field, hopf.space, SpaceLabel.scalar(),
-                          sol.particular.column(0))
-    if not verify_integral(lam, hopf).passed:
+    table = integral_conditions(hopf)
+    out = _solve(hopf.field, hopf.space, SpaceLabel.scalar(), table)
+    if isinstance(out, Infeasible):
+        return out
+    lam, kernel = out
+    if not check_conditions(table, lam).passed:
         raise InternalContradiction("solved integral fails its defining laws")
-    return Integral(lam, sol.kernel.dim)
+    return Integral(lam, kernel.dim)
 
 
 def integral_to_cointegral(hopf: HopfAlgebra, integral: Integral) -> Cointegral:
     """delta(c (x) c') = lam(c S(c')), re-verified against the cointegral laws."""
     delta = precompose_at(integral.lam @ hopf.algebra.mul, hopf.antipode, 1)
-    if not verify_cointegral(delta, hopf.coalgebra).passed:
+    if not check_conditions(cointegral_conditions(hopf.coalgebra), delta).passed:
         raise InternalContradiction("converted cointegral fails its defining laws")
     return Cointegral(delta, 0)
 
@@ -252,7 +272,7 @@ def integral_to_cointegral(hopf: HopfAlgebra, integral: Integral) -> Cointegral:
 def cointegral_to_integral(delta: Cointegral, hopf: HopfAlgebra):
     """lam(c) = delta(c (x) 1); validity is checked and reported, not assumed."""
     lam = precompose_at(delta.delta, hopf.algebra.unit, 1)
-    return Integral(lam, 0), verify_integral(lam, hopf)
+    return Integral(lam, 0), check_conditions(integral_conditions(hopf), lam)
 
 
 # -- sections ------------------------------------------------------------
@@ -280,7 +300,8 @@ def normalize_section(section: SectionMap, ext: EntwinedExtension) -> SectionMap
         (section.sigma @ grouplike) @ coa.counit
     if sigma @ grouplike != unit_pair:
         raise InternalContradiction("normalisation did not fix sigma(e)")
-    if ext.canonical_map @ sigma != map_kron(alg.unit, coa.identity()):
+    _, lhs, rhs = _defining_conditions(sigma, ext)[0]
+    if lhs != rhs:
         raise InternalContradiction("normalisation broke the section law")
     return SectionMap(sigma, normalized=True, solution_dim=section.solution_dim)
 
@@ -320,28 +341,15 @@ def build_connection(section: SectionMap, delta: Cointegral,
 
 
 def _defining_conditions(ell: LinMap, ext: EntwinedExtension):
-    """(name, lhs, rhs) of the three defining conditions on ell, as map
-    identities, evaluated once per map and extension: the verify stage
-    and the oracle's check of the canonical map's solution read one
-    evaluation when the two maps are equal."""
+    """evaluate_conditions of connection_conditions on ell, once per map
+    and extension: the section's normalisation, the colinearity
+    reduction, the verify stage and the oracle's checks of its solution
+    read one evaluation when their maps are equal."""
     cache = ext.condition_cache
     conditions = cache.get(ell)
     if conditions is None:
-        conditions = cache[ell] = _evaluate_conditions(ell, ext)
+        conditions = cache[ell] = evaluate_conditions(connection_conditions(ext), ell)
     return conditions
-
-
-def _evaluate_conditions(ell: LinMap, ext: EntwinedExtension):
-    """The three defining conditions on ell: (a) sections the canonical
-    map, (b) right and (c) left C-colinear."""
-    coa = ext.coalgebra
-    rho, lam = ext.coaction.rho, ext.coaction.rho_left
-    return (("connection-sections-canonical", ext.canonical_map @ ell,
-             map_kron(ext.algebra.unit, coa.identity())),
-            ("connection-right-colinear",
-             apply_at(ell, coa.comul, 0), apply_at(rho, ell, 1)),
-            ("connection-left-colinear",
-             apply_at(ell, coa.comul, 1), apply_at(lam, ell, 0)))
 
 
 def verify_connection(conn: ConnectionForm, ext: EntwinedExtension) -> VerificationReport:
@@ -370,12 +378,11 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
     contradict the construction and raises InternalContradiction.
     """
     rep = VerificationReport()
-    comul = ext.coalgebra.comul
     sigma = section.sigma
-    sigma_0 = apply_at(sigma, comul, 0)
-    sigma_1 = apply_at(sigma, comul, 1)
-    right_col = sigma_0 == apply_at(ext.coaction.rho, sigma, 1)
-    left_col = sigma_1 == apply_at(ext.coaction.rho_left, sigma, 0)
+    # (b) and (c) on sigma: (sigma (x) C) o comul and (C (x) sigma) o comul on the left
+    _, (_, sigma_0, rho_sigma), (_, sigma_1, lam_sigma) = _defining_conditions(sigma, ext)
+    right_col = sigma_0 == rho_sigma
+    left_col = sigma_1 == lam_sigma
     if right_col and left_col:
         klass = "bicolinear"
     elif right_col:
@@ -438,23 +445,6 @@ def splitting(conn: ConnectionForm, ext: EntwinedExtension):
 # -- the oracle ----------------------------------------------------------
 
 
-def oracle_system(ext: EntwinedExtension) -> tuple[LinMap, LinMap]:
-    """The three defining conditions on ell: C -> A (x) A, stacked:
-    (a) lifted_canonical o ell = 1 (x) C, (b) right and (c) left
-    C-colinearity."""
-    alg, coa = ext.algebra, ext.coalgebra
-    ia = alg.identity()
-    c = coa.dim
-    system = linear_system(ext.field, c, alg.dim * alg.dim, [
-        ([(ext.canonical_map, 1, 1, None)], []),
-        ([(None, 1, c, coa.comul)],
-         [(map_kron(ia, ext.coaction.rho), 1, 1, None)]),
-        ([(None, c, 1, coa.comul)],
-         [(map_kron(ext.coaction.rho_left, ia), 1, 1, None)]),
-    ])
-    return _with_target(system, map_vectorize(map_kron(alg.unit, coa.identity())))
-
-
 def _oracle_infeasible(row: int, ext: EntwinedExtension) -> Infeasible:
     """The stacked system's certificate: its rank, then 0 = nonzero in
     the one target column."""
@@ -468,9 +458,11 @@ def _oracle_infeasible(row: int, ext: EntwinedExtension) -> Infeasible:
 
 def brute_force_connections(ext: EntwinedExtension, cap: int = ORACLE_CAP):
     """Every map satisfying the three defining conditions: the affine
-    solution set of the stacked system of oracle_system (particular
-    solution with free variables zero, plus the canonical echelon basis
-    of its kernel) or that system's Infeasible certificate.
+    solution set of the stacked system that linear_system reads off
+    connection_conditions (particular solution with free variables zero,
+    plus the canonical echelon basis of its kernel) or that system's
+    Infeasible certificate.  The particular solution is re-checked
+    against the same table's map identities.
 
     Condition (a) alone is the canonical map's own system, eliminated
     once per extension (ext.canonical_solution).  When the canonical map
@@ -493,11 +485,13 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = ORACLE_CAP):
         raise TooLarge(f"{n} unknowns exceed the oracle cap {cap}")
     section = ext.canonical_solution
     if section.kernel.dim:
-        sol = rref_solve(*oracle_system(ext))
-        if isinstance(sol.particular, Infeasible):
-            return _oracle_infeasible(sol.particular.row, ext)
-        particular = map_from_vector(field, coa.space, aa, sol.particular.column(0))
-        return BruteForceSolutions(particular, sol.kernel)
+        out = _solve(field, coa.space, aa, connection_conditions(ext))
+        if isinstance(out, Infeasible):
+            return _oracle_infeasible(out.row, ext)
+        particular, kernel = out
+        if any(lhs != rhs for _, lhs, rhs in _defining_conditions(particular, ext)):
+            raise InternalContradiction("oracle solution fails the defining conditions")
+        return BruteForceSolutions(particular, kernel)
     # rank-nullity: a kernel vector missing from the cached solution
     # would make the canonical map look injective
     if section.rank != aa.dim:

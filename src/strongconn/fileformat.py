@@ -255,6 +255,8 @@ def parse_instance(path: str, dim_cap: int = DIM_CAP) -> InstanceFile:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits or too deep
+        raise ParseError(f"{path}: {exc}") from exc
     return parse_instance_dict(doc, dim_cap)
 
 

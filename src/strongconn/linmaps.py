@@ -397,11 +397,11 @@ def kron_all(*maps: LinMap) -> LinMap:
     return out
 
 
-def _swap_legs(space: SpaceLabel, old: SpaceLabel, new: SpaceLabel,
-               at: int) -> tuple[int, SpaceLabel]:
-    """The dimension of the factors of space after ``old``'s, which must
-    be its factors from position at, and space with ``new``'s factors in
-    their place."""
+def swap_legs(space: SpaceLabel, old: SpaceLabel, new: SpaceLabel,
+              at: int) -> tuple[int, SpaceLabel]:
+    """(q, swapped): q the dimension of the factors of space after
+    ``old``'s, which must be its factors from position at, and swapped
+    the space with ``new``'s factors in their place."""
     factors = space.factors
     end = at + len(old.factors)
     if not 0 <= at <= len(factors) - len(old.factors) or factors[at:end] != old.factors:
@@ -419,7 +419,7 @@ def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
     Scatters: each nonempty row (p, y, q) of g goes, scaled, into the
     rows (p, z, q) that column y of f reaches.
     """
-    q, codomain = _swap_legs(g.codomain, f.domain, f.codomain, at)
+    q, codomain = swap_legs(g.codomain, f.domain, f.codomain, at)
     dy, dz = f.domain.dim, f.codomain.dim
     f_cols = _transpose(f.rows, dy)
     out = [{} for _ in range(codomain.dim)]
@@ -441,7 +441,7 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
     multiplies it, skipping the entries of f that are one, so identities
     and permutations make no new Scalar.
     """
-    q, domain = _swap_legs(g.domain, f.codomain, f.domain, at)
+    q, domain = swap_legs(g.domain, f.codomain, f.domain, at)
     dy, dz = f.domain.dim, f.codomain.dim
     one, minus_one, zero = g.field.one, g.field.minus_one, g.field.zero
     f_rows = f.rows if q == 1 else [{y * q: v for y, v in row.items()}
@@ -474,20 +474,21 @@ def compose_legs(domain: SpaceLabel, *steps) -> LinMap:
     steps (f_i, at_i) written leftmost first: f_i acts on the factors
     from position at_i of the space it is applied to.  Folded from the
     narrower end: right to left by apply_at when the domain is no larger
-    than the codomain, else left to right by precompose_at.
+    than the codomain, else left to right by precompose_at, starting
+    from the first step's map if it spans that end at position 0.
     """
     codomain = domain
     for f, at in reversed(steps):
-        codomain = _swap_legs(codomain, f.domain, f.codomain, at)[1]
-    field = steps[0][0].field
-    if domain.dim <= codomain.dim:
-        m = LinMap.identity(field, domain)
-        for f, at in reversed(steps):
-            m = apply_at(f, m, at)
-    else:
-        m = LinMap.identity(field, codomain)
-        for f, at in steps:
-            m = precompose_at(m, f, at)
+        codomain = swap_legs(codomain, f.domain, f.codomain, at)[1]
+    forward = domain.dim > codomain.dim
+    if not forward:
+        steps = steps[::-1]
+    first, at = steps[0]
+    end = codomain if forward else domain
+    start = at == 0 and (first.codomain if forward else first.domain) == end
+    m = first if start else LinMap.identity(first.field, end)
+    for f, at in steps[start:]:
+        m = precompose_at(m, f, at) if forward else apply_at(f, m, at)
     return m
 
 

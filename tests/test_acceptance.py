@@ -15,6 +15,8 @@ from strongconn.connection import (
     SectionMap,
     brute_force_connections,
     build_connection,
+    check_conditions,
+    cointegral_conditions,
     colinearity_reduction,
     cointegral_to_integral,
     integral_to_cointegral,
@@ -23,7 +25,6 @@ from strongconn.connection import (
     solve_cointegral,
     solve_integral,
     solve_section,
-    verify_cointegral,
 )
 from strongconn.extensions import lifted_canonical, validate_entwining_rr
 from strongconn.fileformat import instance_to_dict, parse_instance_dict
@@ -343,7 +344,7 @@ def test_criterion_8_integral_conversions():
         h = cyclic_group_hopf(n)
         lam = solve_integral(h)
         delta = integral_to_cointegral(h, lam)
-        assert verify_cointegral(delta.delta, h.coalgebra).passed
+        assert check_conditions(cointegral_conditions(h.coalgebra), delta.delta).passed
         back, rep = cointegral_to_integral(delta, h)
         assert rep.passed
         assert back.lam == lam.lam

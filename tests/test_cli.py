@@ -90,6 +90,18 @@ def test_cli_malformed_json_exit_two(tmp_path, capsys):
     assert main([str(p)]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"name": "\xff"}',  # not UTF-8
+    b'{"name": ' + b"7" * 5000 + b"}",  # an integer past the digit limit
+    b"[" * 100000 + b"]" * 100000,  # nesting past the recursion limit
+], ids=["not-utf8", "huge-integer", "deep-nesting"])
+def test_cli_malformed_file_bytes_are_input_errors(tmp_path, capsys, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    assert main([str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_space_inside_a_scalar_is_an_input_error(golden_dir, tmp_path, capsys):
     # x^2 = 2 with its "2" mistyped as "2 5"; read without the space,
     # x^2 = 25 passes every check, so the typo must stop the run

@@ -23,15 +23,16 @@ from strongconn.connection import (
     SectionMap,
     alpha_map,
     build_connection,
+    check_conditions,
+    cointegral_conditions,
     colinearity_reduction,
     gamma_map,
+    integral_conditions,
     solve_cointegral,
     solve_integral,
     solve_section,
     splitting,
-    verify_cointegral,
     verify_connection,
-    verify_integral,
 )
 from strongconn.errors import InternalContradiction
 from strongconn.extensions import (
@@ -468,14 +469,14 @@ def test_cointegral_and_integral_maps_equal_the_composites(name, ext, hopf, reco
     delta = solve_cointegral(coa)
     if not isinstance(delta, Infeasible):
         for d in (delta.delta, doctored(delta.delta, 0)):
-            verify_cointegral(d, coa)
+            check_conditions(cointegral_conditions(coa), d)
             assert_recorded(recorded, ref_cointegral(d, coa))
     if hopf is None:
         return
     integral = solve_integral(hopf)
     if not isinstance(integral, Infeasible):
         for lam in (integral.lam, doctored(integral.lam, 1)):
-            verify_integral(lam, hopf)
+            check_conditions(integral_conditions(hopf), lam)
             assert_recorded(recorded, ref_integral(lam, hopf))
         ic = hopf.coalgebra.identity()
         assert connection.integral_to_cointegral(hopf, integral).delta == \

@@ -435,3 +435,20 @@ def test_compose_legs_folds_from_either_end(fname):
     assert stores_no_zero(widening) and stores_no_zero(narrowing)
     with pytest.raises(ShapeError):
         compose_legs(C3.tensor(X2), (split, 0))
+
+
+@pytest.mark.parametrize("fname", LEG_FIELDS)
+def test_compose_legs_starts_from_a_step_that_spans_its_end(fname):
+    """A chain whose first step takes its whole domain (folded by
+    apply_at) or gives its whole codomain (folded by precompose_at) at
+    position 0 starts from that step's map and still equals the product
+    of its padded steps; a misplaced step still raises."""
+    field = LEG_FIELDS[fname]
+    split = leg_map(field, X2, X2.tensor(X2), 5)
+    merge = leg_map(field, X2.tensor(X2), X2, 6)
+    ix = LinMap.identity(field, X2)
+    assert compose_legs(X2, (split, 1), (split, 0)) == map_kron(ix, split) @ split
+    assert compose_legs(X2.tensor(X2).tensor(X2), (merge, 0), (merge, 1)) == \
+        merge @ map_kron(ix, merge)
+    with pytest.raises(ShapeError):
+        compose_legs(X2, (split, 0), (split, 1))

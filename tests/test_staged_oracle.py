@@ -4,9 +4,9 @@ When the canonical map is injective, brute_force_connections takes the
 one map satisfying condition (a) from the canonical map's own
 elimination and checks colinearity on it; otherwise it solves the
 stacked system outright.  The reference here is always the stacked
-system of all three conditions solved outright,
-rref_solve(*oracle_system(ext)): the particular solution must agree
-entry for entry, the kernel's echelon rows must agree, and an
+system of all three conditions solved outright, the linear_system of
+connection_conditions(ext) through rref_solve: the particular solution
+must agree entry for entry, the kernel's echelon rows must agree, and an
 Infeasible certificate must agree in row, column and detail.  The cases
 cover extensions whose canonical map has kernel 0 and kernels of
 dimension 1 to 8, extensions that are not Galois, and extensions whose
@@ -24,7 +24,8 @@ from strongconn import connection
 from strongconn.connection import (
     BruteForceSolutions,
     brute_force_connections,
-    oracle_system,
+    connection_conditions,
+    linear_system,
 )
 from strongconn.errors import InternalContradiction
 from strongconn.extensions import Coaction, hopf_entwining, make_extension
@@ -52,9 +53,10 @@ from strongconn.pipeline import run_pipeline
 def stacked_reference(ext):
     """The stacked system solved outright: (particular or Infeasible with
     its detail, kernel)."""
-    system, target = oracle_system(ext)
-    sol = rref_solve(system, target)
     alg, coa = ext.algebra, ext.coalgebra
+    system, target = linear_system(ext.field, coa.space, alg.space.tensor(alg.space),
+                                   connection_conditions(ext))
+    sol = rref_solve(system, target)
     if isinstance(sol.particular, Infeasible):
         block = SpaceLabel.base("section", coa.dim * alg.dim * coa.dim)
         section_only = rref_solve(

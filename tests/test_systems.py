@@ -11,9 +11,10 @@ import pytest
 
 from strongconn.connection import (
     brute_force_connections,
-    cointegral_system,
-    integral_system,
-    oracle_system,
+    cointegral_conditions,
+    connection_conditions,
+    integral_conditions,
+    linear_system,
 )
 from strongconn.extensions import lifted_canonical, validate_and_build
 from strongconn.fileformat import InstanceFile
@@ -151,18 +152,23 @@ def test_conjugate_is_dense_and_cyclotomic():
 
 @pytest.mark.parametrize("name,ext,hopf", CASES, ids=IDS)
 def test_oracle_system_equals_probing(name, ext, hopf):
-    assert_same(oracle_system(ext), probed_oracle(ext))
+    aa = ext.algebra.space.tensor(ext.algebra.space)
+    assert_same(linear_system(ext.field, ext.coalgebra.space, aa,
+                              connection_conditions(ext)), probed_oracle(ext))
 
 
 @pytest.mark.parametrize("name,ext,hopf", CASES, ids=IDS)
 def test_cointegral_system_equals_probing(name, ext, hopf):
-    assert_same(cointegral_system(ext.coalgebra), probed_cointegral(ext.coalgebra))
+    coa = ext.coalgebra
+    assert_same(linear_system(coa.field, coa.space.tensor(coa.space), SpaceLabel.scalar(),
+                              cointegral_conditions(coa)), probed_cointegral(coa))
 
 
 @pytest.mark.parametrize("name,ext,hopf", [c for c in CASES if c[2] is not None],
                          ids=[c[0] for c in CASES if c[2] is not None])
 def test_integral_system_equals_probing(name, ext, hopf):
-    assert_same(integral_system(hopf), probed_integral(hopf))
+    assert_same(linear_system(hopf.field, hopf.space, SpaceLabel.scalar(),
+                              integral_conditions(hopf)), probed_integral(hopf))
 
 
 def test_non_galois_oracle_certificate_matches_probing():

@@ -28,7 +28,7 @@ output is reproducible but not canonical; reports record the dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalContradiction, NoGrouplikeUnit, NotGalois, TooLarge
 from .extensions import EntwinedExtension
@@ -54,24 +54,21 @@ from .structures import HopfAlgebra, StructureCoalgebra
 ORACLE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class Cointegral:
+class Cointegral(NamedTuple):
     """Functional C (x) C -> k splitting the coproduct bicolinearly."""
 
     delta: LinMap
     solution_dim: int = 0
 
 
-@dataclass(frozen=True)
-class Integral:
+class Integral(NamedTuple):
     """Normalised invariant functional on a Hopf algebra."""
 
     lam: LinMap
     solution_dim: int = 0
 
 
-@dataclass(frozen=True)
-class SectionMap:
+class SectionMap(NamedTuple):
     """Linear sigma: C -> A (x) A with canonical_map o sigma = 1 (x) C."""
 
     sigma: LinMap
@@ -79,8 +76,7 @@ class SectionMap:
     solution_dim: int = 0
 
 
-@dataclass(frozen=True)
-class ConnectionForm:
+class ConnectionForm(NamedTuple):
     """ell, and for a formula build the gamma and alpha it was built from,
     so that the colinearity reduction reuses them."""
 
@@ -89,8 +85,7 @@ class ConnectionForm:
     alpha: LinMap | None = None
 
 
-@dataclass(frozen=True)
-class BruteForceSolutions:
+class BruteForceSolutions(NamedTuple):
     """Affine description of every map satisfying the three conditions."""
 
     particular: LinMap

@@ -23,8 +23,8 @@ returns psi(c (x) a) = a_0 (x) c a_1 and no inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InternalContradiction, ShapeError, ValidationFailed
 from .linmaps import (
@@ -52,26 +52,26 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class Entwining:
+class Entwining(NamedTuple):
     psi: LinMap      # C (x) A -> A (x) C
     psi_inv: LinMap  # A (x) C -> C (x) A
 
 
-@dataclass(frozen=True)
-class Coaction:
+class Coaction(NamedTuple):
     rho: LinMap       # A -> A (x) C
     rho_left: LinMap  # A -> C (x) A
 
 
-@dataclass(frozen=True)
 class EntwinedExtension:
-    algebra: StructureAlgebra
-    coalgebra: StructureCoalgebra
-    entwining: Entwining
-    coaction: Coaction
-    grouplike: LinMap | None
-    coinvariants: Subspace
+    def __init__(self, algebra: StructureAlgebra, coalgebra: StructureCoalgebra,
+                 entwining: Entwining, coaction: Coaction,
+                 grouplike: LinMap | None, coinvariants: Subspace):
+        self.algebra = algebra
+        self.coalgebra = coalgebra
+        self.entwining = entwining
+        self.coaction = coaction
+        self.grouplike = grouplike
+        self.coinvariants = coinvariants
 
     @property
     def field(self):

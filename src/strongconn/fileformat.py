@@ -45,7 +45,7 @@ other JSON type raises ParseError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, TooLarge
 from .linmaps import LinMap, SpaceLabel, Subspace, vector, vector_coeffs
@@ -75,8 +75,7 @@ ROLE_SHAPES = {
 }
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(NamedTuple):
     name: str
     field: Field
     spaces: dict[str, int]

@@ -23,7 +23,7 @@ projection) and mark the report entry as reconstructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connection import Cointegral
 from .errors import InternalContradiction, NotCoideal, NotHomogeneous
@@ -46,8 +46,7 @@ from .report import VerificationReport, check_map_equal
 from .structures import HopfAlgebra, StructureCoalgebra, validate_coalgebra
 
 
-@dataclass(frozen=True)
-class HomogeneousDatum:
+class HomogeneousDatum(NamedTuple):
     hopf: HopfAlgebra          # the total Hopf algebra A
     b_subalgebra: Subspace     # B inside A
     bplus_a: Subspace          # the coideal B+A

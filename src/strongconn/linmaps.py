@@ -54,7 +54,6 @@ reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import NamedTuple
 
@@ -135,8 +134,7 @@ class SpaceLabel:
         return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Certificate that a linear system has no solution.
 
     ``row`` is the echelon row exhibiting 0 = nonzero; ``column`` the

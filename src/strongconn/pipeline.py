@@ -15,7 +15,6 @@ files produce byte-identical JSON reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 from .connection import (
@@ -60,14 +59,14 @@ from .structures import HopfAlgebra, StructureAlgebra, StructureCoalgebra, valid
 REPORT_VERSION = 1
 
 
-@dataclass
 class PipelineReport:
-    instance: str
-    field: dict
-    stages: list[str]
-    checks: list[tuple[str, Check]] = dc_field(default_factory=list)
-    derived: dict = dc_field(default_factory=dict)
-    solution_dims: dict = dc_field(default_factory=dict)
+    def __init__(self, instance: str, field: dict, stages: list[str]):
+        self.instance = instance
+        self.field = field
+        self.stages = stages
+        self.checks: list[tuple[str, Check]] = []
+        self.derived: dict = {}
+        self.solution_dims: dict = {}
 
     def record_all(self, stage: str, rep) -> None:
         for c in rep.checks:
@@ -118,13 +117,9 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
 class _Run:
     """What the stages of one run share: the input, the report that
     collects derived maps and solution dimensions, and stage results."""
-    inst: InstanceFile
-    report: PipelineReport
-    oracle_cap: int
     datum: HomogeneousDatum | None = None
     qdelta: Cointegral | Infeasible | None = None  # solved on the quotient
     ext: EntwinedExtension | None = None
@@ -134,6 +129,11 @@ class _Run:
     sigma: SectionMap | None = None
     conn: ConnectionForm | None = None
     verify_ok: bool = False
+
+    def __init__(self, inst: InstanceFile, report: PipelineReport, oracle_cap: int):
+        self.inst = inst
+        self.report = report
+        self.oracle_cap = oracle_cap
 
 
 NOT_COSEPARABLE = {"reason": "not coseparable over this field"}

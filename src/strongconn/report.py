@@ -9,7 +9,7 @@ as long as they are appended deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 PASS = "pass"
@@ -18,8 +18,7 @@ SKIP = "skipped"
 NA = "not-applicable"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     witness: dict | None = None
@@ -31,9 +30,11 @@ class Check:
         return d
 
 
-@dataclass
 class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self):
+        self.checks: list[Check] = []
 
     def add(self, name: str, ok: bool, witness: dict | None = None,
             keep: bool = False) -> bool:

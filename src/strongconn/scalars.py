@@ -73,6 +73,7 @@ one: "1 2" is a ParseError, not 12.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -407,12 +408,16 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def _parse_rational(text: str) -> Fraction:
     t = text.strip()
-    if not _RATIONAL.fullmatch(t):
-        raise ParseError(f"malformed rational {text!r}")
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError) as exc:  # past int's digit limit, or /0
-        raise ParseError(f"malformed rational {text!r}") from exc
+    why = ""
+    if _RATIONAL.fullmatch(t):
+        try:
+            return Fraction(t)
+        except ZeroDivisionError:
+            pass
+        except ValueError:  # past int's digit limit
+            why = f": a numeral has more than {sys.get_int_max_str_digits()} digits"
+    quoted = repr(text) if len(text) <= 20 else f"{text[:20]!r}…"
+    raise ParseError(f"malformed rational {quoted}{why}")
 
 
 def parse_scalar(text: str, field: Field) -> Scalar:

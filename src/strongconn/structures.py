@@ -15,7 +15,6 @@ validate_hopf checks that one when none is designated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ShapeError
@@ -25,21 +24,22 @@ from .report import VerificationReport, check_map_equal
 from .scalars import Field
 
 
-@dataclass(frozen=True)
 class StructureAlgebra:
     """Finite-dimensional associative unital algebra."""
 
-    mul: LinMap   # X (x) X -> X
-    unit: LinMap  # k -> X
+    __slots__ = ("mul", "unit")
 
-    def __post_init__(self):
-        space = self.mul.codomain
+    def __init__(self, mul: LinMap, unit: LinMap):
+        """mul: X (x) X -> X and unit: k -> X."""
+        space = mul.codomain
         if len(space.factors) != 1:
             raise ShapeError("algebra base space must be a single factor")
-        if self.mul.domain != space.tensor(space):
+        if mul.domain != space.tensor(space):
             raise ShapeError("mul must map X(x)X -> X")
-        if self.unit.domain != SpaceLabel.scalar() or self.unit.codomain != space:
+        if unit.domain != SpaceLabel.scalar() or unit.codomain != space:
             raise ShapeError("unit must map k -> X")
+        self.mul = mul
+        self.unit = unit
 
     @property
     def space(self) -> SpaceLabel:
@@ -57,21 +57,22 @@ class StructureAlgebra:
         return LinMap.identity(self.field, self.space)
 
 
-@dataclass(frozen=True)
 class StructureCoalgebra:
     """Finite-dimensional coassociative counital coalgebra."""
 
-    comul: LinMap   # X -> X (x) X
-    counit: LinMap  # X -> k
+    __slots__ = ("comul", "counit")
 
-    def __post_init__(self):
-        space = self.comul.domain
+    def __init__(self, comul: LinMap, counit: LinMap):
+        """comul: X -> X (x) X and counit: X -> k."""
+        space = comul.domain
         if len(space.factors) != 1:
             raise ShapeError("coalgebra base space must be a single factor")
-        if self.comul.codomain != space.tensor(space):
+        if comul.codomain != space.tensor(space):
             raise ShapeError("comul must map X -> X(x)X")
-        if self.counit.domain != space or self.counit.codomain != SpaceLabel.scalar():
+        if counit.domain != space or counit.codomain != SpaceLabel.scalar():
             raise ShapeError("counit must map X -> k")
+        self.comul = comul
+        self.counit = counit
 
     @property
     def space(self) -> SpaceLabel:
@@ -89,19 +90,18 @@ class StructureCoalgebra:
         return LinMap.identity(self.field, self.space)
 
 
-@dataclass(frozen=True)
 class HopfAlgebra:
-    algebra: StructureAlgebra
-    coalgebra: StructureCoalgebra
-    antipode: LinMap
-    antipode_inv: LinMap | None = None
-
-    def __post_init__(self):
-        if self.algebra.space != self.coalgebra.space:
+    def __init__(self, algebra: StructureAlgebra, coalgebra: StructureCoalgebra,
+                 antipode: LinMap, antipode_inv: LinMap | None = None):
+        space = algebra.space
+        if coalgebra.space != space:
             raise ShapeError("algebra and coalgebra must share one space")
-        s = self.antipode
-        if s.domain != self.algebra.space or s.codomain != self.algebra.space:
+        if antipode.domain != space or antipode.codomain != space:
             raise ShapeError("antipode must be an endomap of the base space")
+        self.algebra = algebra
+        self.coalgebra = coalgebra
+        self.antipode = antipode
+        self.antipode_inv = antipode_inv
 
     @property
     def space(self) -> SpaceLabel:

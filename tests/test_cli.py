@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import os
@@ -162,7 +161,7 @@ def with_a_basis_through_a_zero_divisor(inst):
 
     tensors = {k: along(t.codomain, fwd) @ t @ along(t.domain, back)
                for k, t in inst.tensors.items()}
-    return dataclasses.replace(inst, tensors=tensors)
+    return inst._replace(tensors=tensors)
 
 
 def test_cli_zero_divisor_is_an_input_error(tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""Every name a strongconn module imports is used in that module.
+"""Every name a strongconn module imports is used in that module, and
+importing the package and its command stays cheap.
 
 __init__.py is left out: it imports names to re-export them.  A
 ``from __future__`` import is a compiler directive, not a name.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,17 @@ def test_an_unused_import_is_found():
                      "import os.path\n"
                      "raise TooLarge(os.path.sep)\n")
     assert unused_imports(tree) == ["ShapeError (line 1)"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter imports strongconn and its command without
+    dataclasses or inspect: each @dataclass compiles its methods at
+    import, and dataclasses itself imports inspect, ast and tokenize."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, strongconn, strongconn.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

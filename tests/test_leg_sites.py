@@ -12,7 +12,6 @@ directly.  The cases are every golden extension and five seeded dense
 conjugates over Q(zeta3).
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -76,6 +75,7 @@ from strongconn.linmaps import (
 from strongconn.report import check_map_equal
 from strongconn.scalars import Field
 from strongconn.structures import (
+    HopfAlgebra,
     validate_algebra,
     validate_coalgebra,
     validate_hopf,
@@ -419,7 +419,7 @@ def test_failing_identities_record_the_same_maps(name, ext, hopf, recorded):
     for seed in range(2):
         psi, psi_inv = doctored(ext.entwining.psi, seed), doctored(ext.entwining.psi_inv, seed)
         rho, lam = doctored(ext.coaction.rho, seed), doctored(ext.coaction.rho_left, seed)
-        entw = dataclasses.replace(ext.entwining, psi=psi, psi_inv=psi_inv)
+        entw = ext.entwining._replace(psi=psi, psi_inv=psi_inv)
         assert not validate_entwining_rr(psi, alg, coa).passed
         assert_recorded(recorded, ref_entwining_rr(psi, alg, coa))
         validate_entwining_ll(psi_inv, alg, coa)
@@ -428,7 +428,7 @@ def test_failing_identities_record_the_same_maps(name, ext, hopf, recorded):
         assert_recorded(recorded, ref_right_coaction(rho, coa, alg.space))
         validate_left_coaction(lam, coa, alg.space)
         assert_recorded(recorded, ref_left_coaction(lam, coa, alg.space))
-        coact = dataclasses.replace(ext.coaction, rho=rho, rho_left=lam)
+        coact = ext.coaction._replace(rho=rho, rho_left=lam)
         validate_entwined_module(alg, coa, entw, coact)
         assert_recorded(recorded, ref_entwined_module(alg, coa, entw, rho, lam))
         coaction_from_unit_check(alg, coa, entw, rho)
@@ -498,8 +498,8 @@ def hopf_cases():
 
 @pytest.mark.parametrize("name,hopf", hopf_cases(), ids=[n for n, _ in hopf_cases()])
 def test_hopf_axiom_maps_equal_the_composites(name, hopf, recorded):
-    doctored_hopf = dataclasses.replace(hopf, antipode=doctored(hopf.antipode, 0),
-                                        antipode_inv=None)
+    doctored_hopf = HopfAlgebra(hopf.algebra, hopf.coalgebra,
+                                doctored(hopf.antipode, 0))
     for h in (hopf, doctored_hopf):
         validate_hopf(h)
         assert_recorded(recorded, ref_hopf(h))

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -132,8 +133,10 @@ def test_parse_rejects_text_outside_the_grammar(text):
 
 
 def test_parse_rejects_a_numeral_past_the_digit_limit():
-    with pytest.raises(ParseError, match="malformed rational"):
+    with pytest.raises(ParseError, match="malformed rational") as err:
         parse_scalar("1" * 5000, QQ)
+    assert len(str(err.value)) < 100
+    assert str(sys.get_int_max_str_digits()) in str(err.value)
 
 
 def test_parse_rejects_a_space_inside_a_coefficient():

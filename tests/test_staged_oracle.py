@@ -15,8 +15,6 @@ tests pin the mechanism: with kernel 0 nothing is assembled or
 eliminated, and a wrong cached canonical solution is rejected.
 """
 
-import dataclasses
-
 import pytest
 from test_systems import CASES
 
@@ -28,7 +26,8 @@ from strongconn.connection import (
     linear_system,
 )
 from strongconn.errors import InternalContradiction
-from strongconn.extensions import Coaction, hopf_entwining, make_extension
+from strongconn.extensions import (Coaction, EntwinedExtension, hopf_entwining,
+                                   make_extension)
 from strongconn.fileformat import InstanceFile
 from strongconn.homogeneous import extension_from_homogeneous, quotient_coalgebra
 from strongconn.instances import (
@@ -65,9 +64,9 @@ def stacked_reference(ext):
         which = ("the section condition (a)"
                  if isinstance(section_only.particular, Infeasible)
                  else "the colinearity conditions")
-        return dataclasses.replace(
-            sol.particular, detail="no map satisfies the stacked conditions; "
-                                   f"first obstruction lies in {which}"), sol.kernel
+        return sol.particular._replace(
+            detail="no map satisfies the stacked conditions; "
+                   f"first obstruction lies in {which}"), sol.kernel
     aa = alg.space.tensor(alg.space)
     return (map_from_vector(ext.field, coa.space, aa, sol.particular.column(0)),
             sol.kernel)
@@ -91,8 +90,10 @@ def assert_matches_stacked(ext):
 def doubled_rho_left(ext):
     """ext with its left coaction doubled: (c) then has no solution."""
     two = ext.field.scalar(2)
-    return dataclasses.replace(
-        ext, coaction=Coaction(ext.coaction.rho, ext.coaction.rho_left.scale(two)))
+    return EntwinedExtension(
+        ext.algebra, ext.coalgebra, ext.entwining,
+        Coaction(ext.coaction.rho, ext.coaction.rho_left.scale(two)),
+        ext.grouplike, ext.coinvariants)
 
 
 def homogeneous_z4_z2():

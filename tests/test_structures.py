@@ -162,3 +162,6 @@ def test_structure_shape_validation():
     coa = trivial_coalgebra(QQ)
     with pytest.raises(ShapeError):
         StructureCoalgebra(coa.comul, LinMap.zero(QQ, space, SpaceLabel.scalar()))
+    h = cyclic_group_hopf(2)
+    with pytest.raises(ShapeError, match="antipode must be an endomap"):
+        HopfAlgebra(h.algebra, h.coalgebra, h.coalgebra.counit)

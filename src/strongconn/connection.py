@@ -33,6 +33,7 @@ from typing import NamedTuple
 from .errors import InternalContradiction, NoGrouplikeUnit, NotGalois, TooLarge
 from .extensions import EntwinedExtension
 from .linmaps import (
+    EMPTY,
     Infeasible,
     LinMap,
     SpaceLabel,
@@ -165,6 +166,8 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
 
         [L o (I (x) X (x) I) o R](o, i)
             = sum L(o, (a, e, b)) X(e, d) R((a, d, b), i).
+
+    A row that no nonzero reaches is EMPTY.
     """
     one, zero = field.one, field.zero
     dom_dim, cod_dim = x_domain.dim, x_codomain.dim
@@ -193,7 +196,7 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
             r_cols = columns(R, domain.dim, one)
             out_dim = out.dim if L is None else L.nrows
             if block is None:
-                block = [{} for _ in range(out_dim * len(r_cols))]
+                block = [EMPTY] * (out_dim * len(r_cols))
             for i, r_col in enumerate(r_cols):
                 base = i * out_dim
                 for r_idx, rv in r_col:
@@ -203,10 +206,13 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
                         col = d * cod_dim + e
                         for o, lv in l_cols[(a * cod_dim + e) * q + b]:
                             row = block[base + o]
+                            if row is EMPTY:
+                                row = block[base + o] = {}
                             v = lv * rv
                             old = row.get(col)
                             row[col] = v if old is None else old + v
-        rows.extend({c: v for c, v in row.items() if v is not zero} for row in block)
+        rows.extend({c: v for c, v in row.items() if v is not zero} if row else EMPTY
+                    for row in block)
         target.extend(map_vectorize(rhs) if isinstance(rhs, LinMap)
                       else [zero] * len(block))
     constraints = SpaceLabel.base("constraints", len(rows))

@@ -48,7 +48,7 @@ import json
 from typing import NamedTuple
 
 from .errors import ParseError, TooLarge
-from .linmaps import LinMap, SpaceLabel, Subspace, vector, vector_coeffs
+from .linmaps import EMPTY, LinMap, SpaceLabel, Subspace, vector, vector_coeffs
 from .scalars import Field, parse_scalar
 
 
@@ -137,7 +137,7 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
     if not isinstance(obj["entries"], list):
         raise ParseError(f"tensor {name!r}: entries must be a list")
     n_idx = len(dom.factors) + len(cod.factors)
-    rows = [{} for _ in range(cod.dim)]
+    rows = [EMPTY] * cod.dim
     seen = set()
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, list) or len(entry) != n_idx + 1:
@@ -160,7 +160,10 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
         except ParseError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
         if s is not fld.zero:
-            rows[r][c] = s
+            row = rows[r]
+            if row is EMPTY:
+                row = rows[r] = {}
+            row[c] = s
     return LinMap._from_rows(fld, dom, cod, tuple(rows))
 
 

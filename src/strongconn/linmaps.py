@@ -17,6 +17,13 @@ Conventions frozen here and shared with the instance file format:
   comparisons and eliminations visit nonzeros only.  ``entries`` is a
   dense grid of Scalars (``entries[r][c]``, zeros included) built on
   demand for display and tests; nothing on a hot path reads it.
+* A row that no step writes is ``EMPTY``, one shared read-only empty
+  dict, so an empty row costs no allocation, no copy and no per-row
+  work: the kernels skip it and make a row's dict on its first write.
+  A row that cancels to nothing may stay a private ``{}``.  Readers
+  test a row's truth (``if row``), never ``row is EMPTY``; only the
+  producer that stored it tests identity.  Writing into ``EMPTY``
+  raises TypeError, so a row a map holds must never be mutated.
 * Solvers are deterministic: reduced row echelon form with leftmost
   pivots, free variables set to zero.  Identical inputs give identical
   outputs, bit for bit.  Every solve runs one elimination,
@@ -48,12 +55,13 @@ Conventions frozen here and shared with the instance file format:
   costs one elimination, and a quotient or a membership test none.
 
 Everything is immutable after construction (the row dicts are never
-modified once a map or subspace holds them) and safe for concurrent
-reads.
+modified once a map or subspace holds them, and maps may share them)
+and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import prod
 from typing import NamedTuple
 
@@ -149,6 +157,28 @@ class Infeasible(NamedTuple):
 # -- sparse rows -------------------------------------------------------
 
 
+class _EmptyRow(dict):
+    """The type of EMPTY: an empty dict that refuses every write.  It
+    pickles and copies as the module's EMPTY itself."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        """No arguments: dict.__init__ would fill the dict in place."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("EMPTY is the shared read-only empty row")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = pop = popitem = setdefault = clear = _read_only
+
+    def __reduce__(self):
+        return "EMPTY"
+
+
+EMPTY = _EmptyRow()
+
+
 def _sparse(field: Field, coeffs) -> dict:
     """The nonzeros of a dense coefficient sequence; non-Scalars are
     converted in the field."""
@@ -208,11 +238,16 @@ def _accumulate(acc: dict, row: dict, f: Scalar) -> dict:
 
 
 def _transpose(rows, n: int) -> list[dict]:
-    """Sparse rows over n columns, transposed: one dict per column."""
-    out = [{} for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j][i] = x
+    """Sparse rows over n columns, transposed: one dict per column,
+    EMPTY for a column no row holds."""
+    out = [EMPTY] * n
+    for i in compress(range(len(rows)), rows):
+        for j, x in rows[i].items():
+            col = out[j]
+            if col is EMPTY:
+                out[j] = {i: x}
+            else:
+                col[i] = x
     return out
 
 
@@ -238,14 +273,14 @@ class LinMap:
         self.field = field
         self.domain = domain
         self.codomain = codomain
-        self.rows = tuple(_sparse(field, row) for row in entries)
+        self.rows = tuple(_sparse(field, row) or EMPTY for row in entries)
 
     @classmethod
     def _from_rows(cls, field: Field, domain: SpaceLabel, codomain: SpaceLabel,
                    rows: tuple) -> "LinMap":
-        """From canonical sparse rows, unchecked: one dict per codomain
-        basis element, keys below domain.dim, no zero values.  The map
-        takes ownership of the dicts."""
+        """From canonical sparse rows, unchecked: one dict (or EMPTY)
+        per codomain basis element, keys below domain.dim, no zero
+        values.  The map takes ownership of the dicts."""
         m = object.__new__(cls)
         m.field = field
         m.domain = domain
@@ -257,8 +292,7 @@ class LinMap:
 
     @staticmethod
     def zero(field: Field, domain: SpaceLabel, codomain: SpaceLabel) -> "LinMap":
-        return LinMap._from_rows(field, domain, codomain,
-                                 tuple({} for _ in range(codomain.dim)))
+        return LinMap._from_rows(field, domain, codomain, (EMPTY,) * codomain.dim)
 
     @staticmethod
     def identity(field: Field, space: SpaceLabel) -> "LinMap":
@@ -270,17 +304,20 @@ class LinMap:
     def from_rules(field: Field, domain: SpaceLabel, codomain: SpaceLabel, rule) -> "LinMap":
         """Build from a rule mapping a domain multi-index to (multi-index, coeff) pairs."""
         zero = field.zero
-        rows = [{} for _ in range(codomain.dim)]
+        rows = [EMPTY] * codomain.dim
         for c in range(domain.dim):
             for cod_idx, coeff in rule(domain.unflatten(c)):
                 if not isinstance(coeff, Scalar):
                     coeff = field.scalar(coeff)
-                row = rows[codomain.flatten(cod_idx)]
+                r = codomain.flatten(cod_idx)
+                row = rows[r]
+                if row is EMPTY:
+                    row = rows[r] = {}
                 old = row.get(c)
                 row[c] = coeff if old is None else old + coeff
         return LinMap._from_rows(field, domain, codomain,
                                  tuple({c: v for c, v in row.items() if v is not zero}
-                                       for row in rows))
+                                       if row else EMPTY for row in rows))
 
     # -- basic structure ----------------------------------------------
 
@@ -335,24 +372,25 @@ class LinMap:
         self._check_parallel(other)
         one = self.field.one
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate(dict(ra), rb, one)
+                                 tuple(_accumulate(dict(ra), rb, one) if rb else ra
                                        for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._check_parallel(other)
         minus_one = self.field.minus_one
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate(dict(ra), rb, minus_one)
+                                 tuple(_accumulate(dict(ra), rb, minus_one) if rb else ra
                                        for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple({c: -a for c, a in row.items()}
+                                 tuple({c: -a for c, a in row.items()} if row else EMPTY
                                        for row in self.rows))
 
     def scale(self, s: Scalar) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate({}, row, s) for row in self.rows))
+                                 tuple(_accumulate({}, row, s) if row else EMPTY
+                                       for row in self.rows))
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other: precompose_at with no legs around other."""
@@ -361,7 +399,8 @@ class LinMap:
         return precompose_at(self, other, 0)
 
     def rank(self) -> int:
-        return len(_rref_inplace([dict(r) for r in self.rows], self.ncols))
+        return len(_rref_inplace([dict(r) if r else EMPTY for r in self.rows],
+                                 self.ncols))
 
 
 def map_kron(f: LinMap, g: LinMap) -> LinMap:
@@ -371,8 +410,14 @@ def map_kron(f: LinMap, g: LinMap) -> LinMap:
     g_rows = g.rows
     out = []
     for frow in f.rows:
+        if not frow:
+            out.extend((EMPTY,) * len(g_rows))
+            continue
         shifted = [(k * ng, fik) for k, fik in frow.items()]
         for grow in g_rows:
+            if not grow:
+                out.append(EMPTY)
+                continue
             row = {}
             for base, fik in shifted:
                 if fik is one:  # a shifted copy of grow, which holds no zero
@@ -415,17 +460,28 @@ def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
     at, and its domain or codomain may be k (legs removed or inserted).
 
     Scatters: each nonempty row (p, y, q) of g goes, scaled, into the
-    rows (p, z, q) that column y of f reaches.
+    rows (p, z, q) that column y of f reaches; a target row's dict is
+    made on its first write, a copy of the row when the factor is one,
+    and a row nothing reaches stays EMPTY.
     """
     q, codomain = swap_legs(g.codomain, f.domain, f.codomain, at)
     dy, dz = f.domain.dim, f.codomain.dim
+    one = f.field.one
     f_cols = _transpose(f.rows, dy)
-    out = [{} for _ in range(codomain.dim)]
-    for r, row in enumerate(g.rows):
-        if row:
-            base = r // (dy * q) * dz * q + r % q
-            for z, fv in f_cols[r // q % dy].items():
-                _accumulate(out[base + z * q], row, fv)
+    out = [EMPTY] * codomain.dim
+    rows = g.rows
+    for r in compress(range(len(rows)), rows):
+        row = rows[r]
+        base = r // (dy * q) * dz * q + r % q
+        for z, fv in f_cols[r // q % dy].items():
+            t = base + z * q
+            acc = out[t]
+            if acc is not EMPTY:
+                _accumulate(acc, row, fv)
+            elif fv is one:
+                out[t] = dict(row)
+            else:
+                out[t] = _accumulate({}, row, fv)
     return LinMap._from_rows(f.field, g.domain, codomain, tuple(out))
 
 
@@ -437,20 +493,24 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
     the columns (p, y, q).  An entry of g that is the field's own one or
     minus one adds or subtracts that row of f, and any other entry
     multiplies it, skipping the entries of f that are one, so identities
-    and permutations make no new Scalar.
+    and permutations make no new Scalar.  An empty row of g stays EMPTY
+    with no work, and a column's place is worked out on its first use.
     """
     q, domain = swap_legs(g.domain, f.codomain, f.domain, at)
     dy, dz = f.domain.dim, f.codomain.dim
     one, minus_one, zero = g.field.one, g.field.minus_one, g.field.zero
     f_rows = f.rows if q == 1 else [{y * q: v for y, v in row.items()}
                                     for row in f.rows]
-    split = [(c // (dz * q) * dy * q + c % q, f_rows[c // q % dz])
-             for c in range(g.ncols)]
-    out = []
-    for row_g in g.rows:
+    split = [None] * g.ncols
+    rows = g.rows
+    out = [EMPTY] * len(rows)
+    for r in compress(range(len(rows)), rows):
         acc = {}
-        for c, gv in row_g.items():
-            base, f_row = split[c]
+        for c, gv in rows[r].items():
+            s = split[c]
+            if s is None:
+                s = split[c] = (c // (dz * q) * dy * q + c % q, f_rows[c // q % dz])
+            base, f_row = s
             add = gv is not minus_one
             if gv is one or not add:
                 terms = f_row.items()
@@ -463,7 +523,7 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
                     acc[y] = v if add else -v
                 else:
                     acc[y] = old + v if add else old - v
-        out.append({j: v for j, v in acc.items() if v is not zero})
+        out[r] = {j: v for j, v in acc.items() if v is not zero}
     return LinMap._from_rows(g.field, domain, g.codomain, tuple(out))
 
 
@@ -503,16 +563,16 @@ def vector(field: Field, space: SpaceLabel, coeffs) -> LinMap:
     coeffs = list(coeffs)
     if len(coeffs) != space.dim:
         raise ShapeError(f"expected {space.dim} coefficients, got {len(coeffs)}")
-    nonzero = _sparse(field, coeffs)
-    return LinMap._from_rows(field, SpaceLabel.scalar(), space,
-                             tuple({0: nonzero[r]} if r in nonzero else {}
-                                   for r in range(space.dim)))
+    rows = [EMPTY] * space.dim
+    for r, v in _sparse(field, coeffs).items():
+        rows[r] = {0: v}
+    return LinMap._from_rows(field, SpaceLabel.scalar(), space, tuple(rows))
 
 
 def basis_vector(field: Field, space: SpaceLabel, flat: int) -> LinMap:
     o = field.one
     return LinMap._from_rows(field, SpaceLabel.scalar(), space,
-                             tuple({0: o} if r == flat else {}
+                             tuple({0: o} if r == flat else EMPTY
                                    for r in range(space.dim)))
 
 
@@ -543,7 +603,9 @@ def _rref_inplace(rows: list[dict], ncols: int, right: bool = False) -> list[int
     not rows x columns.
 
     Rows at or below the current row hold no column walked before c, so
-    the index of a column is dropped once its step is done.
+    the index of a column is dropped once its step is done.  Only a row
+    that holds a swept column is written, so an empty row, EMPTY
+    included, passes through untouched (swaps only move it).
     """
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -638,14 +700,15 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
     Pivots are chosen leftmost, free variables are zero.  The left block
     of the reduced form of [M | target] is the reduced form of M, so the
     rank and kernel (see _kernel) need no second elimination.  The
-    returned map is post-verified against the system exactly.
+    returned map is post-verified against the system exactly.  A 0 = 0
+    row goes into the elimination as EMPTY, uncopied.
     """
     if M.codomain != target.codomain:
         raise ShapeError("target codomain must match the system codomain")
     n = M.ncols
     rows = []
     for mr, tr in zip(M.rows, target.rows):
-        row = dict(mr)
+        row = dict(mr) if mr or tr else EMPTY
         for j, v in tr.items():
             row[n + j] = v
         rows.append(row)
@@ -656,7 +719,7 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
         return Solution(Infeasible(row=rank, column=pivots[rank] - n,
                                    detail="echelon row reduces to 0 = nonzero"),
                         rank, kernel)
-    xs = [{} for _ in range(n)]
+    xs = [EMPTY] * n
     for row, p in zip(rows, pivots):
         xs[p] = {j - n: v for j, v in row.items() if j >= n}
     X = LinMap._from_rows(M.field, target.domain, M.domain, tuple(xs))
@@ -695,7 +758,7 @@ def stacked_kernel(maps: list[LinMap]) -> "Subspace":
     for m in maps:
         if m.domain != dom:
             raise ShapeError("stacked maps must share their domain")
-        rows.extend(dict(r) for r in m.rows)
+        rows.extend(dict(r) if r else EMPTY for r in m.rows)
     return _kernel(maps[0].field, dom, rows, _rref_inplace(rows, dom.dim))
 
 
@@ -802,7 +865,7 @@ class Subspace:
         pi = LinMap._from_rows(self.field, self.ambient, space,
                                tuple(_transpose(cols, space.dim)))
         section = LinMap._from_rows(self.field, space, self.ambient, tuple(
-            cols[j] if j in at else {} for j in range(n)))
+            cols[j] if j in at else EMPTY for j in range(n)))
         return pi, section
 
     def first_outside(self, f: LinMap, at: int = 0) -> int | None:
@@ -811,7 +874,8 @@ class Subspace:
         there exactly when I (x) pi (x) I sends it to 0, pi this
         subspace's projection, so no tensor-product subspace is built."""
         projected = apply_at(self.quotient()[0], f, at)
-        return min((c for row in projected.rows for c in row), default=None)
+        rows = projected.rows
+        return min((c for row in compress(rows, rows) for c in row), default=None)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -849,10 +913,14 @@ def map_vectorize(M: LinMap) -> tuple[Scalar, ...]:
 
 def map_from_vector(field: Field, domain: SpaceLabel, codomain: SpaceLabel, vec) -> LinMap:
     m = codomain.dim
-    rows = [{} for _ in range(m)]
-    for c in range(domain.dim):
-        for r in range(m):
-            v = vec[c * m + r]
-            if v:
-                rows[r][c] = v
+    rows = [EMPTY] * m
+    for k in range(domain.dim * m):
+        v = vec[k]
+        if v:
+            c, r = divmod(k, m)
+            row = rows[r]
+            if row is EMPTY:
+                rows[r] = {c: v}
+            else:
+                row[c] = v
     return LinMap._from_rows(field, domain, codomain, tuple(rows))

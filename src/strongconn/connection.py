@@ -48,7 +48,8 @@ from .linmaps import (
     swap_legs,
     vector,
 )
-from .report import VerificationReport, check_map_equal, first_column_mismatch
+from .report import (VerificationReport, check_conditions, check_map_equal,
+                     evaluate_conditions, first_column_mismatch)
 from .structures import HopfAlgebra, StructureCoalgebra
 
 # the default cap on the oracle's unknown count
@@ -95,11 +96,9 @@ class BruteForceSolutions(NamedTuple):
 
 # -- defining conditions -------------------------------------------------
 #
-# A table lists the conditions on an unknown map X as (name, domain,
-# lhs, rhs).  lhs is a chain of leg steps (f, at) in compose_legs'
-# format, leftmost first, with exactly one slot (None, at) for X; rhs is
-# another such chain or a fixed map.  evaluate_conditions fills the
-# slots with X, and linear_system reads the chains as rows in X's entries.
+# The conditions on each object's map X are one table in report's
+# format with a slot for X in every chain: check_conditions verifies X
+# against it and linear_system solves for X from it.
 
 
 def cointegral_conditions(coa: StructureCoalgebra) -> tuple:
@@ -131,24 +130,6 @@ def connection_conditions(ext: EntwinedExtension) -> tuple:
              ((None, 0), (coa.comul, 0)), ((ext.coaction.rho, 1), (None, 0))),
             ("connection-left-colinear", coa.space,
              ((None, 1), (coa.comul, 0)), ((ext.coaction.rho_left, 0), (None, 0))))
-
-
-def evaluate_conditions(table, X: LinMap) -> tuple:
-    """(name, lhs, rhs) of each condition of table, with X in its slots."""
-    def side(domain, chain):
-        return chain if isinstance(chain, LinMap) else \
-            compose_legs(domain, *[(X if f is None else f, at) for f, at in chain])
-
-    return tuple((name, side(domain, lhs), side(domain, rhs))
-                 for name, domain, lhs, rhs in table)
-
-
-def check_conditions(table, X: LinMap) -> VerificationReport:
-    """The table's conditions on X as exact map-equality checks."""
-    rep = VerificationReport()
-    for name, lhs, rhs in evaluate_conditions(table, X):
-        check_map_equal(rep, name, lhs, rhs)
-    return rep
 
 
 def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,

@@ -62,7 +62,6 @@ and safe for concurrent reads.
 from __future__ import annotations
 
 from itertools import compress
-from math import prod
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -450,9 +449,11 @@ def swap_legs(space: SpaceLabel, old: SpaceLabel, new: SpaceLabel,
     if not 0 <= at <= len(factors) - len(old.factors) or factors[at:end] != old.factors:
         raise ShapeError(f"{old!r} is not at factor {at} of {space!r}")
     rest = factors[end:]
-    swapped = SpaceLabel._of(factors[:at] + new.factors + rest,
+    q = 1
+    for _, d in rest:  # a loop: prod over a generator costs more on so few factors
+        q *= d
+    return q, SpaceLabel._of(factors[:at] + new.factors + rest,
                              space.dim // old.dim * new.dim)
-    return prod(d for _, d in rest), swapped
 
 
 def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
@@ -530,19 +531,25 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
 def compose_legs(domain: SpaceLabel, *steps) -> LinMap:
     """(I (x) f_1 (x) I) o ... o (I (x) f_n (x) I) out of domain, for
     steps (f_i, at_i) written leftmost first: f_i acts on the factors
-    from position at_i of the space it is applied to.  Folded from the
-    narrower end: right to left by apply_at when the domain is no larger
-    than the codomain, else left to right by precompose_at, starting
-    from the first step's map if it spans that end at position 0.
+    from position at_i of the space it is applied to.  Folded right to
+    left by apply_at when the steps' dimensions show the domain no larger
+    than the codomain or the last step takes the whole domain at position
+    0, else left to right by precompose_at from the codomain's label.  A
+    fold starts from the map of a step that spans its end at position 0.
     """
-    codomain = domain
-    for f, at in reversed(steps):
-        codomain = swap_legs(codomain, f.domain, f.codomain, at)[1]
-    forward = domain.dim > codomain.dim
-    if not forward:
+    taken = given = 1
+    for f, _ in steps:
+        taken *= f.domain.dim
+        given *= f.codomain.dim
+    last, at = steps[-1]
+    forward = taken > given and not (at == 0 and last.domain == domain)
+    end = domain
+    if forward:
+        for f, at in reversed(steps):
+            end = swap_legs(end, f.domain, f.codomain, at)[1]
+    else:
         steps = steps[::-1]
     first, at = steps[0]
-    end = codomain if forward else domain
     start = at == 0 and (first.codomain if forward else first.domain) == end
     m = first if start else LinMap.identity(first.field, end)
     for f, at in steps[start:]:

@@ -4,12 +4,15 @@ A report is an ordered list of named checks, each pass/fail/skipped or
 not-applicable, with an optional JSON-serializable witness.  Check order
 is fixed by construction, so reports built from the same inputs are
 identical; independent checks may be evaluated in any order internally
-as long as they are appended deterministically.
+as long as they are appended deterministically.  Every law a validator
+checks is a row of a table that check_conditions evaluates.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .linmaps import LinMap, compose_legs
 
 
 PASS = "pass"
@@ -90,3 +93,33 @@ def check_map_equal(report: VerificationReport, name: str, lhs, rhs) -> bool:
                                         "lhs": repr(lhs), "rhs": repr(rhs)})
     ok = lhs == rhs
     return report.add(name, ok, None if ok else first_column_mismatch(lhs, rhs))
+
+
+# -- tables of laws --------------------------------------------------------
+#
+# A table lists laws as rows (name, domain, lhs, rhs).  A side is a
+# fixed map or a chain of leg steps (f, at) out of domain, in
+# compose_legs' format, whose slots (None, at) take an unknown map X.
+
+
+def _side(domain, side, X) -> LinMap:
+    if isinstance(side, LinMap):
+        return side
+    if X is not None:
+        side = [(X if f is None else f, at) for f, at in side]
+    return compose_legs(domain, *side)
+
+
+def evaluate_conditions(table, X: LinMap | None = None) -> tuple:
+    """(name, lhs, rhs) of each row of table, with X in its slots."""
+    return tuple((name, _side(domain, lhs, X), _side(domain, rhs, X))
+                 for name, domain, lhs, rhs in table)
+
+
+def check_conditions(table, X: LinMap | None = None) -> VerificationReport:
+    """The table's rows, with X in their slots, as exact map-equality
+    checks, one row's two sides built and compared at a time."""
+    rep = VerificationReport()
+    for name, domain, lhs, rhs in table:
+        check_map_equal(rep, name, _side(domain, lhs, X), _side(domain, rhs, X))
+    return rep

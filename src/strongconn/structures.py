@@ -3,9 +3,10 @@ algebras, with exact axiom validators.
 
 A structure is a bundle of LinMaps over one named base space: an algebra
 is (mul: X(x)X -> X, unit: k -> X), a coalgebra is (comul: X -> X(x)X,
-counit: X -> k).  Validators return a VerificationReport whose failures
-carry the first offending basis tuple; they never raise on bad axioms.
-Downstream modules assume validated inputs.
+counit: X -> k).  Each validator is one table of laws that
+report.check_conditions evaluates into a VerificationReport whose
+failures carry the first offending basis tuple; they never raise on bad
+axioms.  Downstream modules assume validated inputs.
 
 A Hopf algebra may carry a designated antipode inverse; validate_hopf
 checks it (hopf-antipode-inverse).  Its solved_antipode_inv is the
@@ -18,9 +19,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import ShapeError
-from .linmaps import (LinMap, SpaceLabel, apply_at, compose_legs, flip_map, map_kron,
-                      precompose_at, try_inverse, vector_coeffs)
-from .report import VerificationReport, check_map_equal
+from .linmaps import LinMap, SpaceLabel, flip_map, map_kron, try_inverse, vector_coeffs
+from .report import VerificationReport, check_conditions
 from .scalars import Field
 
 
@@ -124,23 +124,21 @@ class HopfAlgebra:
 
 
 def validate_algebra(alg: StructureAlgebra) -> VerificationReport:
-    rep = VerificationReport()
-    ident = alg.identity()
-    check_map_equal(rep, "algebra-associativity",
-                    precompose_at(alg.mul, alg.mul, 0), precompose_at(alg.mul, alg.mul, 1))
-    check_map_equal(rep, "algebra-left-unit", precompose_at(alg.mul, alg.unit, 0), ident)
-    check_map_equal(rep, "algebra-right-unit", precompose_at(alg.mul, alg.unit, 1), ident)
-    return rep
+    mul, unit, ident = alg.mul, alg.unit, alg.identity()
+    return check_conditions((
+        ("algebra-associativity", mul.domain.tensor(alg.space),
+         ((mul, 0), (mul, 0)), ((mul, 0), (mul, 1))),
+        ("algebra-left-unit", alg.space, ((mul, 0), (unit, 0)), ident),
+        ("algebra-right-unit", alg.space, ((mul, 0), (unit, 1)), ident)))
 
 
 def validate_coalgebra(coa: StructureCoalgebra) -> VerificationReport:
-    rep = VerificationReport()
-    ident = coa.identity()
-    check_map_equal(rep, "coalgebra-coassociativity",
-                    apply_at(coa.comul, coa.comul, 0), apply_at(coa.comul, coa.comul, 1))
-    check_map_equal(rep, "coalgebra-left-counit", apply_at(coa.counit, coa.comul, 0), ident)
-    check_map_equal(rep, "coalgebra-right-counit", apply_at(coa.counit, coa.comul, 1), ident)
-    return rep
+    comul, counit, ident = coa.comul, coa.counit, coa.identity()
+    return check_conditions((
+        ("coalgebra-coassociativity", coa.space,
+         ((comul, 0), (comul, 0)), ((comul, 1), (comul, 0))),
+        ("coalgebra-left-counit", coa.space, ((counit, 0), (comul, 0)), ident),
+        ("coalgebra-right-counit", coa.space, ((counit, 1), (comul, 0)), ident)))
 
 
 def validate_hopf(h: HopfAlgebra) -> VerificationReport:
@@ -148,34 +146,30 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
     rep = VerificationReport()
     rep.extend(validate_algebra(h.algebra))
     rep.extend(validate_coalgebra(h.coalgebra))
-    alg, coa = h.algebra, h.coalgebra
-    ident = alg.identity()
+    mul, unit = h.algebra.mul, h.algebra.unit
+    comul, counit = h.coalgebra.comul, h.coalgebra.counit
+    k, S = SpaceLabel.scalar(), h.antipode
+    unit_counit = unit @ counit
     # comul and counit are algebra maps; X(x)X multiplies componentwise
-    check_map_equal(rep, "hopf-comul-multiplicative",
-                    coa.comul @ alg.mul,
-                    compose_legs(alg.mul.domain, (alg.mul, 1), (alg.mul, 0),
-                                 (flip_map(h.field, alg.space, alg.space), 1),
-                                 (coa.comul, 0), (coa.comul, 1)))
-    check_map_equal(rep, "hopf-comul-unital",
-                    coa.comul @ alg.unit, map_kron(alg.unit, alg.unit))
-    check_map_equal(rep, "hopf-counit-multiplicative",
-                    coa.counit @ alg.mul, map_kron(coa.counit, coa.counit))
-    check_map_equal(rep, "hopf-counit-unital",
-                    coa.counit @ alg.unit,
-                    LinMap.identity(h.field, SpaceLabel.scalar()))
-    unit_counit = alg.unit @ coa.counit
-    check_map_equal(rep, "hopf-antipode-left",
-                    alg.mul @ apply_at(h.antipode, coa.comul, 0), unit_counit)
-    check_map_equal(rep, "hopf-antipode-right",
-                    alg.mul @ apply_at(h.antipode, coa.comul, 1), unit_counit)
+    rep.extend(check_conditions((
+        ("hopf-comul-multiplicative", mul.domain,
+         ((comul, 0), (mul, 0)),
+         ((mul, 1), (mul, 0), (flip_map(h.field, h.space, h.space), 1),
+          (comul, 0), (comul, 1))),
+        ("hopf-comul-unital", k, ((comul, 0), (unit, 0)), map_kron(unit, unit)),
+        ("hopf-counit-multiplicative", mul.domain,
+         ((counit, 0), (mul, 0)), map_kron(counit, counit)),
+        ("hopf-counit-unital", k, ((counit, 0), (unit, 0)), LinMap.identity(h.field, k)),
+        ("hopf-antipode-left", h.space, ((mul, 0), (S, 0), (comul, 0)), unit_counit),
+        ("hopf-antipode-right", h.space, ((mul, 0), (S, 1), (comul, 0)), unit_counit))))
     inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
     if inv is None:
         rep.add("hopf-antipode-bijective", False,
                 {"reason": "antipode matrix is singular"})
     else:
         rep.add("hopf-antipode-bijective", True)
-        check_map_equal(rep, "hopf-antipode-inverse",
-                        inv @ h.antipode, ident)
+        rep.extend(check_conditions((("hopf-antipode-inverse", h.space,
+                                      ((inv, 0), (S, 0)), h.algebra.identity()),)))
     return rep
 
 

@@ -29,6 +29,8 @@ from strongconn.connection import (
 )
 from strongconn.errors import InternalContradiction
 from strongconn.linmaps import Infeasible, LinMap, SpaceLabel, map_vectorize, vector
+from strongconn.report import check_conditions
+from strongconn.structures import StructureAlgebra, validate_algebra
 
 from test_systems import CASES, IDS
 
@@ -99,6 +101,29 @@ def test_cyclotomic_candidates_are_irrational():
     _, ext, _ = CASES[-1]
     X = random_map(ext.field, ext.coalgebra.space, ext.coalgebra.space, 1)
     assert any(s.num[1] for row in X.rows for s in row.values())
+
+
+@pytest.mark.parametrize("name,ext,hopf", CASES, ids=IDS)
+def test_a_slot_free_table_is_checked_without_x(name, ext, hopf):
+    """check_conditions(table) with no X checks a law of fixed maps:
+    associativity passes on the algebra and fails on a doctored product
+    with the witness validate_algebra reports."""
+    alg = ext.algebra
+    mul = alg.mul
+
+    def associativity(m):
+        return (("algebra-associativity", m.domain.tensor(alg.space),
+                 ((m, 0), (m, 0)), ((m, 0), (m, 1))),)
+
+    assert check_conditions(associativity(mul)).passed
+    bump = [[alg.field.zero] * mul.ncols for _ in range(mul.nrows)]
+    bump[0][0] = alg.field.one
+    doctored = mul + LinMap(alg.field, mul.domain, mul.codomain, bump)
+    rep = check_conditions(associativity(doctored))
+    expected = validate_algebra(StructureAlgebra(doctored, alg.unit)).named(
+        "algebra-associativity")
+    assert not rep.passed
+    assert rep.checks == [expected]
 
 
 def test_oracle_rejects_a_system_that_differs_from_its_table(monkeypatch):

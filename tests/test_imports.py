@@ -1,5 +1,6 @@
-"""Every name a strongconn module imports is used in that module, and
-importing the package and its command stays cheap.
+"""Every name a strongconn module imports is used in that module,
+importing the package and its command stays cheap, and the laws are
+checked by one evaluator.
 
 __init__.py is left out: it imports names to re-export them.  A
 ``from __future__`` import is a compiler directive, not a name.
@@ -41,6 +42,28 @@ def test_an_unused_import_is_found():
                      "import os.path\n"
                      "raise TooLarge(os.path.sep)\n")
     assert unused_imports(tree) == ["ShapeError (line 1)"]
+
+
+def names_in(tree: ast.Module) -> set[str]:
+    """Every name a module binds, reads, imports or defines."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def test_only_the_evaluator_and_the_verifier_compare_maps():
+    """check_map_equal is named only where it is defined and called by
+    report.check_conditions, and in connection (verify_connection and
+    splitting): every structural law is a table row."""
+    naming = sorted(p.name for p in MODULES
+                    if "check_map_equal" in names_in(ast.parse(p.read_text(encoding="utf-8"))))
+    assert naming == ["connection.py", "report.py"]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from strongconn import connection, extensions, homogeneous, structures
+from strongconn import connection, extensions, report
 from strongconn.connection import (
     ConnectionForm,
     SectionMap,
@@ -111,7 +111,7 @@ def recorded(monkeypatch):
         seen[name] = (lhs, rhs)
         return check_map_equal(rep, name, lhs, rhs)
 
-    for module in (structures, extensions, connection, homogeneous):
+    for module in (report, connection):
         monkeypatch.setattr(module, "check_map_equal", record)
     return seen
 

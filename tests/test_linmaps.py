@@ -433,8 +433,19 @@ def test_compose_legs_folds_from_either_end(fname):
     assert narrowing == map_kron(ic, merge) @ map_kron(swap_back, ix) @ \
         map_kron(merge, map_kron(ic, ix))
     assert stores_no_zero(widening) and stores_no_zero(narrowing)
-    with pytest.raises(ShapeError):
+    # ends of equal dimension, through a unit step from k
+    unit = leg_map(field, K, X2, 7)
+    assert compose_legs(X2, (merge, 0), (unit, 0)) == merge @ map_kron(unit, ix)
+    assert compose_legs(X2, (merge, 0), (unit, 1)) == merge @ map_kron(ix, unit)
+    # a misplaced step raises whichever end the chain is folded from
+    with pytest.raises(ShapeError):  # widening: from the domain
         compose_legs(C3.tensor(X2), (split, 0))
+    with pytest.raises(ShapeError):
+        compose_legs(X2, (split, 2), (split, 0))
+    with pytest.raises(ShapeError):  # narrowing: from the codomain
+        compose_legs(X2.tensor(X2).tensor(C3), (merge, 1), (swap_back, 1))
+    with pytest.raises(ShapeError):
+        compose_legs(X2.tensor(X2).tensor(X2), (merge, 1), (merge, 1))
 
 
 @pytest.mark.parametrize("fname", LEG_FIELDS)

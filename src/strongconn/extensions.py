@@ -266,9 +266,11 @@ def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
     psi_inv, rho and the left coaction together in one identity.
     """
     mul, rho = ext.algebra.mul, ext.coaction.rho
+    # mul before comul (they act on disjoint legs): the widest space on
+    # the way is A (x) C (x) C, not A (x) A (x) C (x) C
     return check_conditions((
         ("key-identity", mul.domain,
-         ((ext.entwining.psi_inv, 0), (mul, 0), (ext.coalgebra.comul, 2), (rho, 1)),
+         ((ext.entwining.psi_inv, 0), (ext.coalgebra.comul, 1), (mul, 0), (rho, 1)),
          ((mul, 1), (ext.coaction.rho_left, 0), (rho, 1))),))
 
 

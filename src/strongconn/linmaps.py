@@ -532,17 +532,21 @@ def compose_legs(domain: SpaceLabel, *steps) -> LinMap:
     """(I (x) f_1 (x) I) o ... o (I (x) f_n (x) I) out of domain, for
     steps (f_i, at_i) written leftmost first: f_i acts on the factors
     from position at_i of the space it is applied to.  Folded right to
-    left by apply_at when the steps' dimensions show the domain no larger
-    than the codomain or the last step takes the whole domain at position
-    0, else left to right by precompose_at from the codomain's label.  A
-    fold starts from the map of a step that spans its end at position 0.
+    left by apply_at when the last step takes the whole domain at
+    position 0, or when the steps' dimensions show the domain smaller
+    than the codomain, or of the same size without a first step that
+    gives the whole codomain at position 0; else left to right by
+    precompose_at from the codomain's label.  A fold starts from the map
+    of a step that spans its end at position 0.
     """
     taken = given = 1
     for f, _ in steps:
         taken *= f.domain.dim
         given *= f.codomain.dim
-    last, at = steps[-1]
-    forward = taken > given and not (at == 0 and last.domain == domain)
+    (first, first_at), (last, at) = steps[0], steps[-1]
+    forward = not (at == 0 and last.domain == domain) and (
+        taken > given or taken == given and first_at == 0
+        and first.codomain.dim == domain.dim)
     end = domain
     if forward:
         for f, at in reversed(steps):

@@ -9,7 +9,7 @@ import pytest
 
 import strongconn
 from strongconn import fileformat
-from strongconn.cli import build_parser, main
+from strongconn.cli import Options, main, read_options
 from strongconn.connection import brute_force_connections
 from strongconn.fileformat import parse_instance, parse_instance_dict, write_instance
 from strongconn.golden import build_golden, instance_from_extension, write_golden_files
@@ -204,7 +204,7 @@ def default_of(fn, param: str):
 
 
 def test_cli_defaults_are_the_library_defaults():
-    args = build_parser().parse_args(["instance.json"])
+    args = read_options(["instance.json"])
     assert args.dim_cap == default_of(parse_instance, "dim_cap") == \
         default_of(parse_instance_dict, "dim_cap")
     assert args.oracle_cap == default_of(run_pipeline, "oracle_cap") == \
@@ -241,6 +241,61 @@ def test_cli_bad_option_values_are_usage_errors(golden_dir, capsys, flags, messa
     assert rc == 2
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["FILE", "--dim-cap=0"], "--dim-cap must be at least 1, got 0"),
+    (["FILE", "--oracle", "-1"], "--oracle-cap must not be negative, got -1"),
+    (["FILE", "--o", "8"], "ambiguous option --o: could be --out, --oracle-cap"),
+    (["FILE", "--depth", "8"], "unknown option --depth"),
+    (["-x", "FILE"], "unknown option -x"),
+    (["FILE", "--dim-cap"], "--dim-cap needs a value"),
+    (["FILE", "--dim-cap", "abc"], "--dim-cap needs an integer, got 'abc'"),
+    (["FILE", "--format", "xml"], "--format must be one of text, json, got 'xml'"),
+    (["FILE", "--help=yes"], "--help takes no value"),
+    (["--format", "json"], "no instance file given"),
+    (["FILE", "FILE"], "one instance file expected, got 2: FILE FILE"),
+    (["FILE", "--help"], None),
+    (["-h"], None),
+    (["--he", "FILE", "--bogus"], None),
+], ids=["equals-form", "prefix", "ambiguous", "unknown", "unknown-short",
+        "missing-value", "cap-not-integer", "format-not-a-choice",
+        "help-with-value", "no-instance", "two-instances", "help", "help-short",
+        "help-prefix"])
+def test_cli_usage_errors_are_one_line(golden_dir, capsys, argv, message):
+    """Each usage error returns 2 and prints one error: line, without the
+    usage block and without raising SystemExit; a message of None is a
+    call for help, which prints the usage and the defaults and returns 0."""
+    instance = str(golden_dir / "group_self_z4.json")
+    rc = main([instance if word == "FILE" else word for word in argv])
+    captured = capsys.readouterr()
+    if message is None:
+        assert rc == 0
+        assert captured.err == ""
+        assert captured.out.startswith("Usage:\n\n    strongconn INSTANCE.json")
+        assert "--dim-cap 32, --oracle-cap 4096" in captured.out
+        return
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('FILE', instance)}\n"
+
+
+def test_cli_option_forms_read_alike(golden_dir, tmp_path):
+    """--opt value, --opt=value and a unique prefix name the same run,
+    and the word after an option is its value even when it begins with
+    a dash; -- ends the options."""
+    src = str(golden_dir / "graded_n2_t2.json")
+    forms = {"long": [src, "--format", "json", "--stages", "validate,cointegral"],
+             "equals": ["--format=json", "--stages=validate,cointegral", src],
+             "prefix": ["--f", "json", "--st=validate,cointegral", src]}
+    reports = {}
+    for name, argv in forms.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["--ou", str(out), *argv]) == 0
+        reports[name] = out.read_bytes()
+    assert reports["long"] == reports["equals"] == reports["prefix"]
+    assert read_options(["--out", "-r", "--", "-i.json"]) == \
+        Options("-i.json", out="-r")
 
 
 def test_console_entry_point_subprocess(golden_dir):

@@ -66,15 +66,27 @@ def test_only_the_evaluator_and_the_verifier_compare_maps():
     assert naming == ["connection.py", "report.py"]
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter imports strongconn and its command without
-    dataclasses or inspect: each @dataclass compiles its methods at
-    import, and dataclasses itself imports inspect, ast and tokenize."""
+def loaded_by_import(modules: set[str]) -> list[str]:
+    """Which of modules a fresh interpreter holds after it imports
+    strongconn and its command."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, strongconn, strongconn.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         f"print(*sorted({sorted(modules)!r} & sys.modules.keys()))"],
         env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout.split()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter imports strongconn and its command without
+    dataclasses or inspect: each @dataclass compiles its methods at
+    import, and dataclasses itself imports inspect, ast and tokenize."""
+    assert loaded_by_import({"dataclasses", "inspect"}) == []
+
+
+def test_the_command_loads_no_argument_parser():
+    """The command line reads its own options: argparse costs imports
+    of gettext (and, on its first message, locale) in every run."""
+    assert loaded_by_import({"argparse", "gettext", "locale"}) == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from strongconn import linmaps
 from strongconn.errors import ShapeError
 from strongconn.linmaps import (
     Infeasible,
@@ -416,9 +417,11 @@ def test_compose_equals_the_reference_gather(fname, seed):
 
 
 @pytest.mark.parametrize("fname", LEG_FIELDS)
-def test_compose_legs_folds_from_either_end(fname):
+def test_compose_legs_folds_from_either_end(fname, monkeypatch):
     """A chain whose domain is narrower than its codomain, and one whose
-    domain is wider, equal the product of their padded steps."""
+    domain is wider, equal the product of their padded steps.  A chain
+    whose ends have equal dimension folds from a step that spans its
+    codomain at position 0, else from its domain."""
     field = LEG_FIELDS[fname]
     split = leg_map(field, X2, X2.tensor(X2), 1)
     merge = leg_map(field, X2.tensor(X2), X2, 2)
@@ -433,10 +436,29 @@ def test_compose_legs_folds_from_either_end(fname):
     assert narrowing == map_kron(ic, merge) @ map_kron(swap_back, ix) @ \
         map_kron(merge, map_kron(ic, ix))
     assert stores_no_zero(widening) and stores_no_zero(narrowing)
-    # ends of equal dimension, through a unit step from k
+    # ends of equal dimension: through a unit step from k, the first
+    # step gives the whole codomain, so the fold starts from it and
+    # makes one precompose_at; with no such step, it starts from the domain
     unit = leg_map(field, K, X2, 7)
-    assert compose_legs(X2, (merge, 0), (unit, 0)) == merge @ map_kron(unit, ix)
-    assert compose_legs(X2, (merge, 0), (unit, 1)) == merge @ map_kron(ix, unit)
+    folds = []
+
+    def counted(kernel):
+        real = getattr(linmaps, kernel)
+
+        def call(*args):
+            folds.append(kernel)
+            return real(*args)
+        return call
+
+    for kernel in ("apply_at", "precompose_at"):
+        monkeypatch.setattr(linmaps, kernel, counted(kernel))
+    ties = [compose_legs(X2, (merge, 0), (unit, 0)),
+            compose_legs(X2, (merge, 0), (unit, 1)),
+            compose_legs(X2.tensor(X2), (merge, 1), (split, 0))]
+    assert folds == ["precompose_at"] * 2 + ["apply_at"] * 2
+    monkeypatch.undo()
+    assert ties == [merge @ map_kron(unit, ix), merge @ map_kron(ix, unit),
+                    map_kron(ix, merge) @ map_kron(split, ix)]
     # a misplaced step raises whichever end the chain is folded from
     with pytest.raises(ShapeError):  # widening: from the domain
         compose_legs(C3.tensor(X2), (split, 0))
@@ -446,6 +468,12 @@ def test_compose_legs_folds_from_either_end(fname):
         compose_legs(X2.tensor(X2).tensor(C3), (merge, 1), (swap_back, 1))
     with pytest.raises(ShapeError):
         compose_legs(X2.tensor(X2).tensor(X2), (merge, 1), (merge, 1))
+    with pytest.raises(ShapeError):  # ties: from the codomain
+        compose_legs(X2, (merge, 0), (unit, 2))
+    with pytest.raises(ShapeError):
+        compose_legs(X2, (merge, 0), (split, 1))
+    with pytest.raises(ShapeError):  # ties: from the domain
+        compose_legs(X2.tensor(X2), (merge, 1), (split, 2))
 
 
 @pytest.mark.parametrize("fname", LEG_FIELDS)

@@ -13,7 +13,8 @@ An entwined extension bundles an algebra A, a coalgebra C, a bijective
 entwining, a right coaction rho satisfying the entwined-module law
 rho(a a') = a_0 psi(a_1 (x) a'), the induced left coaction, an optional
 designated grouplike with rho(1) = 1 (x) e, and the computed coinvariant
-subalgebra B = {b : rho(b a) = b rho(a) for all a}.
+subalgebra B = {b : rho(b a) = b rho(a) for all a}, read on a validated
+extension as the kernel of b -> rho(b) - b rho(1) (see coinvariants).
 
 validate_and_build (strictly: make_extension) is the one place that
 checks these laws and inverts psi; an EntwinedExtension exists only
@@ -33,7 +34,6 @@ from .linmaps import (
     Solution,
     SpaceLabel,
     Subspace,
-    apply_at,
     compose_legs,
     flip_map,
     map_kron,
@@ -73,6 +73,7 @@ class EntwinedExtension:
         self.coaction = coaction
         self.grouplike = grouplike
         self.coinvariants = coinvariants
+        self.condition_cache = {}  # ell -> _defining_conditions(ell, self)
 
     @property
     def field(self):
@@ -89,12 +90,6 @@ class EntwinedExtension:
         section on that slice (or Infeasible), the rank and the kernel."""
         return rref_solve(self.canonical_map,
                           map_kron(self.algebra.unit, self.coalgebra.identity()))
-
-    @cached_property
-    def condition_cache(self) -> dict:
-        """A connection form's three defining conditions, by the map they
-        were evaluated on (connection._defining_conditions)."""
-        return {}
 
 
 def _psi_shapes(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra) -> None:
@@ -199,17 +194,18 @@ def coaction_from_unit_check(alg: StructureAlgebra, coa: StructureCoalgebra,
 
 def coinvariants(alg: StructureAlgebra, rho: LinMap) -> Subspace:
     """B = {b : rho(b a) = b rho(a) for all a}, as the kernel of one map
-    b -> sum_j a_j (x) (rho(b a_j) - b rho(a_j)) over the basis a_j.
+    b -> rho(b) - b rho(1) from A to A (x) C.  Taking a = 1 puts B in
+    it; conversely, if rho(b) = b rho(1), then for every a
+        rho(b a) = b_0 psi(b_1 (x) a) = b 1_0 psi(1_1 (x) a) = b rho(a).
+    This uses associativity, both unit laws and entwined-module-right,
+    which validate_and_build checks first; for a rho that breaks the
+    module law the kernel may be larger than B.
 
     Post-checks that 1 lies in B and that B is closed under the product;
     both are consequences of the definition, so a failure indicates a
     solver bug and raises InternalContradiction.
     """
-    one = alg.field.one  # b -> sum_j a_j (x) b (x) a_j
-    spread = LinMap.from_rules(alg.field, alg.space, SpaceLabel(alg.space.factors * 3),
-                               lambda b: [((j, b[0], j), one) for j in range(alg.dim)])
-    sub = stacked_kernel([apply_at(rho, apply_at(alg.mul, spread, 1), 1)
-                          - apply_at(alg.mul, apply_at(rho, spread, 2), 1)])
+    sub = stacked_kernel([rho - compose_legs(alg.space, (alg.mul, 0), (rho @ alg.unit, 1))])
     if sub.first_outside(alg.unit) is not None:
         raise InternalContradiction("coinvariants do not contain the unit")
     incl = sub.inclusion()

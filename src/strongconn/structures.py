@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import ShapeError
-from .linmaps import LinMap, SpaceLabel, flip_map, map_kron, try_inverse, vector_coeffs
+from .linmaps import LinMap, SpaceLabel, flip_map, map_kron, try_inverse
 from .report import VerificationReport, check_conditions
 from .scalars import Field
 
@@ -179,4 +179,4 @@ def check_grouplike(element: LinMap, coa: StructureCoalgebra) -> bool:
         raise ShapeError("grouplike candidate must be a vector in the coalgebra")
     if coa.comul @ element != map_kron(element, element):
         return False
-    return vector_coeffs(coa.counit @ element) == (coa.field.one,)
+    return coa.counit @ element == LinMap.identity(coa.field, SpaceLabel.scalar())

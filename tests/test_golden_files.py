@@ -1,7 +1,7 @@
 """The committed golden files through the command line.
 
-The builders regenerate them byte for byte, their JSON reports are
-pinned byte for byte, and deleting any single
+The builders regenerate them byte for byte, their text and JSON reports
+are pinned byte for byte, and deleting any single
 designation from any of them, or giving any structural value a value of
 another JSON type, ends in a documented exit code, never in a traceback
 or an internal error.
@@ -36,9 +36,23 @@ REPORT_SHA256 = {
     "trivial_dim2": "eaa3b615079921478e4dd87d48d834bf4d99f5d68b0a635355610ae98ae5681d",
 }
 
+# sha256 of `strongconn golden/NAME.json`, the default text report
+TEXT_REPORT_SHA256 = {
+    "graded_n2_t2": "1c0f3a18296556eb898feee3a160ffe792e378b9976b75061b3db1793c1eed8e",
+    "graded_n3_t1_cyclotomic":
+        "ae0b4172813fba23813dfe03c5e7525758d4568c1d17af759126e51451e55cf7",
+    "group_self_z2": "e6d6394f977fbe5e84aee7f6a26a5b3c2bab7a0a02d2afe74403f606ce72d279",
+    "group_self_z4": "8587505555b6e795d2a88ece07bb8496373c5fdf7b35b7b2b9cbb92bb30fcb86",
+    "homogeneous_z4_z2":
+        "600fee7a21e249b5800c0f802bbbf2af9d58ead59fdfe16a21890a767b3675ad",
+    "sweedler_h4": "511f88e5f6cddf931d19973f1a3a1b258656a15131ee65eef1af7706d68e7e0b",
+    "trivial_dim2": "22b3291b0fc3368cf146ba51992bba081d1afb0966516f3c983d2ae0e73b368a",
+}
+
 
 def test_every_golden_file_is_pinned():
-    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(REPORT_SHA256)
+    names = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
+    assert names == sorted(REPORT_SHA256) == sorted(TEXT_REPORT_SHA256)
 
 
 def test_golden_files_regenerate_byte_for_byte(tmp_path):
@@ -55,6 +69,14 @@ def test_golden_report_bytes(name, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert rc == (1 if name == "sweedler_h4" else 0)
     assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORT_SHA256))
+def test_golden_text_report_bytes(name, capsys):
+    rc = main([str(GOLDEN_DIR / f"{name}.json")])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert rc == (1 if name == "sweedler_h4" else 0)
+    assert hashlib.sha256(out).hexdigest() == TEXT_REPORT_SHA256[name]
 
 
 def single_deletions():

@@ -460,6 +460,20 @@ def test_coinvariants_of_doctored_coactions_equal_the_stacked_kernel(monkeypatch
     assert shrank == {True, False}
 
 
+@pytest.mark.parametrize("name,ext,hopf", EXTENSIONS, ids=IDS)
+def test_coinvariants_eliminate_one_row_per_basis_pair(name, ext, hopf, monkeypatch):
+    """B is read as the kernel of one map A -> A (x) C: its system has
+    dim A * dim C rows, not the dim A^2 * dim C of the "for all a"."""
+    handed = []
+    monkeypatch.setattr(extensions, "stacked_kernel",
+                        lambda maps: handed.append(maps) or stacked_kernel(maps))
+    alg, coa = ext.algebra, ext.coalgebra
+    assert coinvariants(alg, ext.coaction.rho) == ext.coinvariants
+    [[system]] = handed
+    assert system.domain == alg.space
+    assert system.codomain.dim == alg.dim * coa.dim
+
+
 # -- cointegrals, integrals and the Hopf algebras ---------------------------
 
 

@@ -15,11 +15,8 @@ Every produced object is re-verified rather than trusted.  The defining
 conditions of a cointegral, an integral and a strong connection are one
 table each, which the verifier evaluates as map identities and
 linear_system reads as a solver's system, and a brute-force oracle
-describes the whole affine set of connections for cross-checking.  It
-solves the three conditions on ell as one system, except when the
-canonical map is injective: then the one map satisfying condition (a),
-which the canonical map's own elimination already gives and the section
-also reads, is checked against all three conditions as map identities.
+describes the whole affine set of connections for cross-checking (see
+brute_force_connections for when it solves a system).
 
 All solves share the deterministic echelon solver (leftmost pivots, free
 variables zero).  When a solution space is positive-dimensional the
@@ -365,35 +362,19 @@ def colinearity_reduction(conn: ConnectionForm, section: SectionMap,
     _, (_, sigma_0, rho_sigma), (_, sigma_1, lam_sigma) = _defining_conditions(sigma, ext)
     right_col = sigma_0 == rho_sigma
     left_col = sigma_1 == lam_sigma
-    if right_col and left_col:
-        klass = "bicolinear"
-    elif right_col:
-        klass = "right-colinear"
-    elif left_col:
-        klass = "left-colinear"
-    else:
-        klass = "neither"
+    klass = ("neither", "left-colinear", "right-colinear",
+             "bicolinear")[2 * right_col + left_col]
     rep.add("section-colinearity-class", True, {"class": klass}, keep=True)
-    if right_col:
-        reduced = apply_at(conn.gamma, sigma_1, 0)
-        ok = rep.add("reduction-right-agrees", reduced == conn.ell)
-        if not ok:
-            raise InternalContradiction("right-reduced formula disagrees")
-    else:
-        rep.add_na("reduction-right-agrees", "sigma is not right colinear")
-    if left_col:
-        reduced = apply_at(conn.alpha, sigma_0, 1)
-        ok = rep.add("reduction-left-agrees", reduced == conn.ell)
-        if not ok:
-            raise InternalContradiction("left-reduced formula disagrees")
-    else:
-        rep.add_na("reduction-left-agrees", "sigma is not left colinear")
-    if right_col and left_col:
-        ok = rep.add("bicolinear-fixed-point", conn.ell == sigma)
-        if not ok:
-            raise InternalContradiction("bicolinear sigma was not reproduced")
-    else:
-        rep.add_na("bicolinear-fixed-point", "sigma is not bicolinear")
+    for name, holds, reduced, kind in (
+            ("reduction-right-agrees", right_col,
+             lambda: apply_at(conn.gamma, sigma_1, 0), "right colinear"),
+            ("reduction-left-agrees", left_col,
+             lambda: apply_at(conn.alpha, sigma_0, 1), "left colinear"),
+            ("bicolinear-fixed-point", right_col and left_col, lambda: sigma, "bicolinear")):
+        if not holds:
+            rep.add_na(name, f"sigma is not {kind}")
+        elif not rep.add(name, reduced() == conn.ell):
+            raise InternalContradiction(f"{name} fails for a {kind} sigma")
     return rep
 
 

@@ -66,15 +66,13 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     rep = VerificationReport()
     alg, coa = hopf.algebra, hopf.coalgebra
 
-    unital = b_sub.first_outside(alg.unit) is None
-    rep.add("subalgebra-unital", unital)
+    unital = rep.add("subalgebra-unital", b_sub.first_outside(alg.unit) is None)
     incl = b_sub.inclusion()
-    closed = b_sub.first_outside(alg.mul @ map_kron(incl, incl)) is None
-    rep.add("subalgebra-closed", closed)
-
+    closed = rep.add("subalgebra-closed",
+                     b_sub.first_outside(alg.mul @ map_kron(incl, incl)) is None)
     # Delta(B) in A (x) B
-    stable = b_sub.first_outside(coa.comul @ incl, 1) is None
-    rep.add("coproduct-stabilises-subalgebra", stable)
+    stable = rep.add("coproduct-stabilises-subalgebra",
+                     b_sub.first_outside(coa.comul @ incl, 1) is None)
     if not (unital and closed and stable):
         return None, rep
 
@@ -87,10 +85,8 @@ def build_quotient(hopf: HopfAlgebra, b_sub: Subspace):
     # coideal checks: ker(pi (x) pi) = A (x) B+A + B+A (x) A, so
     # Delta(B+A) lies there exactly when (pi (x) pi) o Delta kills B+A
     ideal_incl = bplus_a.inclusion()
-    coideal_cop = (projected @ ideal_incl).is_zero()
-    rep.add("coideal-coproduct", coideal_cop)
-    coideal_eps = (coa.counit @ ideal_incl).is_zero()
-    rep.add("coideal-counit", coideal_eps)
+    coideal_cop = rep.add("coideal-coproduct", (projected @ ideal_incl).is_zero())
+    coideal_eps = rep.add("coideal-counit", (coa.counit @ ideal_incl).is_zero())
     if not (coideal_cop and coideal_eps):
         return None, rep
 

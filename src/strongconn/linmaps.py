@@ -363,23 +363,19 @@ class LinMap:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_parallel(self, other: "LinMap") -> None:
+    def _plus(self, other: "LinMap", sign: Scalar) -> "LinMap":
+        """self + sign * other, sign the field's one or minus one."""
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError(f"{self!r} and {other!r} are not parallel")
+        return LinMap._from_rows(self.field, self.domain, self.codomain,
+                                 tuple(_accumulate(dict(ra), rb, sign) if rb else ra
+                                       for ra, rb in zip(self.rows, other.rows)))
 
     def __add__(self, other: "LinMap") -> "LinMap":
-        self._check_parallel(other)
-        one = self.field.one
-        return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate(dict(ra), rb, one) if rb else ra
-                                       for ra, rb in zip(self.rows, other.rows)))
+        return self._plus(other, self.field.one)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        self._check_parallel(other)
-        minus_one = self.field.minus_one
-        return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate(dict(ra), rb, minus_one) if rb else ra
-                                       for ra, rb in zip(self.rows, other.rows)))
+        return self._plus(other, self.field.minus_one)
 
     def __neg__(self) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
@@ -571,11 +567,8 @@ def flip_map(field: Field, left: SpaceLabel, right: SpaceLabel) -> LinMap:
 
 def vector(field: Field, space: SpaceLabel, coeffs) -> LinMap:
     """An element of a space, as a map from the scalar line."""
-    coeffs = list(coeffs)
-    if len(coeffs) != space.dim:
-        raise ShapeError(f"expected {space.dim} coefficients, got {len(coeffs)}")
     rows = [EMPTY] * space.dim
-    for r, v in _sparse(field, coeffs).items():
+    for r, v in _sparse_in(field, space, coeffs).items():
         rows[r] = {0: v}
     return LinMap._from_rows(field, SpaceLabel.scalar(), space, tuple(rows))
 

@@ -68,13 +68,6 @@ class PipelineReport:
         self.derived: dict = {}
         self.solution_dims: dict = {}
 
-    def record_all(self, stage: str, rep) -> None:
-        for c in rep.checks:
-            self.checks.append((stage, c))
-
-    def skip_stage(self, stage: str, reason: str) -> None:
-        self.checks.append((stage, Check(stage, SKIP, {"reason": reason})))
-
     @property
     def failures(self) -> list[tuple[str, Check]]:
         return [(s, c) for s, c in self.checks if c.status == FAIL]
@@ -105,9 +98,7 @@ class PipelineReport:
         width = max((len(s) for s in self.stages), default=8)
         status_word = {PASS: "PASS", FAIL: "FAIL", SKIP: "SKIP", NA: "N/A "}
         for stage, c in self.checks:
-            extra = ""
-            if c.witness is not None:
-                extra = f"  {json.dumps(c.witness, sort_keys=True)}"
+            extra = "" if c.witness is None else f"  {json.dumps(c.witness, sort_keys=True)}"
             lines.append(f"[{stage:<{width}}] {status_word[c.status]} "
                          f"{c.name}{extra}")
         for key, dim in sorted(self.solution_dims.items()):
@@ -356,10 +347,8 @@ STAGE_ORDER = list(STAGES)
 
 
 def default_stages(inst: InstanceFile) -> list[str]:
-    stages = [s for s in STAGE_ORDER if s != "homogeneous"]
-    if inst.b_subspace is not None:
-        stages.insert(0, "homogeneous")
-    return stages
+    return [s for s in STAGE_ORDER
+            if s != "homogeneous" or inst.b_subspace is not None]
 
 
 def _check_stage_request(inst: InstanceFile, stages: list[str]) -> list[str]:
@@ -379,11 +368,10 @@ def _check_stage_request(inst: InstanceFile, stages: list[str]) -> list[str]:
         if _hopf(inst, "A") is None:
             raise DependencyError("stage 'homogeneous' requires Hopf data "
                                   "on A (a_comul, a_counit, a_antipode)")
-    if "validate" in requested and not inst.has_entwined_data:
-        if "homogeneous" not in requested:
-            raise DependencyError(
-                "stage 'validate' needs designated psi and rho, or a "
-                "homogeneous stage to derive them from")
+    if "validate" in requested and "homogeneous" not in requested \
+            and not inst.has_entwined_data:
+        raise DependencyError("stage 'validate' needs designated psi and rho, or a "
+                              "homogeneous stage to derive them from")
     return [s for s in STAGE_ORDER if s in requested]
 
 
@@ -402,9 +390,9 @@ def run_pipeline(inst: InstanceFile, stages: list[str] | None = None,
                        if not getattr(run, attr)), None)
         if reason is None:
             reason = stage.run(run, vrep)
-        rep.record_all(name, vrep)
+        rep.checks.extend((name, c) for c in vrep.checks)
         if reason is not None:
-            rep.skip_stage(name, reason)
+            rep.checks.append((name, Check(name, SKIP, {"reason": reason})))
     return rep
 
 

@@ -41,13 +41,14 @@ from .linmaps import (
     stacked_kernel,
     try_inverse,
 )
-from .report import PASS, VerificationReport, check_conditions
+from .report import VerificationReport, check_conditions, check_laws
 from .structures import (
+    ON_GENERATOR,
     HopfAlgebra,
     StructureAlgebra,
     StructureCoalgebra,
+    algebra_laws,
     check_grouplike,
-    validate_algebra,
     validate_coalgebra,
 )
 
@@ -91,14 +92,12 @@ class EntwinedExtension:
                           map_kron(self.algebra.unit, self.coalgebra.identity()))
 
 
-def validate_entwining_rr(psi: LinMap, alg: StructureAlgebra,
-                          coa: StructureCoalgebra) -> VerificationReport:
-    """The four right-right entwining identities, with basis witnesses."""
+def _rr_laws(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra):
     if psi.domain != coa.space.tensor(alg.space) or \
             psi.codomain != alg.space.tensor(coa.space):
         raise ShapeError("psi must map C(x)A -> A(x)C")
     mul, unit, comul, counit = alg.mul, alg.unit, coa.comul, coa.counit
-    return check_conditions((
+    return (
         ("entwining-rr-multiplicativity", psi.domain.tensor(alg.space),
          ((psi, 0), (mul, 1)), ((mul, 0), (psi, 1), (psi, 0))),
         ("entwining-rr-unitality", coa.space,
@@ -106,7 +105,13 @@ def validate_entwining_rr(psi: LinMap, alg: StructureAlgebra,
         ("entwining-rr-comultiplicativity", psi.domain,
          ((comul, 1), (psi, 0)), ((psi, 0), (psi, 1), (comul, 0))),
         ("entwining-rr-counitality", psi.domain,
-         ((counit, 1), (psi, 0)), map_kron(counit, alg.identity()))))
+         ((counit, 1), (psi, 0)), map_kron(counit, alg.identity())))
+
+
+def validate_entwining_rr(psi: LinMap, alg: StructureAlgebra,
+                          coa: StructureCoalgebra) -> VerificationReport:
+    """The four right-right entwining identities, with basis witnesses."""
+    return check_conditions(_rr_laws(psi, alg, coa))
 
 
 def _ll_laws(psi_inv: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra):
@@ -180,18 +185,21 @@ def _module_laws(alg: StructureAlgebra, entw: Entwining, coact: Coaction):
              ((lam, 0), (mul, 0)), ((mul, 1), (entw.psi_inv, 0), (lam, 1))))
 
 
-def validate_entwined_module(alg: StructureAlgebra, coa: StructureCoalgebra,
-                             entw: Entwining, coact: Coaction) -> VerificationReport:
+def validate_entwined_module(alg: StructureAlgebra, entw: Entwining,
+                             coact: Coaction) -> VerificationReport:
     """rho(a a') = a_0 psi(a_1 (x) a') and its left mirror, over all pairs."""
     return check_conditions(_module_laws(alg, entw, coact))
 
 
-def coaction_from_unit_check(alg: StructureAlgebra, coa: StructureCoalgebra,
-                             entw: Entwining, rho: LinMap) -> VerificationReport:
+def _coaction_from_unit_law(alg: StructureAlgebra, entw: Entwining, rho: LinMap):
+    return (("coaction-from-unit", alg.space,
+             rho, ((alg.mul, 0), (entw.psi, 1), (rho, 0), (alg.unit, 0))),)
+
+
+def coaction_from_unit_check(alg: StructureAlgebra, entw: Entwining,
+                             rho: LinMap) -> VerificationReport:
     """rho(a) = 1_0 psi(1_1 (x) a) for every basis element a."""
-    return check_conditions((
-        ("coaction-from-unit", alg.space,
-         rho, ((alg.mul, 0), (entw.psi, 1), (rho, 0), (alg.unit, 0))),))
+    return check_conditions(_coaction_from_unit_law(alg, entw, rho))
 
 
 def coinvariants(alg: StructureAlgebra, rho: LinMap) -> Subspace:
@@ -288,21 +296,10 @@ IMPLIED_LAWS = {
         ("entwining-bijective", "entwining-rr-comultiplicativity"),
     "entwining-ll-counitality": ("entwining-bijective", "entwining-rr-counitality"),
     "entwined-module-left": (*_LL_MUL, "algebra-associativity"),
+    "coaction-from-unit": ("entwined-module-right", "algebra-left-unit"),
     "key-identity": (*_LL_MUL, "algebra-associativity", "coaction-from-unit",
                      "coaction-right-coassociativity"),
 }
-
-
-def _check(rep: VerificationReport, table) -> None:
-    """Append table's rows to rep; IMPLIED_LAWS' rows pass unbuilt once
-    their premises passed in rep."""
-    passed = {c.name for c in rep.checks if c.status == PASS}
-    for row in table:
-        premises = IMPLIED_LAWS.get(row[0])
-        if premises and passed.issuperset(premises):
-            rep.add(row[0], True)
-        else:
-            rep.extend(check_conditions((row,)))
 
 
 def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
@@ -320,26 +317,54 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     rr law by psi_inv on both sides; entwined-module-left from those of
     ll-multiplicativity and algebra-associativity, as lam(a) =
     psi_inv(a rho(1)) gives lam(a a') = psi_inv(a (a' 1_0) (x) 1_1) =
-    (C (x) mu)(psi_inv (x) A)(a (x) lam(a')); key-identity as in
+    (C (x) mu)(psi_inv (x) A)(a (x) lam(a')); coaction-from-unit is
+    entwined-module-right at a = 1, where algebra-left-unit gives 1 a' =
+    a', so rho(a') = 1_0 psi(1_1 (x) a'); key-identity as in
     key_identity_check.
+
+    When A has a single generator s (structures.single_generator), a
+    row of ON_GENERATOR is first checked with its last leg a' on s, and
+    that pass stands for the full row once its premises passed
+    (report.check_laws).  The powers p_0 = 1, p_(j+1) = p_j s span A,
+    so an induction on j that proves the row at a' = p_j for all other
+    legs proves it on A:
+    - algebra-associativity as in structures.validate_hopf.
+    - entwining-rr-multiplicativity, psi(c (x) a a') =
+      a_psi psi(c^psi (x) a'), from its cut row, algebra-right-unit,
+      algebra-associativity and entwining-rr-unitality.  At a' = 1 both
+      sides are psi(c (x) a), as psi(c^psi (x) 1) = 1 (x) c^psi.  If it
+      holds at p, then by associativity, the cut row at a p, the step
+      at p and the cut row at p: psi(c (x) a (p s)) =
+      psi(c (x) (a p) s) = (a p)_psi psi(c^psi (x) s) =
+      a_psi p_Psi psi(c^(psi Psi) (x) s) = a_psi psi(c^psi (x) p s).
+    - entwined-module-right, rho(a a') = a_0 psi(a_1 (x) a'), from its
+      cut row, those three and entwining-rr-multiplicativity.  At
+      a' = 1 both sides are rho(a).  If it holds at p, then
+      rho(a (p s)) = (a p)_0 psi((a p)_1 (x) s) =
+      a_0 p_psi psi(a_1^psi (x) s) = a_0 psi(a_1 (x) p s), the last by
+      rr-multiplicativity.
     """
+    gen = alg.generator()
     rep = VerificationReport()
-    rep.extend(validate_algebra(alg))
+
+    def check(table) -> None:
+        check_laws(rep, table, IMPLIED_LAWS, ON_GENERATOR, gen)
+
+    check(algebra_laws(alg))
     rep.extend(validate_coalgebra(coa))
-    rep.extend(validate_entwining_rr(psi, alg, coa))
+    check(_rr_laws(psi, alg, coa))
     inv = try_inverse(psi)
     if inv is None:
         rep.add("entwining-bijective", False, {"reason": "psi matrix is singular"})
         return None, rep
     rep.add("entwining-bijective", True)
-    _check(rep, _ll_laws(inv, alg, coa))
+    check(_ll_laws(inv, alg, coa))
     entw = Entwining(psi, inv)
     rep.extend(validate_right_coaction(rho, coa, alg.space))
     rho_left = induced_left_coaction(alg, entw, rho)
     rep.extend(validate_left_coaction(rho_left, coa, alg.space))
     coact = Coaction(rho, rho_left)
-    _check(rep, _module_laws(alg, entw, coact))
-    rep.extend(coaction_from_unit_check(alg, coa, entw, rho))
+    check(_module_laws(alg, entw, coact) + _coaction_from_unit_law(alg, entw, rho))
     if grouplike is not None:
         rep.add("grouplike-designated", check_grouplike(grouplike, coa))
         rep.extend(check_conditions((
@@ -357,7 +382,7 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     if not rep.passed:
         return None, rep
     ext = EntwinedExtension(alg, coa, entw, coact, grouplike, coinv)
-    _check(rep, _key_identity_law(ext))
+    check(_key_identity_law(ext))
     return (ext if rep.passed else None), rep
 
 

@@ -12,6 +12,11 @@ A Hopf algebra may carry a designated antipode inverse; validate_hopf
 checks it (hopf-antipode-inverse).  Its solved_antipode_inv is the
 antipode's inverse from one elimination, made at most once, and
 validate_hopf checks that one when none is designated.
+
+A law that is multiplicative in its last algebra leg holds on all of A
+once it holds on a generator (ON_GENERATOR): single_generator finds one
+when mul is not monomial, and validate_hopf and
+extensions.validate_and_build then check those rows on its line first.
 """
 
 from __future__ import annotations
@@ -19,15 +24,25 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import ShapeError
-from .linmaps import LinMap, SpaceLabel, flip_map, map_kron, try_inverse
-from .report import VerificationReport, check_conditions
+from .linmaps import (
+    LinMap,
+    SpaceLabel,
+    Subspace,
+    basis_vector,
+    flip_map,
+    map_kron,
+    precompose_at,
+    try_inverse,
+    vector_coeffs,
+)
+from .report import VerificationReport, check_conditions, check_laws
 from .scalars import Field
 
 
 class StructureAlgebra:
     """Finite-dimensional associative unital algebra."""
 
-    __slots__ = ("mul", "unit")
+    __slots__ = ("mul", "unit", "_generator")
 
     def __init__(self, mul: LinMap, unit: LinMap):
         """mul: X (x) X -> X and unit: k -> X."""
@@ -55,6 +70,17 @@ class StructureAlgebra:
 
     def identity(self) -> LinMap:
         return LinMap.identity(self.field, self.space)
+
+    def generator(self) -> LinMap | None:
+        """The basis vector single_generator finds, as a map k -> X, or
+        None; searched on the first call."""
+        try:
+            return self._generator
+        except AttributeError:
+            s = single_generator(self)
+            self._generator = None if s is None else \
+                basis_vector(self.field, self.space, s)
+            return self._generator
 
 
 class StructureCoalgebra:
@@ -123,13 +149,55 @@ class HopfAlgebra:
         return try_inverse(self.antipode)
 
 
-def validate_algebra(alg: StructureAlgebra) -> VerificationReport:
+def single_generator(alg: StructureAlgebra) -> int | None:
+    """The first basis vector s whose left-nested powers 1, s, s s,
+    (s s) s, ... span A, certified by one exact rank per basis vector
+    tried; None when no basis vector does, or when mul is monomial.
+
+    mul is monomial when no product of two basis vectors has two or
+    more nonzero coordinates.  Its rows then only relabel entries, so a
+    row cut to a generator saves no arithmetic, and the test costs one
+    scan of mul's nonzeros and no search.
+    """
+    rows = alg.mul.rows
+    if len(set().union(*rows)) == sum(map(len, rows)):
+        return None
+    field, space, n = alg.field, alg.space, alg.dim
+    for s in range(n):
+        times_s = precompose_at(alg.mul, basis_vector(field, space, s), 1)
+        powers = [alg.unit]
+        for _ in range(n - 1):
+            powers.append(times_s @ powers[-1])
+        if Subspace.from_vectors(field, space, map(vector_coeffs, powers)).dim == n:
+            return s
+    return None
+
+
+# row -> the rows under which it holds on all of A once it holds with
+# its last algebra leg on a single generator (validate_hopf and
+# extensions.validate_and_build give the inductions)
+ON_GENERATOR = {
+    "algebra-associativity": ("algebra-right-unit",),
+    "entwining-rr-multiplicativity": ("algebra-right-unit", "algebra-associativity",
+                                      "entwining-rr-unitality"),
+    "entwined-module-right": ("algebra-right-unit", "algebra-associativity",
+                              "entwining-rr-unitality", "entwining-rr-multiplicativity"),
+    "hopf-comul-multiplicative": ("algebra-associativity", "algebra-right-unit",
+                                  "hopf-comul-unital"),
+}
+
+
+def algebra_laws(alg: StructureAlgebra) -> tuple:
     mul, unit, ident = alg.mul, alg.unit, alg.identity()
-    return check_conditions((
+    return (
         ("algebra-associativity", mul.domain.tensor(alg.space),
          ((mul, 0), (mul, 0)), ((mul, 0), (mul, 1))),
         ("algebra-left-unit", alg.space, ((mul, 0), (unit, 0)), ident),
-        ("algebra-right-unit", alg.space, ((mul, 0), (unit, 1)), ident)))
+        ("algebra-right-unit", alg.space, ((mul, 0), (unit, 1)), ident))
+
+
+def validate_algebra(alg: StructureAlgebra) -> VerificationReport:
+    return check_conditions(algebra_laws(alg))
 
 
 def validate_coalgebra(coa: StructureCoalgebra) -> VerificationReport:
@@ -142,16 +210,35 @@ def validate_coalgebra(coa: StructureCoalgebra) -> VerificationReport:
 
 
 def validate_hopf(h: HopfAlgebra) -> VerificationReport:
-    """Bialgebra compatibility, antipode axioms, bijectivity of S."""
+    """Bialgebra compatibility, antipode axioms, bijectivity of S.
+
+    When single_generator finds s, the two rows of ON_GENERATOR are
+    checked with their last leg on s first, and that pass stands for
+    the full row once its premises passed (report.check_laws).  The
+    powers p_0 = 1, p_(j+1) = p_j s span H, so an induction on j that
+    proves the row at each p_j proves it on H:
+    - algebra-associativity from (x y) s = x (y s) for all x, y and
+      algebra-right-unit.  At 1 both sides are x y.  If (x y) p =
+      x (y p) for all x, y, then (x y)(p s) = ((x y) p) s =
+      (x (y p)) s = x ((y p) s) = x (y (p s)).
+    - hopf-comul-multiplicative from Delta(x s) = Delta(x) Delta(s) for
+      all x, algebra-associativity, algebra-right-unit and
+      hopf-comul-unital.  At 1 both sides are Delta(x), as Delta(1) =
+      1 (x) 1.  If Delta(x p) = Delta(x) Delta(p) for all x, then
+      Delta(x (p s)) = Delta((x p) s) = (Delta(x) Delta(p)) Delta(s) =
+      Delta(x) Delta(p s), as H (x) H multiplies componentwise and so
+      is associative.
+    """
     rep = VerificationReport()
-    rep.extend(validate_algebra(h.algebra))
+    gen = h.algebra.generator()
+    check_laws(rep, algebra_laws(h.algebra), {}, ON_GENERATOR, gen)
     rep.extend(validate_coalgebra(h.coalgebra))
     mul, unit = h.algebra.mul, h.algebra.unit
     comul, counit = h.coalgebra.comul, h.coalgebra.counit
     k, S = SpaceLabel.scalar(), h.antipode
     unit_counit = unit @ counit
     # comul and counit are algebra maps; X(x)X multiplies componentwise
-    rep.extend(check_conditions((
+    check_laws(rep, (
         ("hopf-comul-multiplicative", mul.domain,
          ((comul, 0), (mul, 0)),
          ((mul, 1), (mul, 0), (flip_map(h.field, h.space, h.space), 1),
@@ -161,7 +248,8 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
          ((counit, 0), (mul, 0)), map_kron(counit, counit)),
         ("hopf-counit-unital", k, ((counit, 0), (unit, 0)), LinMap.identity(h.field, k)),
         ("hopf-antipode-left", h.space, ((mul, 0), (S, 0), (comul, 0)), unit_counit),
-        ("hopf-antipode-right", h.space, ((mul, 0), (S, 1), (comul, 0)), unit_counit))))
+        ("hopf-antipode-right", h.space, ((mul, 0), (S, 1), (comul, 0)), unit_counit)),
+        {}, ON_GENERATOR, gen)
     inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
     if inv is None:
         rep.add("hopf-antipode-bijective", False,

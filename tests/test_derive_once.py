@@ -16,16 +16,20 @@ from pathlib import Path
 
 import pytest
 
-from strongconn import linmaps
+from strongconn import linmaps, structures
 from strongconn.fileformat import parse_instance
+from strongconn.golden import instance_from_extension
 from strongconn.instances import (
     build_graded_extension,
     build_group_self_extension,
+    cyclic_group_hopf,
     self_extension,
     sweedler_hopf,
 )
 from strongconn.pipeline import run_pipeline
+from strongconn.scalars import Field
 
+from basis_change import conjugate
 from test_golden_files import REPORT_SHA256
 from test_staged_oracle import z8_over_subgroup
 
@@ -142,6 +146,25 @@ def test_eliminations_per_golden_run(name, monkeypatch):
     eliminated = record_eliminations(monkeypatch)
     run_pipeline(parse_instance(str(GOLDEN_DIR / f"{name}.json")))
     assert len(eliminated) == ELIMINATIONS[name]
+
+
+def test_eliminations_of_a_dense_conjugate(monkeypatch):
+    """A filled-in conjugate of graded_n4_t2 over Q(zeta3) has products
+    that are not monomial, so each run searches A and C for a single
+    generator: one rank per basis vector tried, two for A (its basis
+    vector 1 generates, 0 does not) and one for C, on top of the seven
+    eliminations of a run that searches nothing."""
+    zeta3 = Field.number_field([1, 1, 1])
+    inst = conjugate(instance_from_extension(
+        "graded_n4_t2", build_graded_extension(4, 2, zeta3),
+        c_hopf=cyclic_group_hopf(4, zeta3)), 1, lu=True)
+    eliminated = record_eliminations(monkeypatch)
+    run_pipeline(inst)
+    assert len(eliminated) == 7 + 2 + 1
+    eliminated.clear()
+    monkeypatch.setattr(structures, "single_generator", lambda alg: None)
+    run_pipeline(inst)
+    assert len(eliminated) == 7
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -212,11 +212,10 @@ def test_trivial_extension_left_coaction():
 def test_entwined_module_and_unit_coaction_checks(z2_ext, graded22):
     from strongconn.extensions import validate_entwined_module
     for ext in (z2_ext, graded22):
-        rep = validate_entwined_module(ext.algebra, ext.coalgebra,
-                                       ext.entwining, ext.coaction)
+        rep = validate_entwined_module(ext.algebra, ext.entwining, ext.coaction)
         assert rep.passed
-        assert coaction_from_unit_check(ext.algebra, ext.coalgebra,
-                                        ext.entwining, ext.coaction.rho).passed
+        assert coaction_from_unit_check(ext.algebra, ext.entwining,
+                                        ext.coaction.rho).passed
 
 
 def test_corrupt_rho_fails_entwined_module(z2_ext):
@@ -227,8 +226,7 @@ def test_corrupt_rho_fails_entwined_module(z2_ext):
     entries[rho.codomain.flatten((1, 0))][1] = QQ.one  # rho(g) = g (x) 1
     bad = Coaction(LinMap(QQ, rho.domain, rho.codomain, entries),
                    z2_ext.coaction.rho_left)
-    rep = validate_entwined_module(z2_ext.algebra, z2_ext.coalgebra,
-                                   z2_ext.entwining, bad)
+    rep = validate_entwined_module(z2_ext.algebra, z2_ext.entwining, bad)
     assert rep.named("entwined-module-right").status == "fail"
     assert rep.named("entwined-module-right").witness is not None
 

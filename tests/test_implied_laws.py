@@ -1,11 +1,15 @@
-"""Rows of validate_and_build whose status comes from a lemma.
+"""Rows whose status comes from a lemma.
 
-Six law rows follow from rows checked before them in the same report
-(extensions.IMPLIED_LAWS); validate_and_build records them as passing
-without building them when every premise passed, and evaluates them
-otherwise.  These tests hold the reports to those of a run that
-evaluates every row, pin the premises, and keep the public validators
-of those rows evaluating in full.
+Seven law rows of validate_and_build follow from rows checked before
+them in the same report (extensions.IMPLIED_LAWS); it records them as
+passing without building them when every premise passed, and evaluates
+them otherwise.  Four multiplicative rows (structures.ON_GENERATOR)
+hold on all of A once they hold on a single generator; where the
+product is not monomial and a basis vector generates, validate_and_build
+and validate_hopf check them on that generator's line first.  These
+tests hold the reports, sparse and dense, to those of a run that
+evaluates every row in full, pin the premises, and keep the public
+validators of those rows evaluating in full.
 """
 
 import random
@@ -13,14 +17,16 @@ import random
 import pytest
 
 import strongconn
-from strongconn import extensions
+from strongconn import extensions, linmaps, report, structures
 from strongconn.extensions import (
     IMPLIED_LAWS,
     Coaction,
     Entwining,
     EntwinedExtension,
+    coaction_from_unit_check,
     key_identity_check,
     validate_and_build,
+    validate_entwined_module,
     validate_entwining_ll,
     validate_entwining_rr,
 )
@@ -32,10 +38,21 @@ from strongconn.instances import (
     self_extension,
     sweedler_hopf,
 )
-from strongconn.linmaps import LinMap, try_inverse
+from strongconn.linmaps import LinMap, SpaceLabel, basis_vector, try_inverse
 from strongconn.pipeline import run_pipeline
 from strongconn.report import PASS
 from strongconn.scalars import Field
+from strongconn.structures import (
+    ON_GENERATOR,
+    StructureAlgebra,
+    StructureCoalgebra,
+    single_generator,
+    validate_algebra,
+    validate_hopf,
+)
+
+from basis_change import conjugate
+from test_systems import c_hopf_of, extension_of
 
 ZETA3 = Field.number_field([1, 1, 1])
 
@@ -52,10 +69,36 @@ def _cases():
     ]
 
 
+def _dense_cases():
+    """(name, instance) of filled-in seeded conjugates of graded_n3_t1,
+    graded_n4_t2 and kZ_4 over Q and over Q(zeta3), whose A has a
+    single generator, and of Sweedler's H4, which has none."""
+    out = []
+    for field, suffix in ((None, ""), (ZETA3, "_cyclotomic")):
+        for name, ext, hopf in (
+                ("graded_n3_t1", build_graded_extension(3, 1, field),
+                 cyclic_group_hopf(3, field)),
+                ("graded_n4_t2", build_graded_extension(4, 2, field),
+                 cyclic_group_hopf(4, field)),
+                ("group_self_z4", build_group_self_extension(4, field),
+                 cyclic_group_hopf(4, field))):
+            out.append((f"{name}{suffix}-dense", conjugate(
+                instance_from_extension(name, ext, c_hopf=hopf), 1, lu=True)))
+    h4 = sweedler_hopf()
+    out.append(("sweedler_h4-dense", conjugate(
+        instance_from_extension("sweedler_h4", self_extension(h4), c_hopf=h4), 1, lu=True)))
+    return out
+
+
 CASES = _cases()
 IDS = [name for name, _, _ in CASES]
+DENSE = _dense_cases()
+DENSE_IDS = [name for name, _ in DENSE]
+GENERATED = [(name, inst) for name, inst in DENSE if not name.startswith("sweedler")]
 MUTATED = ("psi", "rho", "mul", "comul")
 SEEDS = range(3)
+# A's rows of ON_GENERATOR; hopf-comul-multiplicative is C's
+A_ROWS = ("algebra-associativity", "entwining-rr-multiplicativity", "entwined-module-right")
 
 
 def mutated(m: LinMap, seed: int) -> LinMap:
@@ -69,12 +112,43 @@ def mutated(m: LinMap, seed: int) -> LinMap:
 
 def reports(inst, monkeypatch) -> tuple[str, str]:
     """The JSON report of inst with the lemmas, then with every row
-    evaluated."""
+    evaluated in full: no generator found and no row implied."""
     derived = run_pipeline(inst).to_json()
     with monkeypatch.context() as m:
         m.setattr(extensions, "IMPLIED_LAWS", {})
+        m.setattr(structures, "single_generator", lambda alg: None)
         evaluated = run_pipeline(inst).to_json()
     return derived, evaluated
+
+
+def record_builds(monkeypatch) -> list:
+    """(name, domain) of every row whose two sides are built, in order."""
+    built = []
+    real = report.check_map_equal
+
+    def recording(rep, name, lhs, rhs):
+        built.append((name, lhs.domain))
+        return real(rep, name, lhs, rhs)
+
+    monkeypatch.setattr(report, "check_map_equal", recording)
+    return built
+
+
+def validate(inst, mul=None):
+    """validate_and_build on inst's designated maps, with mul for A's
+    product when given; returns A and the report."""
+    alg = StructureAlgebra(mul or inst.designated("mul"), inst.designated("unit"))
+    coa = StructureCoalgebra(inst.designated("comul"), inst.designated("counit"))
+    _, rep = validate_and_build(alg, coa, inst.designated("psi"),
+                                inst.designated("rho"), inst.grouplike)
+    return alg, rep
+
+
+def full_domain(row, inst) -> SpaceLabel:
+    a, c = (SpaceLabel.base(n, inst.spaces[n]) for n in "AC")
+    return {"algebra-associativity": a.tensor(a).tensor(a),
+            "entwining-rr-multiplicativity": c.tensor(a).tensor(a),
+            "entwined-module-right": a.tensor(a)}[row]
 
 
 @pytest.mark.parametrize("name,ext,hopf", CASES, ids=IDS)
@@ -90,6 +164,95 @@ def test_reports_match_a_run_that_evaluates_every_row(name, ext, hopf, monkeypat
             assert derived == evaluated, (tensor, seed)
 
 
+@pytest.mark.parametrize("name,inst", DENSE, ids=DENSE_IDS)
+def test_dense_reports_match_a_run_that_evaluates_every_row(name, inst, monkeypatch):
+    derived, evaluated = reports(inst, monkeypatch)
+    assert derived == evaluated
+    for tensor in MUTATED:
+        for seed in SEEDS[:1] if tensor != "mul" else SEEDS:
+            tensors = dict(inst.tensors)
+            tensors[tensor] = mutated(tensors[tensor], seed)
+            derived, evaluated = reports(inst._replace(tensors=tensors), monkeypatch)
+            assert derived == evaluated, (tensor, seed)
+
+
+@pytest.mark.parametrize("name,inst", GENERATED, ids=[n for n, _ in GENERATED])
+def test_dense_multiplicative_rows_run_on_one_generator(name, inst, monkeypatch):
+    """Each of A's rows of ON_GENERATOR is built once, with its last leg
+    cut to k, and so is C's hopf-comul-multiplicative."""
+    built = record_builds(monkeypatch)
+    alg, rep = validate(inst)
+    assert rep.passed
+    s = single_generator(alg)
+    assert s is not None
+    assert alg.generator() == basis_vector(alg.field, alg.space, s)
+    for row in A_ROWS:
+        cut = SpaceLabel(full_domain(row, inst).factors[:-1])
+        assert [d for n, d in built if n == row] == [cut], row
+    hopf_c = c_hopf_of(inst)
+    built.clear()
+    assert validate_hopf(hopf_c).passed
+    assert [d for n, d in built if n == "hopf-comul-multiplicative"] == [hopf_c.space]
+
+
+def test_a_dense_sweedler_algebra_restricts_no_row(monkeypatch):
+    """Dense H4's product is not monomial, yet no single basis vector
+    generates H4, which is not commutative: every row is built in full."""
+    [inst] = [inst for name, inst in DENSE if name.startswith("sweedler")]
+    built = record_builds(monkeypatch)
+    alg, rep = validate(inst)
+    assert rep.passed
+    columns = [c for row in alg.mul.rows for c in row]
+    assert len(columns) > len(set(columns))
+    assert single_generator(alg) is None and alg.generator() is None
+    for row in A_ROWS:
+        assert [d for n, d in built if n == row] == [full_domain(row, inst)], row
+
+
+def test_a_monomial_product_is_not_searched(monkeypatch):
+    """A monomial product, as in every golden file, gives no generator and
+    no rank, even where a basis vector generates (x in k[x]/(x^3 - 1))."""
+    ranks = []
+    real = linmaps._rref_inplace
+    monkeypatch.setattr(linmaps, "_rref_inplace",
+                        lambda *args, **kwargs: ranks.append(1) or real(*args, **kwargs))
+    for _, ext, hopf in CASES:
+        assert single_generator(ext.algebra) is None
+        assert single_generator(hopf.algebra) is None
+    assert not ranks
+
+
+@pytest.mark.parametrize("name,inst", GENERATED, ids=[n for n, _ in GENERATED])
+def test_mul_mutations_breaking_associativity_are_evaluated_in_full(
+        name, inst, monkeypatch):
+    """A seeded mul that breaks associativity: each of A's rows of
+    ON_GENERATOR ends in a build on its full domain, and the report is
+    that of a run that searches no generator."""
+    ways = set()
+    for seed in range(8):
+        mul = mutated(inst.designated("mul"), seed)
+        with monkeypatch.context() as m:
+            m.setattr(structures, "single_generator", lambda alg: None)
+            _, full = validate(inst, mul)
+        if full.named("algebra-associativity").status == PASS:
+            continue
+        with monkeypatch.context() as m:
+            built = record_builds(m)
+            alg, rep = validate(inst, mul)
+        assert rep.checks == full.checks, seed
+        last = dict(built)
+        for row in A_ROWS:
+            if row in last:
+                assert last[row] == full_domain(row, inst), (seed, row)
+        right_unit = rep.named("algebra-right-unit").status == PASS
+        cut = [d for n, d in built if n == "algebra-associativity"][0] != \
+            full_domain("algebra-associativity", inst)
+        assert cut == (right_unit and alg.generator() is not None), seed
+        ways.add(cut)
+    # both ways to a full build: a cut row that fails, and a premise that fails
+    assert ways == {True, False}, ways
+
+
 def test_premises_are_pinned():
     rr_and_bijective = {
         f"entwining-ll-{law}": ("entwining-bijective", f"entwining-rr-{law}")
@@ -100,9 +263,20 @@ def test_premises_are_pinned():
             ("entwining-bijective", "entwining-rr-comultiplicativity"),
         "entwined-module-left": ("entwining-bijective", "entwining-rr-multiplicativity",
                                  "algebra-associativity"),
+        "coaction-from-unit": ("entwined-module-right", "algebra-left-unit"),
         "key-identity": ("entwining-bijective", "entwining-rr-multiplicativity",
                          "algebra-associativity", "coaction-from-unit",
                          "coaction-right-coassociativity"),
+    }
+    unit_and_associativity = ("algebra-right-unit", "algebra-associativity")
+    assert ON_GENERATOR == {
+        "algebra-associativity": ("algebra-right-unit",),
+        "entwining-rr-multiplicativity": (*unit_and_associativity,
+                                          "entwining-rr-unitality"),
+        "entwined-module-right": (*unit_and_associativity, "entwining-rr-unitality",
+                                  "entwining-rr-multiplicativity"),
+        "hopf-comul-multiplicative": ("algebra-associativity", "algebra-right-unit",
+                                      "hopf-comul-unital"),
     }
 
 
@@ -118,18 +292,14 @@ def test_every_premise_precedes_its_row(name, ext, hopf):
 
 def test_a_valid_extension_builds_no_implied_row(monkeypatch):
     ext = build_graded_extension(3, 1, ZETA3)
-    built = []
-    real = extensions.check_conditions
-
-    def recording(table, X=None):
-        built.extend(name for name, *_ in table)
-        return real(table, X)
-
-    monkeypatch.setattr(extensions, "check_conditions", recording)
+    built = record_builds(monkeypatch)
     out, rep = validate_and_build(ext.algebra, ext.coalgebra, ext.entwining.psi,
                                   ext.coaction.rho, ext.grouplike)
     assert out is not None
-    assert not set(built) & set(IMPLIED_LAWS)
+    not_rows = {"entwining-bijective", "grouplike-designated", "coinvariants-contain-unit",
+                "coinvariants-closed", "coinvariants-coact-trivially"}
+    assert {name for name, _ in built} == \
+        {c.name for c in rep.checks} - not_rows - set(IMPLIED_LAWS)
     assert all(rep.named(row).status == PASS for row in IMPLIED_LAWS)
 
 
@@ -170,3 +340,21 @@ def test_the_public_validators_still_evaluate_in_full():
                                ext.grouplike, ext.coinvariants)
     key = key_identity_check(broken).named("key-identity")
     assert key.status == "fail" and key.witness is not None
+    unit = coaction_from_unit_check(alg, ext.entwining, rho).named("coaction-from-unit")
+    assert unit.status == "fail" and unit.witness is not None
+
+
+def test_the_public_validators_build_dense_rows_in_full(monkeypatch):
+    """Called directly, the validators of the rows of ON_GENERATOR build
+    them on their full domain, also where A has a generator."""
+    name, inst = GENERATED[0]
+    ext = extension_of(inst)
+    alg = ext.algebra
+    assert alg.generator() is not None
+    built = record_builds(monkeypatch)
+    assert validate_algebra(alg).passed
+    assert validate_entwining_rr(ext.entwining.psi, alg, ext.coalgebra).passed
+    assert validate_entwined_module(alg, ext.entwining, ext.coaction).passed
+    last = dict(built)
+    for row in A_ROWS:
+        assert last[row] == full_domain(row, inst), row

@@ -41,6 +41,7 @@ from strongconn.extensions import (
     induced_left_coaction,
     key_identity_check,
     lifted_canonical,
+    validate_and_build,
     validate_entwined_module,
     validate_entwining_ll,
     validate_entwining_rr,
@@ -75,6 +76,7 @@ from strongconn.linmaps import (
 from strongconn.report import check_map_equal
 from strongconn.scalars import Field
 from strongconn.structures import (
+    ON_GENERATOR,
     HopfAlgebra,
     validate_algebra,
     validate_coalgebra,
@@ -121,6 +123,25 @@ def assert_recorded(seen, reference):
     for name, (lhs, rhs) in reference.items():
         assert seen[name] == (lhs, rhs), name
     seen.clear()
+
+
+def cut_to_generator(reference, generator):
+    """reference as the evaluators that use ON_GENERATOR build it: each
+    row of ON_GENERATOR composed with I (x) generator, after those of
+    its premises that follow it in reference."""
+    if generator is None:
+        return reference
+    out = {}
+    for name, (lhs, rhs) in reference.items():
+        if name in ON_GENERATOR:
+            out.update((p, reference[p]) for p in ON_GENERATOR[name]
+                       if p in reference and p not in out)
+            rest = SpaceLabel(lhs.domain.factors[:-1])
+            cut = map_kron(LinMap.identity(generator.field, rest), generator)
+            out[name] = (lhs @ cut, rhs @ cut)
+        else:
+            out.setdefault(name, (lhs, rhs))
+    return out
 
 
 # -- the padded composites -------------------------------------------------
@@ -391,9 +412,9 @@ def test_validation_ladder_maps_equal_the_composites(name, ext, hopf, recorded):
     assert_recorded(recorded, ref_right_coaction(rho, coa, alg.space))
     validate_left_coaction(lam, coa, alg.space)
     assert_recorded(recorded, ref_left_coaction(lam, coa, alg.space))
-    validate_entwined_module(alg, coa, entw, ext.coaction)
+    validate_entwined_module(alg, entw, ext.coaction)
     assert_recorded(recorded, ref_entwined_module(alg, coa, entw, rho, lam))
-    coaction_from_unit_check(alg, coa, entw, rho)
+    coaction_from_unit_check(alg, entw, rho)
     assert_recorded(recorded, ref_coaction_from_unit(alg, coa, entw, rho))
     key_identity_check(ext)
     assert_recorded(recorded, ref_key_identity(ext))
@@ -401,6 +422,19 @@ def test_validation_ladder_maps_equal_the_composites(name, ext, hopf, recorded):
         ref_induced_left_coaction(alg, entw, rho)
     assert lifted_canonical(alg, coa, rho) == ref_lifted_canonical(alg, coa, rho)
     assert coinvariants(alg, rho) == ref_coinvariants(alg, rho)
+    # the ladder itself builds the multiplicative rows on A's generator
+    assert validate_and_build(alg, coa, entw.psi, rho, ext.grouplike)[0] is not None
+    generator = alg.generator()
+    # each A here is generated by x, so a product that is not monomial
+    # (some column of mul with two nonzeros) gives a generator
+    columns = [c for row in alg.mul.rows for c in row]
+    assert (generator is None) == (len(columns) == len(set(columns)))
+    cut = cut_to_generator({**ref_algebra(alg), **ref_entwining_rr(entw.psi, alg, coa),
+                            **ref_entwined_module(alg, coa, entw, rho, lam)}, generator)
+    for row in ("algebra-associativity", "entwining-rr-multiplicativity",
+                "entwined-module-right"):
+        assert recorded[row] == cut[row], row
+    recorded.clear()
 
 
 def doctored(m, seed):
@@ -429,9 +463,9 @@ def test_failing_identities_record_the_same_maps(name, ext, hopf, recorded):
         validate_left_coaction(lam, coa, alg.space)
         assert_recorded(recorded, ref_left_coaction(lam, coa, alg.space))
         coact = ext.coaction._replace(rho=rho, rho_left=lam)
-        validate_entwined_module(alg, coa, entw, coact)
+        validate_entwined_module(alg, entw, coact)
         assert_recorded(recorded, ref_entwined_module(alg, coa, entw, rho, lam))
-        coaction_from_unit_check(alg, coa, entw, rho)
+        coaction_from_unit_check(alg, entw, rho)
         assert_recorded(recorded, ref_coaction_from_unit(alg, coa, entw, rho))
         assert induced_left_coaction(alg, entw, rho) == \
             ref_induced_left_coaction(alg, entw, rho)
@@ -516,7 +550,7 @@ def test_hopf_axiom_maps_equal_the_composites(name, hopf, recorded):
                                 doctored(hopf.antipode, 0))
     for h in (hopf, doctored_hopf):
         validate_hopf(h)
-        assert_recorded(recorded, ref_hopf(h))
+        assert_recorded(recorded, cut_to_generator(ref_hopf(h), h.algebra.generator()))
 
 
 @pytest.mark.parametrize("n,field", [(2, Field.rationals()), (3, ZETA3), (4, ZETA3)])

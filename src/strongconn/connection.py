@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .errors import InternalContradiction, NoGrouplikeUnit, NotGalois, TooLarge
 from .extensions import EntwinedExtension
 from .linmaps import (
-    EMPTY,
     Infeasible,
     LinMap,
     SpaceLabel,
@@ -43,7 +42,6 @@ from .linmaps import (
     precompose_at,
     rref_solve,
     swap_legs,
-    vector,
 )
 from .report import (VerificationReport, check_conditions, check_map_equal,
                      evaluate_conditions, first_column_mismatch)
@@ -145,7 +143,7 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
         [L o (I (x) X (x) I) o R](o, i)
             = sum L(o, (a, e, b)) X(e, d) R((a, d, b), i).
 
-    A row that no nonzero reaches is EMPTY.
+    A row that no nonzero reaches, or whose terms cancel, is not stored.
     """
     one, zero = field.one, field.zero
     dom_dim, cod_dim = x_domain.dim, x_codomain.dim
@@ -155,12 +153,12 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
         if m is None:
             return [[(j, sign)] for j in range(dim)]
         cols = [[] for _ in range(m.ncols)]
-        for r, row in enumerate(m.rows):
+        for r, row in m.rows.items():
             for c, v in row.items():
                 cols[c].append((r, v if sign is one else -v))
         return cols
 
-    rows, target = [], []
+    rows, target, top = {}, {}, 0
     for _, domain, lhs, rhs in conditions:
         block = None
         sides = [(one, lhs)] if isinstance(rhs, LinMap) else [(one, lhs), (-one, rhs)]
@@ -174,7 +172,7 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
             r_cols = columns(R, domain.dim, one)
             out_dim = out.dim if L is None else L.nrows
             if block is None:
-                block = [EMPTY] * (out_dim * len(r_cols))
+                block, size = {}, out_dim * len(r_cols)
             for i, r_col in enumerate(r_cols):
                 base = i * out_dim
                 for r_idx, rv in r_col:
@@ -183,20 +181,23 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
                     for e in range(cod_dim):
                         col = d * cod_dim + e
                         for o, lv in l_cols[(a * cod_dim + e) * q + b]:
-                            row = block[base + o]
-                            if row is EMPTY:
-                                row = block[base + o] = {}
+                            t = base + o
+                            row = block.get(t)
+                            if row is None:
+                                row = block[t] = {}
                             v = lv * rv
                             old = row.get(col)
                             row[col] = v if old is None else old + v
-        rows.extend({c: v for c, v in row.items() if v is not zero} if row else EMPTY
-                    for row in block)
-        target.extend(map_vectorize(rhs) if isinstance(rhs, LinMap)
-                      else [zero] * len(block))
-    constraints = SpaceLabel.base("constraints", len(rows))
+        rows.update({top + t: kept for t, row in block.items()
+                     if (kept := {c: v for c, v in row.items() if v is not zero})})
+        if isinstance(rhs, LinMap):  # rhs's entry (r, c) at c * nrows + r
+            target.update((top + c * rhs.nrows + r, {0: v})
+                          for r, row in rhs.rows.items() for c, v in row.items())
+        top += size
+    constraints = SpaceLabel.base("constraints", top)
     return (LinMap._from_rows(field, SpaceLabel.base("unknowns", dom_dim * cod_dim),
-                              constraints, tuple(rows)),
-            vector(field, constraints, target))
+                              constraints, rows),
+            LinMap._from_rows(field, SpaceLabel.scalar(), constraints, target))
 
 
 def _solve(field, x_domain: SpaceLabel, x_codomain: SpaceLabel, table):

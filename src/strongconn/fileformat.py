@@ -30,9 +30,9 @@ Designation roles and their required shapes:
     comul:  C -> C(x)C        counit:  C -> k
     psi:    C(x)A -> A(x)C    rho:     A -> A(x)C
     c_mul:  C(x)C -> C        c_unit:  k -> C
-    c_antipode, c_antipode_inv: C -> C      (optional Hopf data on C)
+    c_antipode: C -> C        (optional Hopf data on C)
     a_comul: A -> A(x)A       a_counit: A -> k
-    a_antipode, a_antipode_inv: A -> A      (optional Hopf data on A)
+    a_antipode: A -> A        (optional Hopf data on A)
 
 mul and unit are required, and so are comul and counit whenever psi or
 rho is designated.
@@ -48,7 +48,7 @@ import json
 from typing import NamedTuple
 
 from .errors import ParseError, TooLarge
-from .linmaps import EMPTY, LinMap, SpaceLabel, Subspace, vector, vector_coeffs
+from .linmaps import LinMap, SpaceLabel, Subspace, vector, vector_coeffs
 from .scalars import Field, parse_scalar
 
 
@@ -67,11 +67,9 @@ ROLE_SHAPES = {
     "c_mul": (("C", "C"), ("C",)),
     "c_unit": ((), ("C",)),
     "c_antipode": (("C",), ("C",)),
-    "c_antipode_inv": (("C",), ("C",)),
     "a_comul": (("A",), ("A", "A")),
     "a_counit": (("A",), ()),
     "a_antipode": (("A",), ("A",)),
-    "a_antipode_inv": (("A",), ("A",)),
 }
 
 
@@ -137,7 +135,7 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
     if not isinstance(obj["entries"], list):
         raise ParseError(f"tensor {name!r}: entries must be a list")
     n_idx = len(dom.factors) + len(cod.factors)
-    rows = [EMPTY] * cod.dim
+    rows = {}
     seen = set()
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, list) or len(entry) != n_idx + 1:
@@ -160,11 +158,8 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
         except ParseError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
         if s is not fld.zero:
-            row = rows[r]
-            if row is EMPTY:
-                row = rows[r] = {}
-            row[c] = s
-    return LinMap._from_rows(fld, dom, cod, tuple(rows))
+            rows.setdefault(r, {})[c] = s
+    return LinMap._from_rows(fld, dom, cod, rows)
 
 
 def parse_instance_dict(doc: dict, dim_cap: int = DIM_CAP) -> InstanceFile:
@@ -274,7 +269,7 @@ def field_to_dict(fld: Field) -> dict:
 def serialize_linmap(m: LinMap) -> dict:
     """Sparse form using the same entry grammar as the input format."""
     entries = []
-    for r, row in enumerate(m.rows):
+    for r, row in sorted(m.rows.items()):
         for c in sorted(row):
             idx = list(m.codomain.unflatten(r)) + list(m.domain.unflatten(c))
             entries.append(idx + [str(row[c])])

@@ -41,7 +41,7 @@ def cyclic_group_hopf(n: int, field: Field | None = None,
                           lambda i: [((), 1)]))
     antipode = LinMap.from_rules(field, space, space,
                                  lambda i: [(((n - i[0]) % n,), 1)])
-    return HopfAlgebra(alg, coa, antipode, antipode)
+    return HopfAlgebra(alg, coa, antipode)
 
 
 def sweedler_hopf(field: Field | None = None, name: str = "C") -> HopfAlgebra:

@@ -9,21 +9,16 @@ Conventions frozen here and shared with the instance file format:
 * Flattening is row-major: in ``[X:m, Y:n]`` the pair (i, j) sits at
   flat position i*n + j, zero-based.
 * Matrices are sparse, shape = dim(codomain) rows x dim(domain) columns.
-  ``rows[r]`` is a dict ``{c: coefficient}`` holding only the nonzero
-  coefficients of codomain basis r in the images of the domain basis
-  elements c.  A zero is never stored, not even a sum that cancels or a
-  product of zero divisors in a reducible Q[x]/(p), so the rows are a
-  canonical form and ``==`` and ``hash`` are exact.  Products, sums,
-  comparisons and eliminations visit nonzeros only.  ``entries`` is a
-  dense grid of Scalars (``entries[r][c]``, zeros included) built on
-  demand for display and tests; nothing on a hot path reads it.
-* A row that no step writes is ``EMPTY``, one shared read-only empty
-  dict, so an empty row costs no allocation, no copy and no per-row
-  work: the kernels skip it and make a row's dict on its first write.
-  A row that cancels to nothing may stay a private ``{}``.  Readers
-  test a row's truth (``if row``), never ``row is EMPTY``; only the
-  producer that stored it tests identity.  Writing into ``EMPTY``
-  raises TypeError, so a row a map holds must never be mutated.
+  ``rows`` is a dict ``{r: {c: coefficient}}`` holding exactly the rows
+  with a nonzero: ``rows[r]`` holds the nonzero coefficients of
+  codomain basis r in the images of the domain basis elements c, and a
+  row with none is absent.  Neither a zero nor an empty row is ever
+  stored, not even a sum that cancels or a product of zero divisors in
+  a reducible Q[x]/(p), so the rows are a canonical form, ``==`` and
+  ``hash`` are exact, and a map's memory and every kernel's work follow
+  its nonzeros, not its codomain's dimension.  ``entries`` is a dense
+  grid of Scalars (``entries[r][c]``, zeros included) built on demand
+  for display and tests; nothing on a hot path reads it.
 * Solvers are deterministic: reduced row echelon form with leftmost
   pivots, free variables set to zero.  Identical inputs give identical
   outputs, bit for bit.  Every solve runs one elimination,
@@ -31,7 +26,11 @@ Conventions frozen here and shared with the instance file format:
   hold each column) beside the sparse rows: the pivot search and the
   row sweep read that index instead of scanning the rows, so the cost
   is the arithmetic on the nonzeros and their fill-in, not
-  rows x columns.
+  rows x columns.  An elimination keeps row positions: it takes rows
+  0..n-1, one shared ``{}`` for each absent row, because in a
+  reducible Q[x]/(p) a row's position decides which entry becomes a
+  pivot.  It writes only rows that hold a swept column, so never that
+  ``{}``.
 * There is one Field object per field, and parsing and arithmetic
   return its ``zero``, ``one`` and ``minus_one`` objects for 0 and +-1
   (see ``scalars``).  So the kernels here hoist those objects once per
@@ -61,7 +60,6 @@ and safe for concurrent reads.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -156,28 +154,6 @@ class Infeasible(NamedTuple):
 # -- sparse rows -------------------------------------------------------
 
 
-class _EmptyRow(dict):
-    """The type of EMPTY: an empty dict that refuses every write.  It
-    pickles and copies as the module's EMPTY itself."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        """No arguments: dict.__init__ would fill the dict in place."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("EMPTY is the shared read-only empty row")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    update = pop = popitem = setdefault = clear = _read_only
-
-    def __reduce__(self):
-        return "EMPTY"
-
-
-EMPTY = _EmptyRow()
-
-
 def _sparse(field: Field, coeffs) -> dict:
     """The nonzeros of a dense coefficient sequence; non-Scalars are
     converted in the field."""
@@ -236,23 +212,25 @@ def _accumulate(acc: dict, row: dict, f: Scalar) -> dict:
     return acc
 
 
-def _transpose(rows, n: int) -> list[dict]:
-    """Sparse rows over n columns, transposed: one dict per column,
-    EMPTY for a column no row holds."""
-    out = [EMPTY] * n
-    for i in compress(range(len(rows)), rows):
-        for j, x in rows[i].items():
-            col = out[j]
-            if col is EMPTY:
+def _transpose(rows: dict) -> dict:
+    """Sparse rows {i: {j: x}}, transposed: {j: {i: x}}, one dict per
+    column that some row holds."""
+    out = {}
+    for i, row in rows.items():
+        for j, x in row.items():
+            col = out.get(j)
+            if col is None:
                 out[j] = {i: x}
             else:
                 col[i] = x
     return out
 
 
-def _row_key(rows) -> tuple:
-    """Hashable form of sparse rows that ignores dict order."""
-    return tuple(frozenset(r.items()) for r in rows)
+def _positions(rows: dict, n: int) -> list[dict]:
+    """Sparse rows at positions 0..n-1 for an elimination, one shared {}
+    for each absent row."""
+    empty = {}
+    return [rows.get(i, empty) for i in range(n)]
 
 
 class LinMap:
@@ -272,14 +250,15 @@ class LinMap:
         self.field = field
         self.domain = domain
         self.codomain = codomain
-        self.rows = tuple(_sparse(field, row) or EMPTY for row in entries)
+        self.rows = {r: row for r, coeffs in enumerate(entries)
+                     if (row := _sparse(field, coeffs))}
 
     @classmethod
     def _from_rows(cls, field: Field, domain: SpaceLabel, codomain: SpaceLabel,
-                   rows: tuple) -> "LinMap":
-        """From canonical sparse rows, unchecked: one dict (or EMPTY)
-        per codomain basis element, keys below domain.dim, no zero
-        values.  The map takes ownership of the dicts."""
+                   rows: dict) -> "LinMap":
+        """From canonical sparse rows, unchecked: {r: {c: value}} with
+        r below codomain.dim, c below domain.dim, no zero value and no
+        empty row.  The map takes ownership of the dicts."""
         m = object.__new__(cls)
         m.field = field
         m.domain = domain
@@ -291,32 +270,29 @@ class LinMap:
 
     @staticmethod
     def zero(field: Field, domain: SpaceLabel, codomain: SpaceLabel) -> "LinMap":
-        return LinMap._from_rows(field, domain, codomain, (EMPTY,) * codomain.dim)
+        return LinMap._from_rows(field, domain, codomain, {})
 
     @staticmethod
     def identity(field: Field, space: SpaceLabel) -> "LinMap":
         o = field.one
         return LinMap._from_rows(field, space, space,
-                                 tuple({i: o} for i in range(space.dim)))
+                                 {i: {i: o} for i in range(space.dim)})
 
     @staticmethod
     def from_rules(field: Field, domain: SpaceLabel, codomain: SpaceLabel, rule) -> "LinMap":
         """Build from a rule mapping a domain multi-index to (multi-index, coeff) pairs."""
         zero = field.zero
-        rows = [EMPTY] * codomain.dim
+        rows = {}
         for c in range(domain.dim):
             for cod_idx, coeff in rule(domain.unflatten(c)):
                 if not isinstance(coeff, Scalar):
                     coeff = field.scalar(coeff)
-                r = codomain.flatten(cod_idx)
-                row = rows[r]
-                if row is EMPTY:
-                    row = rows[r] = {}
+                row = rows.setdefault(codomain.flatten(cod_idx), {})
                 old = row.get(c)
                 row[c] = coeff if old is None else old + coeff
-        return LinMap._from_rows(field, domain, codomain,
-                                 tuple({c: v for c, v in row.items() if v is not zero}
-                                       if row else EMPTY for row in rows))
+        return LinMap._from_rows(field, domain, codomain, {
+            r: out for r, row in rows.items()
+            if (out := {c: v for c, v in row.items() if v is not zero})})
 
     # -- basic structure ----------------------------------------------
 
@@ -331,15 +307,15 @@ class LinMap:
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense read-only view: entries[r][c], zeros included."""
-        z, n = self.field.zero, self.domain.dim
-        return tuple(_dense(row, n, z) for row in self.rows)
+        z, n, rows = self.field.zero, self.domain.dim, self.rows
+        return tuple(_dense(rows.get(r, {}), n, z) for r in range(self.nrows))
 
     def column(self, c: int) -> tuple[Scalar, ...]:
-        z = self.field.zero
-        return tuple(row.get(c, z) for row in self.rows)
+        z, rows = self.field.zero, self.rows
+        return tuple(rows[r].get(c, z) if r in rows else z for r in range(self.nrows))
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
+        return not self.rows
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -348,7 +324,8 @@ class LinMap:
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, _row_key(self.rows)))
+        return hash((self.domain, self.codomain,
+                     frozenset((r, frozenset(row.items())) for r, row in self.rows.items())))
 
     def __repr__(self):
         return f"LinMap({self.domain!r} -> {self.codomain!r})"
@@ -367,9 +344,14 @@ class LinMap:
         """self + sign * other, sign the field's one or minus one."""
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError(f"{self!r} and {other!r} are not parallel")
-        return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate(dict(ra), rb, sign) if rb else ra
-                                       for ra, rb in zip(self.rows, other.rows)))
+        rows = dict(self.rows)
+        for r, rb in other.rows.items():
+            row = _accumulate(dict(rows.get(r, ())), rb, sign)
+            if row:
+                rows[r] = row
+            else:  # a sum that cancels; sign is +-1, so rows held r
+                del rows[r]
+        return LinMap._from_rows(self.field, self.domain, self.codomain, rows)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         return self._plus(other, self.field.one)
@@ -379,13 +361,13 @@ class LinMap:
 
     def __neg__(self) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple({c: -a for c, a in row.items()} if row else EMPTY
-                                       for row in self.rows))
+                                 {r: {c: -a for c, a in row.items()}
+                                  for r, row in self.rows.items()})
 
     def scale(self, s: Scalar) -> "LinMap":
         return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 tuple(_accumulate({}, row, s) if row else EMPTY
-                                       for row in self.rows))
+                                 {r: out for r, row in self.rows.items()
+                                  if (out := _accumulate({}, row, s))})
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other: precompose_at with no legs around other."""
@@ -394,25 +376,19 @@ class LinMap:
         return precompose_at(self, other, 0)
 
     def rank(self) -> int:
-        return len(_rref_inplace([dict(r) if r else EMPTY for r in self.rows],
-                                 self.ncols))
+        rows = {r: dict(row) for r, row in self.rows.items()}
+        return len(_rref_inplace(_positions(rows, self.nrows), self.ncols))
 
 
 def map_kron(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product consistent with row-major flattening."""
     one, zero = f.field.one, f.field.zero
-    ng = g.ncols
-    g_rows = g.rows
-    out = []
-    for frow in f.rows:
-        if not frow:
-            out.extend((EMPTY,) * len(g_rows))
-            continue
+    ng, mg = g.ncols, g.nrows
+    g_rows = g.rows.items()
+    out = {}
+    for i, frow in f.rows.items():
         shifted = [(k * ng, fik) for k, fik in frow.items()]
-        for grow in g_rows:
-            if not grow:
-                out.append(EMPTY)
-                continue
+        for j, grow in g_rows:
             row = {}
             for base, fik in shifted:
                 if fik is one:  # a shifted copy of grow, which holds no zero
@@ -423,9 +399,10 @@ def map_kron(f: LinMap, g: LinMap) -> LinMap:
                     p = fik if gjl is one else fik * gjl
                     if p is not zero:
                         row[base + l] = p
-            out.append(row)
+            if row:  # empty when every product is of zero divisors
+                out[i * mg + j] = row
     return LinMap._from_rows(f.field, f.domain.tensor(g.domain),
-                             f.codomain.tensor(g.codomain), tuple(out))
+                             f.codomain.tensor(g.codomain), out)
 
 
 def kron_all(*maps: LinMap) -> LinMap:
@@ -456,30 +433,32 @@ def apply_at(f: LinMap, g: LinMap, at: int) -> LinMap:
     """(I (x) f (x) I) o g: f acts on g's codomain factors from position
     at, and its domain or codomain may be k (legs removed or inserted).
 
-    Scatters: each nonempty row (p, y, q) of g goes, scaled, into the
-    rows (p, z, q) that column y of f reaches; a target row's dict is
-    made on its first write, a copy of the row when the factor is one,
-    and a row nothing reaches stays EMPTY.
+    Scatters: each row (p, y, q) of g goes, scaled, into the rows
+    (p, z, q) that column y of f reaches; a target row's dict is made on
+    its first write, a copy of the row when the factor is one, and a
+    row that cancels is dropped.
     """
     q, codomain = swap_legs(g.codomain, f.domain, f.codomain, at)
     dy, dz = f.domain.dim, f.codomain.dim
     one = f.field.one
-    f_cols = _transpose(f.rows, dy)
-    out = [EMPTY] * codomain.dim
-    rows = g.rows
-    for r in compress(range(len(rows)), rows):
-        row = rows[r]
+    f_cols = _transpose(f.rows)
+    out = {}
+    for r, row in g.rows.items():
+        col = f_cols.get(r // q % dy)
+        if col is None:
+            continue
         base = r // (dy * q) * dz * q + r % q
-        for z, fv in f_cols[r // q % dy].items():
+        for z, fv in col.items():
             t = base + z * q
-            acc = out[t]
-            if acc is not EMPTY:
+            acc = out.get(t)
+            if acc is not None:
                 _accumulate(acc, row, fv)
             elif fv is one:
                 out[t] = dict(row)
             else:
                 out[t] = _accumulate({}, row, fv)
-    return LinMap._from_rows(f.field, g.domain, codomain, tuple(out))
+    return LinMap._from_rows(f.field, g.domain, codomain,
+                             {t: row for t, row in out.items() if row})
 
 
 def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
@@ -490,23 +469,22 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
     the columns (p, y, q).  An entry of g that is the field's own one or
     minus one adds or subtracts that row of f, and any other entry
     multiplies it, skipping the entries of f that are one, so identities
-    and permutations make no new Scalar.  An empty row of g stays EMPTY
-    with no work, and a column's place is worked out on its first use.
+    and permutations make no new Scalar.  A column's place is worked out
+    on its first use, and a row that cancels is dropped.
     """
     q, domain = swap_legs(g.domain, f.codomain, f.domain, at)
     dy, dz = f.domain.dim, f.codomain.dim
     one, minus_one, zero = g.field.one, g.field.minus_one, g.field.zero
-    f_rows = f.rows if q == 1 else [{y * q: v for y, v in row.items()}
-                                    for row in f.rows]
-    split = [None] * g.ncols
-    rows = g.rows
-    out = [EMPTY] * len(rows)
-    for r in compress(range(len(rows)), rows):
+    f_rows = f.rows if q == 1 else {z: {y * q: v for y, v in row.items()}
+                                    for z, row in f.rows.items()}
+    empty, split, out = {}, [None] * g.ncols, {}
+    for r, grow in g.rows.items():
         acc = {}
-        for c, gv in rows[r].items():
+        for c, gv in grow.items():
             s = split[c]
             if s is None:
-                s = split[c] = (c // (dz * q) * dy * q + c % q, f_rows[c // q % dz])
+                s = split[c] = (c // (dz * q) * dy * q + c % q,
+                                f_rows.get(c // q % dz, empty))
             base, f_row = s
             add = gv is not minus_one
             if gv is one or not add:
@@ -520,8 +498,10 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
                     acc[y] = v if add else -v
                 else:
                     acc[y] = old + v if add else old - v
-        out[r] = {j: v for j, v in acc.items() if v is not zero}
-    return LinMap._from_rows(g.field, domain, g.codomain, tuple(out))
+        row = {j: v for j, v in acc.items() if v is not zero}
+        if row:
+            out[r] = row
+    return LinMap._from_rows(g.field, domain, g.codomain, out)
 
 
 def compose_legs(domain: SpaceLabel, *steps) -> LinMap:
@@ -561,23 +541,20 @@ def flip_map(field: Field, left: SpaceLabel, right: SpaceLabel) -> LinMap:
     """The tensor swap X (x) Y -> Y (x) X as a permutation matrix."""
     o = field.one
     m, n = left.dim, right.dim
-    rows = tuple({i * n + j: o} for j in range(n) for i in range(m))
+    rows = {j * m + i: {i * n + j: o} for j in range(n) for i in range(m)}
     return LinMap._from_rows(field, left.tensor(right), right.tensor(left), rows)
 
 
 def vector(field: Field, space: SpaceLabel, coeffs) -> LinMap:
     """An element of a space, as a map from the scalar line."""
-    rows = [EMPTY] * space.dim
-    for r, v in _sparse_in(field, space, coeffs).items():
-        rows[r] = {0: v}
-    return LinMap._from_rows(field, SpaceLabel.scalar(), space, tuple(rows))
+    return LinMap._from_rows(field, SpaceLabel.scalar(), space,
+                             {r: {0: v} for r, v in _sparse_in(field, space, coeffs).items()})
 
 
 def basis_vector(field: Field, space: SpaceLabel, flat: int) -> LinMap:
-    o = field.one
-    return LinMap._from_rows(field, SpaceLabel.scalar(), space,
-                             tuple({0: o} if r == flat else EMPTY
-                                   for r in range(space.dim)))
+    if not 0 <= flat < space.dim:
+        raise IndexError(f"flat index {flat} out of range for {space!r}")
+    return LinMap._from_rows(field, SpaceLabel.scalar(), space, {flat: {0: field.one}})
 
 
 def vector_coeffs(v: LinMap) -> tuple[Scalar, ...]:
@@ -608,8 +585,8 @@ def _rref_inplace(rows: list[dict], ncols: int, right: bool = False) -> list[int
 
     Rows at or below the current row hold no column walked before c, so
     the index of a column is dropped once its step is done.  Only a row
-    that holds a swept column is written, so an empty row, EMPTY
-    included, passes through untouched (swaps only move it).
+    that holds a swept column is written, so an empty row passes through
+    untouched (swaps only move it) and may be shared.
     """
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -705,17 +682,17 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
     of the reduced form of [M | target] is the reduced form of M, so the
     rank and kernel (see _kernel) need no second elimination.  The
     returned map is post-verified against the system exactly.  A 0 = 0
-    row goes into the elimination as EMPTY, uncopied.
+    row goes into the elimination as the shared {}, uncopied.
     """
     if M.codomain != target.codomain:
         raise ShapeError("target codomain must match the system codomain")
     n = M.ncols
-    rows = []
-    for mr, tr in zip(M.rows, target.rows):
-        row = dict(mr) if mr or tr else EMPTY
+    rows = {r: dict(row) for r, row in M.rows.items()}
+    for r, tr in target.rows.items():
+        row = rows.setdefault(r, {})
         for j, v in tr.items():
             row[n + j] = v
-        rows.append(row)
+    rows = _positions(rows, M.nrows)
     pivots = _rref_inplace(rows, n + target.ncols)
     rank = sum(1 for p in pivots if p < n)
     kernel = _kernel(M.field, M.domain, rows, pivots[:rank])
@@ -723,10 +700,9 @@ def rref_solve(M: LinMap, target: LinMap) -> Solution:
         return Solution(Infeasible(row=rank, column=pivots[rank] - n,
                                    detail="echelon row reduces to 0 = nonzero"),
                         rank, kernel)
-    xs = [EMPTY] * n
-    for row, p in zip(rows, pivots):
-        xs[p] = {j - n: v for j, v in row.items() if j >= n}
-    X = LinMap._from_rows(M.field, target.domain, M.domain, tuple(xs))
+    xs = {p: x for row, p in zip(rows, pivots)
+          if (x := {j - n: v for j, v in row.items() if j >= n})}
+    X = LinMap._from_rows(M.field, target.domain, M.domain, xs)
     if M @ X != target:
         raise AssertionError("solver post-check failed")  # pragma: no cover
     return Solution(X, rank, kernel)
@@ -758,11 +734,13 @@ def stacked_kernel(maps: list[LinMap]) -> "Subspace":
     if not maps:
         raise ShapeError("need at least one map")
     dom = maps[0].domain
-    rows = []
+    rows, top = {}, 0
     for m in maps:
         if m.domain != dom:
             raise ShapeError("stacked maps must share their domain")
-        rows.extend(dict(r) if r else EMPTY for r in m.rows)
+        rows.update((top + r, dict(row)) for r, row in m.rows.items())
+        top += m.nrows
+    rows = _positions(rows, top)
     return _kernel(maps[0].field, dom, rows, _rref_inplace(rows, dom.dim))
 
 
@@ -818,7 +796,7 @@ class Subspace:
         return self.ambient == other.ambient and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient, _row_key(self.rows)))
+        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient!r})"
@@ -837,7 +815,8 @@ class Subspace:
     @staticmethod
     def image(f: LinMap) -> "Subspace":
         """The span of f's columns in its codomain."""
-        return Subspace._span(f.field, f.codomain, _transpose(f.rows, f.ncols))
+        return Subspace._span(f.field, f.codomain,
+                              _positions(_transpose(f.rows), f.ncols))
 
     def inclusion(self) -> LinMap:
         """The basis as the columns of a map into the ambient space.
@@ -848,7 +827,7 @@ class Subspace:
         """
         dom = SpaceLabel.base("_sub", max(self.dim, 1))
         return LinMap._from_rows(self.field, dom, self.ambient,
-                                 tuple(_transpose(self.rows, self.ambient.dim)))
+                                 _transpose(dict(enumerate(self.rows))))
 
     def quotient(self, name: str = "_quot") -> tuple[LinMap, LinMap]:
         """(pi, section): the projection onto the quotient by this
@@ -863,13 +842,12 @@ class Subspace:
         row_of = {max(row): row for row in self.rows}
         at = {j: r for r, j in enumerate(j for j in range(n) if j not in row_of)}
         # column j of pi, and row j of the section for a representative j
-        cols = [{at[k]: -x for k, x in row_of[j].items() if k != j}
-                if j in row_of else {at[j]: one} for j in range(n)]
+        cols = {j: {at[k]: -x for k, x in row_of[j].items() if k != j}
+                if j in row_of else {at[j]: one} for j in range(n)}
         space = SpaceLabel.base(name, max(len(at), 1))
-        pi = LinMap._from_rows(self.field, self.ambient, space,
-                               tuple(_transpose(cols, space.dim)))
-        section = LinMap._from_rows(self.field, space, self.ambient, tuple(
-            cols[j] if j in at else EMPTY for j in range(n)))
+        pi = LinMap._from_rows(self.field, self.ambient, space, _transpose(cols))
+        section = LinMap._from_rows(self.field, space, self.ambient,
+                                    {j: cols[j] for j in at})
         return pi, section
 
     def first_outside(self, f: LinMap, at: int = 0) -> int | None:
@@ -878,8 +856,7 @@ class Subspace:
         there exactly when I (x) pi (x) I sends it to 0, pi this
         subspace's projection, so no tensor-product subspace is built."""
         projected = apply_at(self.quotient()[0], f, at)
-        rows = projected.rows
-        return min((c for row in compress(rows, rows) for c in row), default=None)
+        return min((c for row in projected.rows.values() for c in row), default=None)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -909,7 +886,7 @@ def map_vectorize(M: LinMap) -> tuple[Scalar, ...]:
     """Flatten by domain basis element: entry (r, c) at c*nrows + r."""
     m = M.nrows
     out = [M.field.zero] * (m * M.ncols)
-    for r, row in enumerate(M.rows):
+    for r, row in M.rows.items():
         for c, v in row.items():
             out[c * m + r] = v
     return tuple(out)
@@ -917,14 +894,10 @@ def map_vectorize(M: LinMap) -> tuple[Scalar, ...]:
 
 def map_from_vector(field: Field, domain: SpaceLabel, codomain: SpaceLabel, vec) -> LinMap:
     m = codomain.dim
-    rows = [EMPTY] * m
+    rows = {}
     for k in range(domain.dim * m):
         v = vec[k]
         if v:
             c, r = divmod(k, m)
-            row = rows[r]
-            if row is EMPTY:
-                rows[r] = {c: v}
-            else:
-                row[c] = v
-    return LinMap._from_rows(field, domain, codomain, tuple(rows))
+            rows.setdefault(r, {})[c] = v
+    return LinMap._from_rows(field, domain, codomain, rows)

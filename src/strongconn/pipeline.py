@@ -132,7 +132,7 @@ NO_GROUPLIKE = "no designated grouplike"
 
 
 # the mul, unit, comul, counit and antipode roles of a Hopf algebra on
-# each space; the antipode's optional inverse is the last role + "_inv"
+# each space
 HOPF_ROLES = {
     "A": ("mul", "unit", "a_comul", "a_counit", "a_antipode"),
     "C": ("c_mul", "c_unit", "comul", "counit", "c_antipode"),
@@ -148,8 +148,7 @@ def _hopf(inst: InstanceFile, space: str) -> HopfAlgebra | None:
         return None
     mul, unit, comul, counit, antipode = maps
     return HopfAlgebra(StructureAlgebra(mul, unit),
-                       StructureCoalgebra(comul, counit), antipode,
-                       inst.designated(roles[-1] + "_inv"))
+                       StructureCoalgebra(comul, counit), antipode)
 
 
 def _found(vrep: VerificationReport, name: str, out, witness: dict) -> bool:

@@ -81,7 +81,9 @@ def first_column_mismatch(lhs, rhs) -> dict | None:
     """
     if lhs == rhs:
         return None
-    c = min(j for a, b in zip(lhs.rows, rhs.rows) if a != b
+    left, right, empty = lhs.rows, rhs.rows, {}
+    c = min(j for r in left.keys() | right.keys()
+            if (a := left.get(r, empty)) != (b := right.get(r, empty))
             for j in a.keys() | b.keys() if a.get(j) != b.get(j))
     return {"basis": list(lhs.domain.unflatten(c)), "column": c}
 

@@ -8,10 +8,9 @@ report.check_conditions evaluates into a VerificationReport whose
 failures carry the first offending basis tuple; they never raise on bad
 axioms.  Downstream modules assume validated inputs.
 
-A Hopf algebra may carry a designated antipode inverse; validate_hopf
-checks it (hopf-antipode-inverse).  Its solved_antipode_inv is the
-antipode's inverse from one elimination, made at most once, and
-validate_hopf checks that one when none is designated.
+A Hopf algebra's solved_antipode_inv is the antipode's inverse from one
+elimination, made at most once, and validate_hopf checks it
+(hopf-antipode-inverse).
 
 A law that is multiplicative in its last algebra leg holds on all of A
 once it holds on a generator (ON_GENERATOR): single_generator finds one
@@ -118,7 +117,7 @@ class StructureCoalgebra:
 
 class HopfAlgebra:
     def __init__(self, algebra: StructureAlgebra, coalgebra: StructureCoalgebra,
-                 antipode: LinMap, antipode_inv: LinMap | None = None):
+                 antipode: LinMap):
         space = algebra.space
         if coalgebra.space != space:
             raise ShapeError("algebra and coalgebra must share one space")
@@ -127,7 +126,6 @@ class HopfAlgebra:
         self.algebra = algebra
         self.coalgebra = coalgebra
         self.antipode = antipode
-        self.antipode_inv = antipode_inv
 
     @property
     def space(self) -> SpaceLabel:
@@ -143,9 +141,8 @@ class HopfAlgebra:
 
     @cached_property
     def solved_antipode_inv(self) -> LinMap | None:
-        """The antipode's inverse from one exact elimination, made once
-        and whether or not antipode_inv is designated; None when the
-        antipode is singular."""
+        """The antipode's inverse from one exact elimination, made once;
+        None when the antipode is singular."""
         return try_inverse(self.antipode)
 
 
@@ -159,7 +156,7 @@ def single_generator(alg: StructureAlgebra) -> int | None:
     row cut to a generator saves no arithmetic, and the test costs one
     scan of mul's nonzeros and no search.
     """
-    rows = alg.mul.rows
+    rows = alg.mul.rows.values()
     if len(set().union(*rows)) == sum(map(len, rows)):
         return None
     field, space, n = alg.field, alg.space, alg.dim
@@ -250,7 +247,7 @@ def validate_hopf(h: HopfAlgebra) -> VerificationReport:
         ("hopf-antipode-left", h.space, ((mul, 0), (S, 0), (comul, 0)), unit_counit),
         ("hopf-antipode-right", h.space, ((mul, 0), (S, 1), (comul, 0)), unit_counit)),
         {}, ON_GENERATOR, gen)
-    inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
+    inv = h.solved_antipode_inv
     if inv is None:
         rep.add("hopf-antipode-bijective", False,
                 {"reason": "antipode matrix is singular"})

@@ -101,6 +101,20 @@ def test_cli_malformed_file_bytes_are_input_errors(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("role", ["c_antipode_inv", "a_antipode_inv"])
+def test_cli_a_designated_antipode_inverse_is_an_input_error(golden_dir, tmp_path,
+                                                             capsys, role):
+    """An antipode's inverse is solved, never designated."""
+    doc = json.loads((golden_dir / "group_self_z4.json").read_text(encoding="utf-8"))
+    doc["designations"][role] = "c_antipode"
+    p = tmp_path / "inverse.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown designation {role!r}\n"
+
+
 def test_cli_space_inside_a_scalar_is_an_input_error(golden_dir, tmp_path, capsys):
     # x^2 = 2 with its "2" mistyped as "2 5"; read without the space,
     # x^2 = 25 passes every check, so the typo must stop the run

@@ -100,7 +100,7 @@ def test_connection_table_readers_agree(name, ext, hopf):
 def test_cyclotomic_candidates_are_irrational():
     _, ext, _ = CASES[-1]
     X = random_map(ext.field, ext.coalgebra.space, ext.coalgebra.space, 1)
-    assert any(s.num[1] for row in X.rows for s in row.values())
+    assert any(s.num[1] for row in X.rows.values() for s in row.values())
 
 
 @pytest.mark.parametrize("name,ext,hopf", CASES, ids=IDS)

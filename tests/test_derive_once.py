@@ -71,8 +71,8 @@ def holds_map(rows: list, m) -> bool:
     """True when m is the left block of the reduced matrix rows."""
     n = m.ncols
     return len(rows) == m.nrows and all(
-        {c: v for c, v in row.items() if c < n} == dict(mr)
-        for row, mr in zip(rows, m.rows))
+        {c: v for c, v in row.items() if c < n} == m.rows.get(i, {})
+        for i, row in enumerate(rows))
 
 
 def traced_run(name, monkeypatch):

@@ -368,14 +368,20 @@ def test_elimination_makes_no_rows_by_columns_scan():
 def with_empty_rows(M, target, seed):
     """M and target with empty rows inserted at seeded positions, in both."""
     rng = random.Random(seed)
-    m_rows, t_rows = list(M.rows), list(target.rows)
+    m_rows = [M.rows.get(r, {}) for r in range(M.nrows)]
+    t_rows = [target.rows.get(r, {}) for r in range(M.nrows)]
     for _ in range(rng.randint(1, M.nrows)):
         i = rng.randint(0, len(m_rows))
         m_rows.insert(i, {})
         t_rows.insert(i, {})
     cod = SpaceLabel.base("Y", len(m_rows))
-    return (LinMap._from_rows(M.field, M.domain, cod, tuple(m_rows)),
-            LinMap._from_rows(M.field, target.domain, cod, tuple(t_rows)))
+    return (LinMap._from_rows(M.field, M.domain, cod, stored(m_rows)),
+            LinMap._from_rows(M.field, target.domain, cod, stored(t_rows)))
+
+
+def stored(rows):
+    """The dict rows of a map from its rows at positions 0..n-1."""
+    return {r: dict(row) for r, row in enumerate(rows) if row}
 
 
 @pytest.mark.parametrize("name,seed", SCALE_SYSTEMS)
@@ -423,8 +429,8 @@ def test_empty_row_positions_decide_the_pivot_in_a_reducible_ring():
 
     def system(rows):
         cod = SpaceLabel.base("Y", len(rows))
-        return (LinMap._from_rows(f, dom, cod, tuple(dict(r) for r in rows)),
-                LinMap._from_rows(f, t, cod, tuple({} for _ in rows)))
+        return (LinMap._from_rows(f, dom, cod, stored(rows)),
+                LinMap._from_rows(f, t, cod, {}))
 
     with_empty, without = system([{}, x, z, p]), system([x, z, p])
     assert outcome(rref_solve, *with_empty) == "NotInvertible"

@@ -202,7 +202,7 @@ def test_a_dense_sweedler_algebra_restricts_no_row(monkeypatch):
     built = record_builds(monkeypatch)
     alg, rep = validate(inst)
     assert rep.passed
-    columns = [c for row in alg.mul.rows for c in row]
+    columns = [c for row in alg.mul.rows.values() for c in row]
     assert len(columns) > len(set(columns))
     assert single_generator(alg) is None and alg.generator() is None
     for row in A_ROWS:

@@ -187,7 +187,7 @@ def ref_hopf(h):
                                   unit_counit),
            "hopf-antipode-right": (alg.mul @ map_kron(ident, h.antipode) @ coa.comul,
                                    unit_counit)}
-    inv = h.antipode_inv if h.antipode_inv is not None else h.solved_antipode_inv
+    inv = h.solved_antipode_inv
     if inv is not None:
         out["hopf-antipode-inverse"] = (inv @ h.antipode, ident)
     return out
@@ -427,7 +427,7 @@ def test_validation_ladder_maps_equal_the_composites(name, ext, hopf, recorded):
     generator = alg.generator()
     # each A here is generated by x, so a product that is not monomial
     # (some column of mul with two nonzeros) gives a generator
-    columns = [c for row in alg.mul.rows for c in row]
+    columns = [c for row in alg.mul.rows.values() for c in row]
     assert (generator is None) == (len(columns) == len(set(columns)))
     cut = cut_to_generator({**ref_algebra(alg), **ref_entwining_rr(entw.psi, alg, coa),
                             **ref_entwined_module(alg, coa, entw, rho, lam)}, generator)

@@ -95,6 +95,15 @@ def test_kron_on_basis_vectors():
     assert vector_coeffs(w)[A2.tensor(C3).flatten((1, 2))] == QQ.one
 
 
+@pytest.mark.parametrize("flat", [-1, 3, 5])
+def test_basis_vector_rejects_a_position_outside_the_space(flat):
+    """As SpaceLabel.unflatten does, instead of a silent zero vector."""
+    a3 = SpaceLabel.base("A", 3)
+    with pytest.raises(IndexError, match="out of range"):
+        basis_vector(QQ, a3, flat)
+    assert vector_coeffs(basis_vector(QQ, a3, 2)) == (QQ.zero, QQ.zero, QQ.one)
+
+
 def test_scalar_space_label_absorbed_by_kron():
     eps = mat([[1, 1]], A2, SpaceLabel.scalar())  # a functional on A
     m = map_kron(LinMap.identity(QQ, A2), eps)
@@ -328,7 +337,7 @@ def padded(f, left, right):
 
 
 def stores_no_zero(m):
-    return all(v for row in m.rows for v in row.values())
+    return all(v for row in m.rows.values() for v in row.values())
 
 
 LEG_CASES = [(fname, shape, split)
@@ -373,8 +382,8 @@ def test_products_of_zero_divisors_are_dropped():
     g = LinMap(field, A2, B2.tensor(X2), [[zd2, zd2]] * 4)
     h = LinMap(field, B2.tensor(X2), A2, [[zd2] * 4] * 2)
     assert not g.is_zero() and not h.is_zero()
-    assert all(not row for row in apply_at(f, g, 1).rows)
-    assert all(not row for row in precompose_at(h, f, 1).rows)
+    assert apply_at(f, g, 1).rows == {}
+    assert precompose_at(h, f, 1).rows == {}
 
 
 @pytest.mark.parametrize("at", [-1, 0, 2, 3])
@@ -395,14 +404,16 @@ def test_precompose_at_rejects_legs_that_do_not_match(at):
 
 def reference_gather(a, b):
     """a o b by the row-by-row gather loop, zeros dropped at the end."""
-    rows = []
-    for row_a in a.rows:
+    rows = {}
+    for i, row_a in a.rows.items():
         acc = {}
         for k, aik in row_a.items():
-            for j, bkj in b.rows[k].items():
+            for j, bkj in b.rows.get(k, {}).items():
                 acc[j] = aik * bkj if j not in acc else acc[j] + aik * bkj
-        rows.append({j: v for j, v in acc.items() if v})
-    return LinMap._from_rows(a.field, b.domain, a.codomain, tuple(rows))
+        row = {j: v for j, v in acc.items() if v}
+        if row:
+            rows[i] = row
+    return LinMap._from_rows(a.field, b.domain, a.codomain, rows)
 
 
 @pytest.mark.parametrize("fname", LEG_FIELDS)

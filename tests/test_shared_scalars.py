@@ -253,7 +253,8 @@ def check_kernels_past_the_cap(name: str) -> None:
 
     def check(sparse, dense):
         sc.assert_canonical(sparse)
-        assert all(v is not field.zero for row in sparse.rows for v in row.values())
+        assert all(v is not field.zero for row in sparse.rows.values()
+                   for v in row.values())
         assert sc.grid(sparse) == dense
 
     space, solved = sc.space, 0

@@ -155,9 +155,11 @@ def outcome(fn, *args):
 
 
 def assert_canonical(lm):
-    """No zero is stored and every column index is in range."""
-    for row in lm.rows:
-        assert all(row.values())
+    """No zero and no empty row is stored, and every row and column
+    index is in range."""
+    for r, row in lm.rows.items():
+        assert 0 <= r < lm.nrows
+        assert row and all(row.values())
         assert all(0 <= c < lm.ncols for c in row)
 
 
@@ -229,7 +231,8 @@ def test_legs_on_signed_maps_match_dense(name):
         for sparse, dense in ((apply_at(F, G, 1), d_mul(pad, g, field.zero)),
                               (precompose_at(H, F, 1), d_mul(h, pad, field.zero))):
             assert_canonical(sparse)
-            assert all(v is not field.zero for row in sparse.rows for v in row.values())
+            assert all(v is not field.zero for row in sparse.rows.values()
+                       for v in row.values())
             assert grid(sparse) == dense
             cancelled += sum(1 for row in dense for x in row if not x)
     assert cancelled
@@ -330,7 +333,7 @@ def test_cancelled_maps_equal_and_hash_like_dense(name):
         assert built == dense_a and hash(built) == hash(dense_a)
     for built in (A - A, A + (-A), A.scale(field.zero), LinMap.zero(field, X, Y)):
         assert built == zero and hash(built) == hash(zero)
-        assert built.is_zero() and not any(built.rows)
+        assert built.is_zero() and not built.rows
 
 
 def test_zero_divisor_products_are_not_stored():
@@ -342,10 +345,19 @@ def test_zero_divisor_products_are_not_stored():
     K2 = K.tensor(K)
     zero = LinMap(field, K, K, [[field.zero]])
     for built in (U @ V, U.scale(v)):
-        assert built == zero and hash(built) == hash(zero) and built.rows == ({},)
+        assert built == zero and hash(built) == hash(zero) and built.rows == {}
     kron = map_kron(U, V)
     dense = LinMap(field, K2, K2, [[field.zero]])
-    assert kron == dense and hash(kron) == hash(dense) and kron.rows == ({},)
+    assert kron == dense and hash(kron) == hash(dense) and kron.rows == {}
+
+
+@pytest.mark.parametrize("rows", [{0: {}}, {3: {0: 1}}, {-1: {0: 1}}],
+                         ids=["empty row", "row past the end", "negative row"])
+def test_assert_canonical_sees_a_row_no_map_may_store(rows):
+    field = FIELDS["Q"]
+    rows = {r: {c: field.scalar(v) for c, v in row.items()} for r, row in rows.items()}
+    with pytest.raises(AssertionError):
+        assert_canonical(LinMap._from_rows(field, space("X", 2), space("Y", 3), rows))
 
 
 def test_entries_view_round_trips():

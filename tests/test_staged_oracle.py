@@ -58,9 +58,11 @@ def stacked_reference(ext):
     sol = rref_solve(system, target)
     if isinstance(sol.particular, Infeasible):
         block = SpaceLabel.base("section", coa.dim * alg.dim * coa.dim)
+        def top(m):
+            return {r: row for r, row in m.rows.items() if r < block.dim}
         section_only = rref_solve(
-            LinMap._from_rows(ext.field, system.domain, block, system.rows[:block.dim]),
-            LinMap._from_rows(ext.field, target.domain, block, target.rows[:block.dim]))
+            LinMap._from_rows(ext.field, system.domain, block, top(system)),
+            LinMap._from_rows(ext.field, target.domain, block, top(target)))
         which = ("the section condition (a)"
                  if isinstance(section_only.particular, Infeasible)
                  else "the colinearity conditions")

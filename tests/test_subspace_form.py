@@ -193,7 +193,7 @@ def test_dense_constructor_converts_entries_in_the_field(name):
         assert m == LinMap.identity(field, a2)
         assert hash(m) == hash(LinMap.identity(field, a2))
     m = LinMap(field, a2, a2, [[Fraction(1, 2), 0], [0, -3]])
-    assert m.rows == ({0: field.scalar(Fraction(1, 2))}, {1: field.scalar(-3)})
+    assert m.rows == {0: {0: field.scalar(Fraction(1, 2))}, 1: {1: field.scalar(-3)}}
     square = m @ m
-    assert all(isinstance(x, Scalar) for row in square.rows for x in row.values())
-    assert square.rows == ({0: field.scalar(Fraction(1, 4))}, {1: field.scalar(9)})
+    assert all(isinstance(x, Scalar) for row in square.rows.values() for x in row.values())
+    assert square.rows == {0: {0: field.scalar(Fraction(1, 4))}, 1: {1: field.scalar(9)}}

@@ -141,8 +141,10 @@ def stray_zeros(monkeypatch):
 
     def checked_rows(cls, field, domain, codomain, rows):
         m = from_rows(cls, field, domain, codomain, rows)
-        if any(v == field.zero for row in m.rows for v in row.values()):
+        if any(v == field.zero for row in m.rows.values() for v in row.values()):
             stray.append(f"stored zero in {m!r}")
+        if not all(row and 0 <= r < m.nrows for r, row in m.rows.items()):
+            stray.append(f"empty or out-of-range row in {m!r}")
         return m
     monkeypatch.setattr(LinMap, "_from_rows", classmethod(checked_rows))
     return stray
@@ -169,10 +171,15 @@ def test_dense_cyclotomic_run_makes_only_singleton_zeros(tmp_path, stray_zeros):
 
 def test_the_checks_see_a_stray_zero(stray_zeros):
     """A zero from the trusting constructor, negated or stored in a map
-    row, is caught."""
+    row, is caught, and so is a stored empty row or a row key out of
+    range."""
     f = Field.rationals()
     k = SpaceLabel.base("K", 1)
     stray = Scalar(f, (0,), 1)
     -stray
-    LinMap._from_rows(f, k, k, ({0: stray},))
+    LinMap._from_rows(f, k, k, {0: {0: stray}})
     assert len(stray_zeros) == 2
+    LinMap._from_rows(f, k, k, {0: {}})
+    LinMap._from_rows(f, k, k, {1: {0: f.one}})
+    LinMap._from_rows(f, k, k, {-1: {0: f.one}})
+    assert len(stray_zeros) == 5

@@ -69,7 +69,6 @@ class SectionMap(NamedTuple):
     """Linear sigma: C -> A (x) A with canonical_map o sigma = 1 (x) C."""
 
     sigma: LinMap
-    normalized: bool = False
     solution_dim: int = 0
 
 
@@ -145,7 +144,7 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
 
     A row that no nonzero reaches, or whose terms cancel, is not stored.
     """
-    one, zero = field.one, field.zero
+    one = field.one
     dom_dim, cod_dim = x_domain.dim, x_codomain.dim
 
     def columns(m, dim, sign):
@@ -153,14 +152,12 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
         if m is None:
             return [[(j, sign)] for j in range(dim)]
         cols = [[] for _ in range(m.ncols)]
-        for r, row in m.rows.items():
-            for c, v in row.items():
-                cols[c].append((r, v if sign is one else -v))
+        for (r, c), v in m.items():
+            cols[c].append((r, v if sign is one else -v))
         return cols
 
-    rows, target, top = {}, {}, 0
+    coeffs, target, top = {}, [], 0
     for _, domain, lhs, rhs in conditions:
-        block = None
         sides = [(one, lhs)] if isinstance(rhs, LinMap) else [(one, lhs), (-one, rhs)]
         for sign, chain in sides:
             slot = next(i for i, (f, _) in enumerate(chain) if f is None)
@@ -171,33 +168,25 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
             l_cols = columns(L, out.dim, sign)
             r_cols = columns(R, domain.dim, one)
             out_dim = out.dim if L is None else L.nrows
-            if block is None:
-                block, size = {}, out_dim * len(r_cols)
             for i, r_col in enumerate(r_cols):
-                base = i * out_dim
+                base = top + i * out_dim
                 for r_idx, rv in r_col:
                     a, rest = divmod(r_idx, dom_dim * q)
                     d, b = divmod(rest, q)
                     for e in range(cod_dim):
                         col = d * cod_dim + e
                         for o, lv in l_cols[(a * cod_dim + e) * q + b]:
-                            t = base + o
-                            row = block.get(t)
-                            if row is None:
-                                row = block[t] = {}
+                            key = (base + o, col)
                             v = lv * rv
-                            old = row.get(col)
-                            row[col] = v if old is None else old + v
-        rows.update({top + t: kept for t, row in block.items()
-                     if (kept := {c: v for c, v in row.items() if v is not zero})})
+                            old = coeffs.get(key)
+                            coeffs[key] = v if old is None else old + v
         if isinstance(rhs, LinMap):  # rhs's entry (r, c) at c * nrows + r
-            target.update((top + c * rhs.nrows + r, {0: v})
-                          for r, row in rhs.rows.items() for c, v in row.items())
-        top += size
+            target.extend(((top + c * rhs.nrows + r, 0), v) for (r, c), v in rhs.items())
+        top += out_dim * len(r_cols)
     constraints = SpaceLabel.base("constraints", top)
-    return (LinMap._from_rows(field, SpaceLabel.base("unknowns", dom_dim * cod_dim),
-                              constraints, rows),
-            LinMap._from_rows(field, SpaceLabel.scalar(), constraints, target))
+    return (LinMap.from_items(field, SpaceLabel.base("unknowns", dom_dim * cod_dim),
+                              constraints, coeffs.items()),
+            LinMap.from_items(field, SpaceLabel.scalar(), constraints, target))
 
 
 def _solve(field, x_domain: SpaceLabel, x_codomain: SpaceLabel, table):
@@ -264,8 +253,7 @@ def solve_section(ext: EntwinedExtension) -> SectionMap:
     sol = ext.canonical_solution
     if sol.rank != alg.dim * coa.dim:
         raise NotGalois("lifted canonical map is not surjective")
-    return SectionMap(sol.particular, normalized=False,
-                      solution_dim=sol.kernel.dim * coa.dim)
+    return SectionMap(sol.particular, solution_dim=sol.kernel.dim * coa.dim)
 
 
 def normalize_section(section: SectionMap, ext: EntwinedExtension) -> SectionMap:
@@ -283,7 +271,7 @@ def normalize_section(section: SectionMap, ext: EntwinedExtension) -> SectionMap
     _, lhs, rhs = _defining_conditions(sigma, ext)[0]
     if lhs != rhs:
         raise InternalContradiction("normalisation broke the section law")
-    return SectionMap(sigma, normalized=True, solution_dim=section.solution_dim)
+    return SectionMap(sigma, solution_dim=section.solution_dim)
 
 
 # -- the connection ------------------------------------------------------

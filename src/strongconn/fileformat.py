@@ -135,8 +135,7 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
     if not isinstance(obj["entries"], list):
         raise ParseError(f"tensor {name!r}: entries must be a list")
     n_idx = len(dom.factors) + len(cod.factors)
-    rows = {}
-    seen = set()
+    items = {}
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, list) or len(entry) != n_idx + 1:
             raise ParseError(
@@ -150,16 +149,13 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
             c = dom.flatten(idx[len(cod.factors):])
         except IndexError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
-        if (r, c) in seen:
+        if (r, c) in items:
             raise ParseError(f"tensor {name!r} entry {pos}: duplicate index")
-        seen.add((r, c))
         try:
-            s = parse(text)
+            items[r, c] = parse(text)
         except ParseError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
-        if s is not fld.zero:
-            rows.setdefault(r, {})[c] = s
-    return LinMap._from_rows(fld, dom, cod, rows)
+    return LinMap.from_items(fld, dom, cod, items.items())
 
 
 def parse_instance_dict(doc: dict, dim_cap: int = DIM_CAP) -> InstanceFile:
@@ -269,10 +265,9 @@ def field_to_dict(fld: Field) -> dict:
 def serialize_linmap(m: LinMap) -> dict:
     """Sparse form using the same entry grammar as the input format."""
     entries = []
-    for r, row in sorted(m.rows.items()):
-        for c in sorted(row):
-            idx = list(m.codomain.unflatten(r)) + list(m.domain.unflatten(c))
-            entries.append(idx + [str(row[c])])
+    for (r, c), v in sorted(m.items()):
+        idx = list(m.codomain.unflatten(r)) + list(m.domain.unflatten(c))
+        entries.append(idx + [str(v)])
     return {"domain": [n for n, _ in m.domain.factors],
             "codomain": [n for n, _ in m.codomain.factors],
             "entries": entries}

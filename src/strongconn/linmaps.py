@@ -18,7 +18,10 @@ Conventions frozen here and shared with the instance file format:
   ``hash`` are exact, and a map's memory and every kernel's work follow
   its nonzeros, not its codomain's dimension.  ``entries`` is a dense
   grid of Scalars (``entries[r][c]``, zeros included) built on demand
-  for display and tests; nothing on a hot path reads it.
+  for display and tests; nothing on a hot path reads it.  Only this
+  module reads or writes rows: other modules read a map's nonzeros as
+  ``((r, c), value)`` pairs from ``items()`` and build one from such
+  pairs with ``LinMap.from_items``.
 * Solvers are deterministic: reduced row echelon form with leftmost
   pivots, free variables set to zero.  Identical inputs give identical
   outputs, bit for bit.  Every solve runs one elimination,
@@ -254,6 +257,17 @@ class LinMap:
                      if (row := _sparse(field, coeffs))}
 
     @classmethod
+    def from_items(cls, field: Field, domain: SpaceLabel, codomain: SpaceLabel,
+                   items) -> "LinMap":
+        """From ((r, c), value) items with distinct keys in range,
+        unchecked; the field's zero is dropped.  Inverts items()."""
+        zero, rows = field.zero, {}
+        for (r, c), v in items:
+            if v is not zero:
+                rows.setdefault(r, {})[c] = v
+        return cls._from_rows(field, domain, codomain, rows)
+
+    @classmethod
     def _from_rows(cls, field: Field, domain: SpaceLabel, codomain: SpaceLabel,
                    rows: dict) -> "LinMap":
         """From canonical sparse rows, unchecked: {r: {c: value}} with
@@ -281,18 +295,15 @@ class LinMap:
     @staticmethod
     def from_rules(field: Field, domain: SpaceLabel, codomain: SpaceLabel, rule) -> "LinMap":
         """Build from a rule mapping a domain multi-index to (multi-index, coeff) pairs."""
-        zero = field.zero
-        rows = {}
+        items = {}
         for c in range(domain.dim):
             for cod_idx, coeff in rule(domain.unflatten(c)):
                 if not isinstance(coeff, Scalar):
                     coeff = field.scalar(coeff)
-                row = rows.setdefault(codomain.flatten(cod_idx), {})
-                old = row.get(c)
-                row[c] = coeff if old is None else old + coeff
-        return LinMap._from_rows(field, domain, codomain, {
-            r: out for r, row in rows.items()
-            if (out := {c: v for c, v in row.items() if v is not zero})})
+                key = (codomain.flatten(cod_idx), c)
+                old = items.get(key)
+                items[key] = coeff if old is None else old + coeff
+        return LinMap.from_items(field, domain, codomain, items.items())
 
     # -- basic structure ----------------------------------------------
 
@@ -313,6 +324,10 @@ class LinMap:
     def column(self, c: int) -> tuple[Scalar, ...]:
         z, rows = self.field.zero, self.rows
         return tuple(rows[r].get(c, z) if r in rows else z for r in range(self.nrows))
+
+    def items(self):
+        """Each nonzero as ((r, c), value), row by row."""
+        return (((r, c), v) for r, row in self.rows.items() for c, v in row.items())
 
     def is_zero(self) -> bool:
         return not self.rows

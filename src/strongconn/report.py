@@ -74,17 +74,16 @@ class VerificationReport:
 
 
 def first_column_mismatch(lhs, rhs) -> dict | None:
-    """Witness for a failed matrix identity: first differing column.
+    """Witness for a failed matrix identity: first differing column,
+    the first column of lhs - rhs that holds a nonzero (a - b is zero
+    exactly when a == b, in a reducible Q[x]/(p) too).
 
     Returns None when the maps agree.  The witness records the domain
     basis multi-index, so e.g. associativity failures name a triple.
     """
     if lhs == rhs:
         return None
-    left, right, empty = lhs.rows, rhs.rows, {}
-    c = min(j for r in left.keys() | right.keys()
-            if (a := left.get(r, empty)) != (b := right.get(r, empty))
-            for j in a.keys() | b.keys() if a.get(j) != b.get(j))
+    c = min(c for (_, c), _ in (lhs - rhs).items())
     return {"basis": list(lhs.domain.unflatten(c)), "column": c}
 
 

@@ -156,8 +156,8 @@ def single_generator(alg: StructureAlgebra) -> int | None:
     row cut to a generator saves no arithmetic, and the test costs one
     scan of mul's nonzeros and no search.
     """
-    rows = alg.mul.rows.values()
-    if len(set().union(*rows)) == sum(map(len, rows)):
+    columns = [c for (_, c), _ in alg.mul.items()]
+    if len(set(columns)) == len(columns):
         return None
     field, space, n = alg.field, alg.space, alg.dim
     for s in range(n):

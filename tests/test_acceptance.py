@@ -169,7 +169,7 @@ def test_criterion_3_oracle_equivalence(suite_extensions):
 def test_criterion_4_idempotence(suite_extensions):
     for name, ext in suite_extensions.items():
         conn, delta, _ = formula_connection(ext)
-        fed_back = SectionMap(conn.ell, normalized=True)
+        fed_back = SectionMap(conn.ell)
         rebuilt = build_connection(fed_back, delta, ext)
         rep = colinearity_reduction(rebuilt, fed_back, ext)
         klass = rep.named("section-colinearity-class").witness["class"]

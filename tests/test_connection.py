@@ -208,7 +208,6 @@ def test_normalize_section_fixes_unit_value(z2, graded22, trivial2):
     for ext in (z2, graded22, trivial2):
         s = solve_section(ext)
         ns = normalize_section(s, ext)
-        assert ns.normalized
         assert ns.sigma @ ext.grouplike == map_kron(ext.algebra.unit,
                                                     ext.algebra.unit)
 
@@ -329,14 +328,13 @@ def test_verify_connection_rejects_skewed_sigma(z2):
 def test_idempotence_feed_connection_back(z2, graded22, trivial2):
     for ext in (z2, graded22, trivial2):
         conn, delta, _ = connection_for(ext)
-        again = build_connection(SectionMap(conn.ell, normalized=True),
-                                 delta, ext)
+        again = build_connection(SectionMap(conn.ell), delta, ext)
         assert again.ell == conn.ell
 
 
 def test_colinearity_reduction_bicolinear(z2):
     conn, delta, sigma = connection_for(z2)
-    fed_back = SectionMap(conn.ell, normalized=True)
+    fed_back = SectionMap(conn.ell)
     rebuilt = build_connection(fed_back, delta, z2)
     rep = colinearity_reduction(rebuilt, fed_back, z2)
     assert rep.named("section-colinearity-class").witness["class"] == "bicolinear"

@@ -1,6 +1,6 @@
 """Every name a strongconn module imports is used in that module,
-importing the package and its command stays cheap, and the laws are
-checked by one evaluator.
+importing the package and its command stays cheap, the laws are
+checked by one evaluator, and only linmaps reads or writes a map's rows.
 
 __init__.py is left out: it imports names to re-export them.  A
 ``from __future__`` import is a compiler directive, not a name.
@@ -64,6 +64,18 @@ def test_only_the_evaluator_and_the_verifier_compare_maps():
     naming = sorted(p.name for p in MODULES
                     if "check_map_equal" in names_in(ast.parse(p.read_text(encoding="utf-8"))))
     assert naming == ["connection.py", "report.py"]
+
+
+def test_only_linmaps_reads_or_writes_rows():
+    """No module but linmaps names an attribute ``rows`` or
+    ``_from_rows``: the others read a map through items() and build one
+    with LinMap.from_items, so how a map stores its nonzeros is
+    linmaps' decision alone."""
+    naming = sorted(p.name for p in SRC.glob("*.py") if p.name != "linmaps.py"
+                    and any(isinstance(node, ast.Attribute)
+                            and node.attr in ("rows", "_from_rows")
+                            for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))))
+    assert naming == []
 
 
 def loaded_by_import(modules: set[str]) -> list[str]:

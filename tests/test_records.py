@@ -20,7 +20,7 @@ RECORDS = [
     (Infeasible, ("row", "column", "detail")),
     (Cointegral, ("delta", "solution_dim")),
     (Integral, ("lam", "solution_dim")),
-    (SectionMap, ("sigma", "normalized", "solution_dim")),
+    (SectionMap, ("sigma", "solution_dim")),
     (ConnectionForm, ("ell", "gamma", "alpha")),
     (BruteForceSolutions, ("particular", "kernel")),
     (Entwining, ("psi", "psi_inv")),

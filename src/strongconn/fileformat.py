@@ -40,11 +40,15 @@ rho is designated.
 Dimensions and indices are integers (true and false are not), domain,
 codomain and entries are lists, and a designation is a tensor name; any
 other JSON type raises ParseError.
+
+``dumps`` writes instance files and JSON reports, in the byte layout
+that docs/file-format.md states.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .errors import ParseError, TooLarge
@@ -134,25 +138,30 @@ def parse_tensor(name: str, obj: dict, spaces: dict[str, int],
     cod = _space_label(obj.get("codomain", []), spaces, f"tensor {name!r}")
     if not isinstance(obj["entries"], list):
         raise ParseError(f"tensor {name!r}: entries must be a list")
-    n_idx = len(dom.factors) + len(cod.factors)
+    # one loop reads an entry's indices against the factors, codomain
+    # first, to the flat position r * dom.dim + c of its (r, c)
+    factors = cod.factors + dom.factors
+    n_idx, ncols = len(factors), dom.dim
     items = {}
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, list) or len(entry) != n_idx + 1:
             raise ParseError(
                 f"tensor {name!r} entry {pos}: expected {n_idx} indices "
                 f"and one scalar")
-        idx, text = entry[:n_idx], entry[n_idx]
-        if not all(_is_int(i) for i in idx):
-            raise ParseError(f"tensor {name!r} entry {pos}: indices must be integers")
-        try:
-            r = cod.flatten(idx[: len(cod.factors)])
-            c = dom.flatten(idx[len(cod.factors):])
-        except IndexError as exc:
-            raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
-        if (r, c) in items:
+        flat, bad = 0, None
+        for i, (fname, d) in zip(entry, factors):
+            if type(i) is not int and not _is_int(i):
+                raise ParseError(f"tensor {name!r} entry {pos}: indices must be integers")
+            if not 0 <= i < d and bad is None:  # raised once every type is checked
+                bad = f"index {i} out of range for factor {fname}:{d}"
+            flat = flat * d + i
+        if bad is not None:
+            raise ParseError(f"tensor {name!r} entry {pos}: {bad}")
+        key = divmod(flat, ncols)
+        if key in items:
             raise ParseError(f"tensor {name!r} entry {pos}: duplicate index")
         try:
-            items[r, c] = parse(text)
+            items[key] = parse(entry[n_idx])
         except ParseError as exc:
             raise ParseError(f"tensor {name!r} entry {pos}: {exc}") from exc
     return LinMap.from_items(fld, dom, cod, items.items())
@@ -262,15 +271,26 @@ def field_to_dict(fld: Field) -> dict:
     return {"kind": "number_field", "min_poly": list(fld.min_poly)}
 
 
+class _MultiIndices(dict):
+    """Flat position -> multi-index of one space, as a list; each is
+    computed once, when first asked for."""
+
+    def __init__(self, space: SpaceLabel):
+        super().__init__()
+        self.unflatten = space.unflatten
+
+    def __missing__(self, flat: int) -> list[int]:
+        idx = self[flat] = list(self.unflatten(flat))
+        return idx
+
+
 def serialize_linmap(m: LinMap) -> dict:
     """Sparse form using the same entry grammar as the input format."""
-    entries = []
-    for (r, c), v in sorted(m.items()):
-        idx = list(m.codomain.unflatten(r)) + list(m.domain.unflatten(c))
-        entries.append(idx + [str(v)])
+    rows, cols = _MultiIndices(m.codomain), _MultiIndices(m.domain)
     return {"domain": [n for n, _ in m.domain.factors],
             "codomain": [n for n, _ in m.codomain.factors],
-            "entries": entries}
+            "entries": [rows[r] + cols[c] + [str(v)]
+                        for (r, c), v in sorted(m.items())]}
 
 
 def instance_to_dict(inst: InstanceFile) -> dict:
@@ -293,5 +313,50 @@ def instance_to_dict(inst: InstanceFile) -> dict:
 
 def write_instance(inst: InstanceFile, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(instance_to_dict(inst)) + "\n")
+
+
+def dumps(doc) -> str:
+    """doc as JSON text, byte for byte what json.dumps writes with sorted
+    keys and an indent of 2, which takes Python's pure-Python encoder.
+
+    Instance files and reports share this layout: keys sorted, two
+    spaces of indent per level, no space before a comma, ASCII with
+    \\uXXXX escapes, and empty lists and objects as [] and {}.  A tree
+    holds str, int, True, False, None, lists, tuples (written as lists)
+    and dicts with str keys, of exactly these types; any other value or
+    key raises TypeError.
+    """
+    return _dumps(doc, "\n")
+
+
+def _dumps(x, nl: str) -> str:
+    """x as JSON text on a line that nl, a newline and the indent of that
+    line, begins."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join(
+            [_quote(v) if type(v) is str else _dumps(v, inner) for v in x])
+            + nl + "]")
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        # _quote raises TypeError on a key that is not a str
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(x.items())])
+            + nl + "}")
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if t is int:
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

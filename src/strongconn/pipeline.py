@@ -43,7 +43,7 @@ from .errors import (
     TooLarge,
 )
 from .extensions import EntwinedExtension, galois_check, validate_and_build
-from .fileformat import InstanceFile, field_to_dict, serialize_linmap
+from .fileformat import InstanceFile, dumps, field_to_dict, serialize_linmap
 from .homogeneous import (
     HomogeneousDatum,
     bicolinear_section_iota,
@@ -91,7 +91,7 @@ class PipelineReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict()) + "\n"
 
     def to_text(self) -> str:
         lines = [f"instance: {self.instance or '(unnamed)'}"]

@@ -18,8 +18,9 @@ this same integer code.  ``inv`` of a degree-1 value swaps numerator and
 denominator; in higher degree it solves a*u = 1 on the d x d matrix of
 multiplication by a, whose columns x^j*a are a shifted up j times, each
 overflow folded back by the table's x^d.  ``coeffs`` reads the value as
-a tuple of reduced Fractions.  Scalars are immutable and all operations
-are pure.
+a tuple of reduced Fractions, for callers that want them; ``str`` does
+not build them: it reduces each numerator against ``den`` with one gcd.
+Scalars are immutable and all operations are pure.
 
 There is one ``Field`` object per field: ``Field(kind, min_poly)`` looks
 its descriptor up in a module table, so two fields built separately from
@@ -394,9 +395,14 @@ class Scalar:
         return self * other.inv()
 
     def __str__(self):
-        if self.field.degree == 1:
-            return str(self.coeffs[0])
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
+        """The grammar's text: each coefficient n/den reduced on its own,
+        as "n" when den divides it."""
+        den = self.den
+        parts = []
+        for n in self.num:
+            g = gcd(n, den)
+            parts.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return parts[0] if len(parts) == 1 else "[" + ", ".join(parts) + "]"
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -13,7 +13,7 @@ from strongconn.errors import (
     NotInvertible,
     ParseError,
 )
-from strongconn.scalars import Field, parse_scalar
+from strongconn.scalars import Field, Scalar, parse_scalar
 
 
 QQ = Field.rationals()
@@ -415,3 +415,53 @@ def test_unit_singletons_in_special_quotients():
     assert plus.generator() is plus.one
     minus = Field.number_field([1, 1])  # Q[x]/(x + 1): x reduces to -1
     assert minus.generator() is minus.minus_one
+
+
+# -- text ----------------------------------------------------------------------
+
+STR_FIELDS = {
+    "Q": None,
+    "Q(zeta3)": (1, 1, 1),
+    "Q[x]/(x^2-1)": (-1, 0, 1),
+    "Q[x]/(x^2)": (0, 0, 1),      # x is nilpotent
+}
+
+
+def fraction_text(s):
+    """s printed through reduced Fractions, one per coefficient."""
+    return ref_str([Fraction(n, s.den) for n in s.num])
+
+
+@pytest.mark.parametrize("name", STR_FIELDS)
+def test_str_equals_the_fraction_rendering(name):
+    poly = STR_FIELDS[name]
+    f = QQ if poly is None else Field.number_field(poly)
+    d = f.degree
+    rng = random.Random(f"text {name}")
+    values = [f.zero, f.one, f.minus_one,
+              f.scalar([Fraction(-11, 2), -1][:d]),
+              f.scalar([Fraction(3, 4), Fraction(-5, 6)][:d])]
+    values += [f.scalar(random_coeffs(rng, "Q", d)) for _ in range(200)]
+    # unshared values, as every new value is once the field's table holds
+    # VALUE_CAP values: numerators past the machine word, and a
+    # denominator that some coefficients share a factor with
+    # and others do not
+    big = 2 ** 61 - 1
+    den = 6 * big
+    values += [Scalar(f, num[:d], den) for num in
+               [(5, -3 * big), (-(10 ** 40) - 1, 2 * big), (big + 6, 0)]]
+    values.append(Scalar(f, (10 ** 30 + 7, -1)[:d], 1))
+    for v in values[-4:]:
+        assert_canonical(v)
+        assert not v.shared
+    for s in values:
+        assert str(s) == fraction_text(s)
+        assert str(s) == ref_str(s.coeffs)
+    if d == 2:
+        x = f.scalar([Fraction(-11, 2), -1])
+        assert (x.num, x.den) == ((-11, -2), 2)
+        assert str(x) == "[-11/2, -1]"
+        assert str(f.zero) == "[0, 0]" and str(f.minus_one) == "[-1, 0]"
+    else:
+        assert str(f.zero) == "0" and str(f.minus_one) == "-1"
+        assert str(f.scalar(Fraction(-11, 2))) == "-11/2"

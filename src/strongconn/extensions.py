@@ -41,7 +41,7 @@ from .linmaps import (
     stacked_kernel,
     try_inverse,
 )
-from .report import VerificationReport, check_conditions, check_laws
+from .report import PASS, VerificationReport, check_conditions, check_laws
 from .structures import (
     ON_GENERATOR,
     HopfAlgebra,
@@ -287,9 +287,26 @@ def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
     return check_conditions(_key_identity_law(ext))
 
 
-# row -> the earlier rows that imply it (lemmas in validate_and_build)
+# psi(c (x) a) = a_0 (x) c a_1 under C's designated Hopf data, as one
+# exact compare of psi with hopf_entwining(C, A, rho)
+HOPF_ENTWINING = "psi-is-hopf-entwining"
+
+# row -> the premises that imply it (lemmas in validate_and_build): rows
+# of the same report, C's Hopf rows as "C:" + their name, and
+# HOPF_ENTWINING.  The two Hopf lemmas: entwining-rr-comultiplicativity,
+# as Delta(c a_1) = c_1 a_11 (x) c_2 a_12 (C's
+# hopf-comul-multiplicative) and a_0 (x) a_11 (x) a_12 =
+# a_00 (x) a_01 (x) a_1 (coaction-right-coassociativity) turn
+# a_0 (x) Delta(c a_1) into a_00 (x) c_1 a_01 (x) c_2 a_1; and
+# entwined-module-right, which is entwining-rr-multiplicativity at
+# c = 1_C once C's algebra-left-unit gives 1_C x = x: both sides then
+# read rho(a a') = a_0 a'_0 (x) a_1 a'_1.
 _LL_MUL = ("entwining-bijective", "entwining-rr-multiplicativity")
 IMPLIED_LAWS = {
+    "entwining-rr-comultiplicativity": (HOPF_ENTWINING, "coaction-right-coassociativity",
+                                        "C:hopf-comul-multiplicative"),
+    "entwined-module-right": (HOPF_ENTWINING, "entwining-rr-multiplicativity",
+                              "C:algebra-left-unit"),
     "entwining-ll-multiplicativity": _LL_MUL,
     "entwining-ll-unitality": ("entwining-bijective", "entwining-rr-unitality"),
     "entwining-ll-comultiplicativity (reconstructed)":
@@ -304,15 +321,35 @@ IMPLIED_LAWS = {
 
 def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
                        psi: LinMap, rho: LinMap,
-                       grouplike: LinMap | None = None):
+                       grouplike: LinMap | None = None,
+                       hopf: HopfAlgebra | None = None):
     """Run the full validation ladder; return (extension | None, report).
 
     The extension is produced only when every structural check passes.
     The Galois condition is not part of structural validity and is
-    checked separately by galois_check.
+    checked separately by galois_check.  hopf, when given, is Hopf data
+    on C whose coalgebra is coa: its law report (hopf.laws, evaluated
+    once) gives the coalgebra rows and the premises "C:" + name of the
+    Hopf lemmas below, and no row of C's own is added to the report.
 
-    A row of IMPLIED_LAWS passes unbuilt when its premises passed in
-    this report, and is evaluated otherwise.  The lemmas: entwining-ll-X
+    A row of IMPLIED_LAWS passes unbuilt when its premises passed, and
+    is evaluated otherwise.  The Hopf lemmas hold for a comodule algebra
+    (HOPF_ENTWINING: psi equals hopf_entwining(hopf, alg, rho)):
+    - entwining-rr-comultiplicativity from HOPF_ENTWINING,
+      coaction-right-coassociativity and C's hopf-comul-multiplicative.
+      Its left side is a_0 (x) Delta(c a_1) = a_0 (x) c_1 a_11 (x)
+      c_2 a_12, by the comultiplicativity, and its right side
+      (psi (x) C)(c_1 (x) a_0 (x) c_2 a_1) = a_00 (x) c_1 a_01 (x)
+      c_2 a_1, the same by the coassociativity of rho.
+    - entwined-module-right from HOPF_ENTWINING,
+      entwining-rr-multiplicativity and C's algebra-left-unit.  At
+      c = 1_C the rr row reads psi(1_C (x) a a') = (a a')_0 (x)
+      (a a')_1 = rho(a a') on the left and a_0 psi(a_1 (x) a') on the
+      right, as 1_C x = x; that is this row.
+    The right coaction's rows are evaluated before the rr rows for the
+    first lemma, and reported in their place.  With no hopf, a psi that
+    differs from hopf_entwining, or a failed premise, both rows are
+    built as before.  The other lemmas: entwining-ll-X
     follows from entwining-rr-X and entwining-bijective, multiplying the
     rr law by psi_inv on both sides; entwined-module-left from those of
     ll-multiplicativity and algebra-associativity, as lam(a) =
@@ -346,13 +383,26 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     """
     gen = alg.generator()
     rep = VerificationReport()
+    rr = _rr_laws(psi, alg, coa)
+    # a premise of the rr rows' Hopf lemma, reported after the ll rows
+    right = validate_right_coaction(rho, coa, alg.space)
+    given = {c.name for c in right.checks if c.status == PASS}
 
     def check(table) -> None:
-        check_laws(rep, table, IMPLIED_LAWS, ON_GENERATOR, gen)
+        check_laws(rep, table, IMPLIED_LAWS, ON_GENERATOR, gen, given)
 
     check(algebra_laws(alg))
-    rep.extend(validate_coalgebra(coa))
-    check(_rr_laws(psi, alg, coa))
+    if hopf is None:
+        rep.extend(validate_coalgebra(coa))
+    else:
+        if hopf.coalgebra.comul != coa.comul or hopf.coalgebra.counit != coa.counit:
+            raise ShapeError("hopf must have coa as its coalgebra")
+        laws = hopf.laws.checks
+        rep.checks.extend(c for c in laws if c.name.startswith("coalgebra-"))
+        given.update("C:" + c.name for c in laws if c.status == PASS)
+        if hopf_entwining(hopf, alg, rho) == psi:
+            given.add(HOPF_ENTWINING)
+    check(rr)
     inv = try_inverse(psi)
     if inv is None:
         rep.add("entwining-bijective", False, {"reason": "psi matrix is singular"})
@@ -360,7 +410,7 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     rep.add("entwining-bijective", True)
     check(_ll_laws(inv, alg, coa))
     entw = Entwining(psi, inv)
-    rep.extend(validate_right_coaction(rho, coa, alg.space))
+    rep.extend(right)
     rho_left = induced_left_coaction(alg, entw, rho)
     rep.extend(validate_left_coaction(rho_left, coa, alg.space))
     coact = Coaction(rho, rho_left)

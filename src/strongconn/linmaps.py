@@ -189,23 +189,24 @@ def _accumulate(acc: dict, row: dict, f: Scalar) -> dict:
 
     A factor that ``is`` one adds row and one that ``is`` minus one
     subtracts it; any other multiplies, and an entry of row that is the
-    field's own one is replaced by f, no new Scalar.  An entry that
-    cancels is removed, and so is a product of zero divisors, so acc
-    stays free of zeros.
+    field's own one is replaced by f, no new Scalar.  A subtracted entry
+    that is the field's one or minus one is swapped for the other, not
+    negated.  An entry that cancels is removed, and so is a product of
+    zero divisors, so acc stays free of zeros.
     """
     field = f.field
-    zero = field.zero
-    add = f is not field.minus_one
-    if f is field.one or not add:
+    zero, one, minus_one = field.zero, field.one, field.minus_one
+    add = f is not minus_one
+    if f is one or not add:
         terms = row.items()
     else:
-        one = field.one
         terms = [(j, p) for j, b in row.items()
                  if (p := f if b is one else f * b) is not zero]
     for j, b in terms:
         old = acc.get(j)
         if old is None:
-            acc[j] = b if add else -b
+            acc[j] = b if add else \
+                minus_one if b is one else one if b is minus_one else -b
         else:
             b = old + b if add else old - b
             if b is zero:
@@ -483,9 +484,10 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
     Gathers: each column (p, z, q) of g is read through row z of f into
     the columns (p, y, q).  An entry of g that is the field's own one or
     minus one adds or subtracts that row of f, and any other entry
-    multiplies it, skipping the entries of f that are one, so identities
-    and permutations make no new Scalar.  A column's place is worked out
-    on its first use, and a row that cancels is dropped.
+    multiplies it, skipping the entries of f that are one; a subtracted
+    one or minus one is swapped for the other, so identities and signed
+    permutations make no new Scalar.  A column's place is worked out on
+    its first use, and a row that cancels is dropped.
     """
     q, domain = swap_legs(g.domain, f.codomain, f.domain, at)
     dy, dz = f.domain.dim, f.codomain.dim
@@ -510,7 +512,8 @@ def precompose_at(g: LinMap, f: LinMap, at: int) -> LinMap:
                 y += base
                 old = acc.get(y)
                 if old is None:
-                    acc[y] = v if add else -v
+                    acc[y] = v if add else \
+                        minus_one if v is one else one if v is minus_one else -v
                 else:
                     acc[y] = old + v if add else old - v
         row = {j: v for j, v in acc.items() if v is not zero}

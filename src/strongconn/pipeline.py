@@ -125,6 +125,9 @@ class _Run:
         self.inst = inst
         self.report = report
         self.oracle_cap = oracle_cap
+        # its laws are evaluated at most once: validate reads them as
+        # premises, integral reports them
+        self.hopf_c = _hopf(inst, "C")
 
 
 NOT_COSEPARABLE = {"reason": "not coseparable over this field"}
@@ -192,7 +195,7 @@ def _validate(run: _Run, vrep: VerificationReport) -> str | None:
                                  inst.designated("counit"))
         run.ext, brep = validate_and_build(alg, coa, inst.designated("psi"),
                                            inst.designated("rho"),
-                                           inst.grouplike)
+                                           inst.grouplike, run.hopf_c)
     elif run.datum is not None:
         vrep.add_na("derived-from-homogeneous",
                     "entwining induced from the quotient datum")
@@ -228,7 +231,7 @@ def _cointegral(run: _Run, vrep: VerificationReport) -> None:
 
 
 def _integral(run: _Run, vrep: VerificationReport) -> None:
-    hopf_c = _hopf(run.inst, "C")
+    hopf_c = run.hopf_c
     if hopf_c is None:
         vrep.add_na("integral-exists", "no Hopf structure designated on C")
         return

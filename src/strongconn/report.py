@@ -127,9 +127,13 @@ def check_conditions(table, X: LinMap | None = None) -> VerificationReport:
 
 
 def check_laws(rep: VerificationReport, table, implied: dict,
-               generated: dict, generator: LinMap | None) -> None:
+               generated: dict, generator: LinMap | None,
+               given=frozenset()) -> None:
     """Append table's rows to rep as check_conditions would, taking two
-    kinds of lemma from the rows that passed in rep or in table.
+    kinds of lemma from the rows that passed in rep or in table, and
+    from given: the names of premises known to hold outside both.  A
+    premise from another report takes a name of its own (such as "C:"
+    and its row's name), so it never reads rep's row of the same name.
 
     A row of implied passes unbuilt once its premises passed.  A row of
     generated, when a generator k -> X of the algebra on its last leg is
@@ -142,7 +146,7 @@ def check_laws(rep: VerificationReport, table, implied: dict,
     checks are appended in table order.
     """
     rows = {row[0]: row for row in table}
-    passed = {c.name for c in rep.checks if c.status == PASS}
+    passed = {c.name for c in rep.checks if c.status == PASS}.union(given)
     done = {}
 
     def holds(premises) -> bool:

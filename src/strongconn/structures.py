@@ -10,7 +10,9 @@ axioms.  Downstream modules assume validated inputs.
 
 A Hopf algebra's solved_antipode_inv is the antipode's inverse from one
 elimination, made at most once, and validate_hopf checks it
-(hopf-antipode-inverse).
+(hopf-antipode-inverse).  Its law report (HopfAlgebra.laws) is
+evaluated at most once too: a pipeline run reads C's rows as premises
+in the validate stage and reports them in the integral stage.
 
 A law that is multiplicative in its last algebra leg holds on all of A
 once it holds on a generator (ON_GENERATOR): single_generator finds one
@@ -145,6 +147,12 @@ class HopfAlgebra:
         None when the antipode is singular."""
         return try_inverse(self.antipode)
 
+    @cached_property
+    def laws(self) -> VerificationReport:
+        """validate_hopf's checks, evaluated on the first read; read it,
+        do not extend it."""
+        return _hopf_laws(self)
+
 
 def single_generator(alg: StructureAlgebra) -> int | None:
     """The first basis vector s whose left-nested powers 1, s, s s,
@@ -207,7 +215,16 @@ def validate_coalgebra(coa: StructureCoalgebra) -> VerificationReport:
 
 
 def validate_hopf(h: HopfAlgebra) -> VerificationReport:
-    """Bialgebra compatibility, antipode axioms, bijectivity of S.
+    """Bialgebra compatibility, antipode axioms, bijectivity of S: a new
+    report of h.laws, which each HopfAlgebra evaluates once.
+    """
+    rep = VerificationReport()
+    rep.extend(h.laws)
+    return rep
+
+
+def _hopf_laws(h: HopfAlgebra) -> VerificationReport:
+    """The rows of validate_hopf.
 
     When single_generator finds s, the two rows of ON_GENERATOR are
     checked with their last leg on s first, and that pass stands for

@@ -4,13 +4,17 @@ alpha, which the colinearity reduction reuses), evaluates the defining
 conditions on it once (the oracle's check of the canonical map's
 solution reads the verify stage's evaluation), inverts an antipode
 once, and solves the cointegral of a homogeneous quotient once.  A
-library build inverts its entwining once, in make_extension.
+library build inverts its entwining once, in make_extension.  C's Hopf
+table is evaluated at most once per run, in the validate stage, which
+reads its rows as premises, and reported from there by the integral
+stage.
 
 The counters wrap a callable in every strongconn module that imported
 it, so a call made through any module is counted.
 """
 
 import hashlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -216,3 +220,64 @@ def test_library_build_inverts_psi_once(name, monkeypatch):
     eliminated = record_eliminations(monkeypatch)
     ext = LIBRARY_BUILDS[name]()
     assert sum(holds_map(rows, ext.entwining.psi) for rows in eliminated) == 1
+
+
+def record_hopf_tables(monkeypatch) -> list:
+    """The space ("A" or "C") of each Hopf table evaluated."""
+    real = structures._hopf_laws
+    spaces = []
+
+    def wrapper(h):
+        spaces.append(h.space.factors[0][0])
+        return real(h)
+
+    monkeypatch.setattr(structures, "_hopf_laws", wrapper)
+    return spaces
+
+
+def load_bench_inputs():
+    """bench/inputs.py, which writes the benchmark's instance files."""
+    path = GOLDEN_DIR.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("strongconn_bench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses reads the defining module
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return mod
+
+
+HOPF_STAGE_SETS = (None, ("validate",), ("validate", "cointegral", "integral"))
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_c_hopf_table_evaluated_once_per_golden_run(name, monkeypatch):
+    inst = parse_instance(str(GOLDEN_DIR / f"{name}.json"))
+    lead = ["homogeneous"] if inst.b_subspace is not None else []
+    tables = record_hopf_tables(monkeypatch)
+    for stages in HOPF_STAGE_SETS:
+        tables.clear()
+        rep = run_pipeline(inst, None if stages is None else [*lead, *stages])
+        assert rep.checks
+        has_c = inst.designated("c_antipode") is not None
+        assert tables.count("C") == has_c, stages
+        assert tables.count("A") == bool(lead), stages
+
+
+BENCH_WORKLOADS = ("oracle-q", "construct-q", "dense-cyclotomic")
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_c_hopf_table_evaluated_once_per_bench_input(workload, monkeypatch):
+    """On the seed-1 input of each generated benchmark workload, with
+    its own stages, and with validate alone."""
+    inputs = load_bench_inputs()
+    w = inputs.WORKLOADS[workload]
+    inst = inputs.conjugate(inputs.standard_instance(w, "full"), w.basis, 1)
+    tables = record_hopf_tables(monkeypatch)
+    for stages in (None if w.stages is None else w.stages.split(","), ["validate"]):
+        tables.clear()
+        rep = run_pipeline(inst, stages)
+        assert rep.exit_code == 0
+        assert tables == ["C"], stages

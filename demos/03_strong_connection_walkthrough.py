@@ -31,6 +31,13 @@ from strongconn import (
     verify_connection,
 )
 
+
+
+def column(m, c):
+    """The nonzeros of m's column c, keyed by codomain multi-index."""
+    return {m.codomain.unflatten(r): str(v) for (r, j), v in m.items() if j == c}
+
+
 ext = build_graded_extension(2, 2)
 print("coinvariant subalgebra dimension:", ext.coinvariants.dim)
 print("galois:", galois_check(ext).named("galois").status)
@@ -38,26 +45,27 @@ print("galois:", galois_check(ext).named("galois").status)
 # Step 1: cointegral on C (here C is spanned by grouplikes, so delta is
 # the Kronecker pairing and the solver finds it as the unique solution).
 delta = solve_cointegral(ext.coalgebra)
-print("\ncointegral matrix:", [[str(s) for s in row] for row in delta.delta.entries])
+print("\ncointegral values:",
+      {delta.delta.domain.unflatten(c): str(v) for (_, c), v in delta.delta.items()})
 
 # Step 2: a section of the canonical map.  x*x = 2 forces
 # sigma(g) = 1/2 x (x) x; normalisation pins sigma(e) = 1 (x) 1 at the
 # extension's own grouplike e.
 sigma = normalize_section(solve_section(ext), ext)
-print("sigma(g) column:", [str(s) for s in sigma.sigma.column(1)])
+print("sigma(g):", column(sigma.sigma, 1))
 
 # Step 3: assemble ell and re-verify the three defining conditions
 # rather than trusting the construction.
 conn = build_connection(sigma, delta, ext)
-print("\nell(g) column:", [str(s) for s in conn.ell.column(1)])
-print("ell(e) column:", [str(s) for s in conn.ell.column(0)])
+print("\nell(g):", column(conn.ell, 1))
+print("ell(e):", column(conn.ell, 0))
 for c in verify_connection(conn, ext).checks:
     print(f"  {c.status:>4}  {c.name}")
 
 # Step 4: the splitting s(a) = a_0 ell(a_1) of the product B (x) A -> A
 # certifies equivariant projectivity; here s(x) = 1 (x) x.
 s_map, srep = splitting(conn, ext)
-print("\ns(x) column:", [str(v) for v in s_map.column(1)])
+print("\ns(x):", column(s_map, 1))
 for c in srep.checks:
     print(f"  {c.status:>4}  {c.name}")
 

@@ -15,15 +15,16 @@ Three ways the hypotheses can fail, each with an exact certificate:
 """
 
 from strongconn import (
+    brute_force_connections,
     build_graded_extension,
     build_group_self_extension,
-    brute_force_connections,
+    check_conditions,
     galois_check,
+    rr_laws,
     self_extension,
     solve_cointegral,
     solve_integral,
     sweedler_hopf,
-    validate_entwining_rr,
 )
 from strongconn.linmaps import Infeasible, LinMap
 from strongconn.scalars import Field
@@ -57,15 +58,13 @@ print("oracle on t=0:", brute_force_connections(ext0).detail)
 # particular corruption; counitality alone fails, first at (e, g).
 ext = build_group_self_extension(2)
 psi = ext.entwining.psi
-entries = [list(r) for r in psi.entries]
-for i in range(2):
-    col = psi.domain.flatten((i, 1))
-    for r in range(4):
-        entries[r][col] = QQ.zero
-    entries[psi.codomain.flatten((0, i))][col] = QQ.one
-doctored = LinMap(QQ, psi.domain, psi.codomain, entries)
+doctored_cols = {psi.domain.flatten((i, 1)): psi.codomain.flatten((0, i)) for i in range(2)}
+doctored = LinMap.from_items(
+    QQ, psi.domain, psi.codomain,
+    [(key, v) for key, v in psi.items() if key[1] not in doctored_cols]
+    + [((r, c), QQ.one) for c, r in doctored_cols.items()])
 print("\ndoctored entwining:")
-for c in validate_entwining_rr(doctored, ext.algebra, ext.coalgebra).checks:
+for c in check_conditions(rr_laws(doctored, ext.algebra, ext.coalgebra)).checks:
     line = f"  {c.status:>4}  {c.name}"
     if c.witness:
         line += f"  witness {c.witness}"

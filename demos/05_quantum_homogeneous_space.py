@@ -26,13 +26,13 @@ QQ = Field.rationals()
 
 datum = build_homogeneous_z4_z2()
 print("quotient dimension:", datum.quotient.dim)
-print("pi columns (g^j -> class):",
-      [[str(s) for s in datum.pi.column(j)] for j in range(4)])
+print("pi (g^j -> class):",
+      {j: {r: str(v) for (r, c), v in datum.pi.items() if c == j} for j in range(4)})
 
 # The deterministic section prefers low-index representatives:
 # i([1]) = 1 and i([g]) = g.
 i_map = datum.section
-print("i([g]) =", [str(s) for s in i_map.column(1)])
+print("i([g]) =", {r: str(v) for (r, c), v in i_map.items() if c == 1})
 
 # Average through the Kronecker cointegral on the (grouplike) quotient.
 delta = solve_cointegral(datum.quotient)
@@ -43,10 +43,8 @@ print("iota fixes the canonical section:", iota == i_map)
 
 # Perturb the section by a coideal element: i'([g]) = g + (g^2 - 1).
 # Averaging kills the perturbation and returns the same bicolinear map.
-perturbed = [list(r) for r in i_map.entries]
-perturbed[2][1] = QQ.one
-perturbed[0][1] = -QQ.one
-i2 = LinMap(QQ, i_map.domain, i_map.codomain, perturbed)
+i2 = i_map + LinMap.from_items(QQ, i_map.domain, i_map.codomain,
+                               [((2, 1), QQ.one), ((0, 1), QQ.minus_one)])
 iota2, rep2 = bicolinear_section_iota(datum, delta, section=i2)
 print("perturbed section repaired:", iota2 == i_map, "| checks pass:",
       rep2.passed)

@@ -25,7 +25,7 @@ from .linmaps import (
     rref_solve,
     vector,
 )
-from .report import Check, VerificationReport
+from .report import Check, VerificationReport, check_conditions
 from .structures import (
     HopfAlgebra,
     StructureAlgebra,
@@ -45,9 +45,9 @@ from .extensions import (
     induced_left_coaction,
     key_identity_check,
     lifted_canonical,
+    ll_laws,
     make_extension,
-    validate_entwining_ll,
-    validate_entwining_rr,
+    rr_laws,
 )
 from .connection import (
     BruteForceSolutions,

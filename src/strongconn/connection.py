@@ -36,9 +36,7 @@ from .linmaps import (
     Subspace,
     apply_at,
     compose_legs,
-    map_from_vector,
     map_kron,
-    map_vectorize,
     precompose_at,
     rref_solve,
     swap_legs,
@@ -131,10 +129,13 @@ def linear_system(field, x_domain: SpaceLabel, x_codomain: SpaceLabel,
     """(system, target): the conditions of a table on an unknown map
     X: x_domain -> x_codomain as one system in X's entries.
 
-    Each condition contributes a block of rows, lhs minus rhs, in the
-    column-major order of map_vectorize, and unknown k is entry
-    (k % cod_dim, k // cod_dim) of X, as in map_from_vector.  A chain
-    side is L o (I_p (x) X (x) I_q) o R, with L composed of the steps
+    Each condition contributes a block of rows, lhs minus rhs, each
+    block's entries in column-major order.  The unknowns are X's
+    entries in column-major order too: unknown k is entry
+    (k % cod_dim, k // cod_dim) of X, and entry (r, c) is unknown
+    c * cod_dim + r.  _solve and membership_check read this order.
+
+    A chain side is L o (I_p (x) X (x) I_q) o R, with L composed of the steps
     before its slot and R of those after it (an identity when there are
     none); a fixed side goes into the target.  The coefficients come
     straight from the nonzeros of L and R:
@@ -195,8 +196,9 @@ def _solve(field, x_domain: SpaceLabel, x_codomain: SpaceLabel, table):
     sol = rref_solve(*linear_system(field, x_domain, x_codomain, table))
     if isinstance(sol.particular, Infeasible):
         return sol.particular
-    return (map_from_vector(field, x_domain, x_codomain, sol.particular.column(0)),
-            sol.kernel)
+    m = x_codomain.dim  # unknown k is entry (k % m, k // m) of X
+    items = (((k % m, k // m), v) for (k, _), v in sol.particular.items())
+    return LinMap.from_items(field, x_domain, x_codomain, items), sol.kernel
 
 
 # -- cointegrals and integrals ------------------------------------------
@@ -460,6 +462,11 @@ def brute_force_connections(ext: EntwinedExtension, cap: int = ORACLE_CAP):
 
 
 def membership_check(conn: ConnectionForm, oracle: BruteForceSolutions) -> bool:
-    """True iff the connection lies in the oracle's affine solution set."""
-    return oracle.kernel.contains_vector(
-        map_vectorize(conn.ell - oracle.particular))
+    """True iff the connection lies in the oracle's affine solution set:
+    ell - particular, as a vector of unknowns (entry (r, c) is unknown
+    c * m + r), lies in the kernel."""
+    kernel, m = oracle.kernel, oracle.particular.nrows
+    diff = conn.ell - oracle.particular
+    return kernel.first_outside(LinMap.from_items(
+        kernel.field, SpaceLabel.scalar(), kernel.ambient,
+        (((c * m + r, 0), v) for (r, c), v in diff.items()))) is None

@@ -92,7 +92,9 @@ class EntwinedExtension:
                           map_kron(self.algebra.unit, self.coalgebra.identity()))
 
 
-def _rr_laws(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra):
+def rr_laws(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra) -> tuple:
+    """The four right-right entwining identities, a table for
+    report.check_conditions."""
     if psi.domain != coa.space.tensor(alg.space) or \
             psi.codomain != alg.space.tensor(coa.space):
         raise ShapeError("psi must map C(x)A -> A(x)C")
@@ -108,13 +110,8 @@ def _rr_laws(psi: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra):
          ((counit, 1), (psi, 0)), map_kron(counit, alg.identity())))
 
 
-def validate_entwining_rr(psi: LinMap, alg: StructureAlgebra,
-                          coa: StructureCoalgebra) -> VerificationReport:
-    """The four right-right entwining identities, with basis witnesses."""
-    return check_conditions(_rr_laws(psi, alg, coa))
-
-
-def _ll_laws(psi_inv: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra):
+def ll_laws(psi_inv: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra) -> tuple:
+    """The four left-left identities for the inverse entwining."""
     if psi_inv.domain != alg.space.tensor(coa.space) or \
             psi_inv.codomain != coa.space.tensor(alg.space):
         raise ShapeError("psi_inv must map A(x)C -> C(x)A")
@@ -128,12 +125,6 @@ def _ll_laws(psi_inv: LinMap, alg: StructureAlgebra, coa: StructureCoalgebra):
          ((comul, 0), (psi_inv, 0)), ((psi_inv, 1), (psi_inv, 0), (comul, 1))),
         ("entwining-ll-counitality", psi_inv.domain,
          ((counit, 0), (psi_inv, 0)), map_kron(alg.identity(), counit)))
-
-
-def validate_entwining_ll(psi_inv: LinMap, alg: StructureAlgebra,
-                          coa: StructureCoalgebra) -> VerificationReport:
-    """The four left-left identities for the inverse entwining."""
-    return check_conditions(_ll_laws(psi_inv, alg, coa))
 
 
 def hopf_entwining(hopf: HopfAlgebra, alg: StructureAlgebra, rho: LinMap) -> LinMap:
@@ -177,7 +168,8 @@ def induced_left_coaction(alg: StructureAlgebra, entw: Entwining, rho: LinMap) -
     return compose_legs(alg.space, (entw.psi_inv, 0), (alg.mul, 0), (unit_image, 1))
 
 
-def _module_laws(alg: StructureAlgebra, entw: Entwining, coact: Coaction):
+def module_laws(alg: StructureAlgebra, entw: Entwining, coact: Coaction) -> tuple:
+    """rho(a a') = a_0 psi(a_1 (x) a') and its left mirror, over all pairs."""
     mul, rho, lam = alg.mul, coact.rho, coact.rho_left
     return (("entwined-module-right", mul.domain,
              ((rho, 0), (mul, 0)), ((mul, 0), (entw.psi, 1), (rho, 0))),
@@ -185,21 +177,10 @@ def _module_laws(alg: StructureAlgebra, entw: Entwining, coact: Coaction):
              ((lam, 0), (mul, 0)), ((mul, 1), (entw.psi_inv, 0), (lam, 1))))
 
 
-def validate_entwined_module(alg: StructureAlgebra, entw: Entwining,
-                             coact: Coaction) -> VerificationReport:
-    """rho(a a') = a_0 psi(a_1 (x) a') and its left mirror, over all pairs."""
-    return check_conditions(_module_laws(alg, entw, coact))
-
-
-def _coaction_from_unit_law(alg: StructureAlgebra, entw: Entwining, rho: LinMap):
+def coaction_from_unit_law(alg: StructureAlgebra, entw: Entwining, rho: LinMap) -> tuple:
+    """rho(a) = 1_0 psi(1_1 (x) a) for every basis element a."""
     return (("coaction-from-unit", alg.space,
              rho, ((alg.mul, 0), (entw.psi, 1), (rho, 0), (alg.unit, 0))),)
-
-
-def coaction_from_unit_check(alg: StructureAlgebra, entw: Entwining,
-                             rho: LinMap) -> VerificationReport:
-    """rho(a) = 1_0 psi(1_1 (x) a) for every basis element a."""
-    return check_conditions(_coaction_from_unit_law(alg, entw, rho))
 
 
 def coinvariants(alg: StructureAlgebra, rho: LinMap) -> Subspace:
@@ -264,16 +245,7 @@ def galois_check(ext: EntwinedExtension) -> VerificationReport:
     return rep
 
 
-def _key_identity_law(ext: EntwinedExtension):
-    mul, rho = ext.algebra.mul, ext.coaction.rho
-    # mul before comul (they act on disjoint legs): the widest space on
-    # the way is A (x) C (x) C, not A (x) A (x) C (x) C
-    return (("key-identity", mul.domain,
-             ((ext.entwining.psi_inv, 0), (ext.coalgebra.comul, 1), (mul, 0), (rho, 1)),
-             ((mul, 1), (ext.coaction.rho_left, 0), (rho, 1))),)
-
-
-def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
+def key_identity_law(ext: EntwinedExtension) -> tuple:
     """psi_inv(a a'_0 (x) a'_1) (x) a'_2 = a_{-1} (x) a_0 a'_0 (x) a'_1.
 
     A lemma of entwining-bijective, entwining-rr-multiplicativity,
@@ -284,7 +256,19 @@ def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
     into a 1_0 psi(1_1 (x) a'_0) (x) a'_1 = a rho(a'_0) (x) a'_1
     (coaction-from-unit), the left side by coassociativity.
     """
-    return check_conditions(_key_identity_law(ext))
+    mul, rho = ext.algebra.mul, ext.coaction.rho
+    # mul before comul (they act on disjoint legs): the widest space on
+    # the way is A (x) C (x) C, not A (x) A (x) C (x) C
+    return (("key-identity", mul.domain,
+             ((ext.entwining.psi_inv, 0), (ext.coalgebra.comul, 1), (mul, 0), (rho, 1)),
+             ((mul, 1), (ext.coaction.rho_left, 0), (rho, 1))),)
+
+
+def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
+    """check_conditions of key_identity_law, every row evaluated; no
+    program path calls it, and it is kept for the benchmark's tracer,
+    which spans it."""
+    return check_conditions(key_identity_law(ext))
 
 
 # psi(c (x) a) = a_0 (x) c a_1 under C's designated Hopf data, as one
@@ -357,7 +341,7 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     (C (x) mu)(psi_inv (x) A)(a (x) lam(a')); coaction-from-unit is
     entwined-module-right at a = 1, where algebra-left-unit gives 1 a' =
     a', so rho(a') = 1_0 psi(1_1 (x) a'); key-identity as in
-    key_identity_check.
+    key_identity_law.
 
     When A has a single generator s (structures.single_generator), a
     row of ON_GENERATOR is first checked with its last leg a' on s, and
@@ -383,7 +367,7 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     """
     gen = alg.generator()
     rep = VerificationReport()
-    rr = _rr_laws(psi, alg, coa)
+    rr = rr_laws(psi, alg, coa)
     # a premise of the rr rows' Hopf lemma, reported after the ll rows
     right = validate_right_coaction(rho, coa, alg.space)
     given = {c.name for c in right.checks if c.status == PASS}
@@ -408,13 +392,13 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
         rep.add("entwining-bijective", False, {"reason": "psi matrix is singular"})
         return None, rep
     rep.add("entwining-bijective", True)
-    check(_ll_laws(inv, alg, coa))
+    check(ll_laws(inv, alg, coa))
     entw = Entwining(psi, inv)
     rep.extend(right)
     rho_left = induced_left_coaction(alg, entw, rho)
     rep.extend(validate_left_coaction(rho_left, coa, alg.space))
     coact = Coaction(rho, rho_left)
-    check(_module_laws(alg, entw, coact) + _coaction_from_unit_law(alg, entw, rho))
+    check(module_laws(alg, entw, coact) + coaction_from_unit_law(alg, entw, rho))
     if grouplike is not None:
         rep.add("grouplike-designated", check_grouplike(grouplike, coa))
         rep.extend(check_conditions((
@@ -432,7 +416,7 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     if not rep.passed:
         return None, rep
     ext = EntwinedExtension(alg, coa, entw, coact, grouplike, coinv)
-    check(_key_identity_law(ext))
+    check(key_identity_law(ext))
     return (ext if rep.passed else None), rep
 
 

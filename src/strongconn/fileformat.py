@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .errors import ParseError, TooLarge
-from .linmaps import LinMap, SpaceLabel, Subspace, vector, vector_coeffs
+from .linmaps import LinMap, SpaceLabel, Subspace, vector
 from .scalars import Field, parse_scalar
 
 
@@ -304,7 +304,10 @@ def instance_to_dict(inst: InstanceFile) -> dict:
         "designations": dict(sorted(inst.designations.items())),
     }
     if inst.grouplike is not None:
-        doc["grouplike"] = [str(s) for s in vector_coeffs(inst.grouplike)]
+        g = inst.grouplike
+        texts = doc["grouplike"] = [str(g.field.zero)] * g.nrows
+        for (r, _), v in g.items():
+            texts[r] = str(v)
     if inst.b_subspace is not None:
         doc["coinvariant_subalgebra"] = [[str(c) for c in v]
                                          for v in inst.b_subspace.basis]

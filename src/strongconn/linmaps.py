@@ -17,8 +17,9 @@ Conventions frozen here and shared with the instance file format:
   a reducible Q[x]/(p), so the rows are a canonical form, ``==`` and
   ``hash`` are exact, and a map's memory and every kernel's work follow
   its nonzeros, not its codomain's dimension.  ``entries`` is a dense
-  grid of Scalars (``entries[r][c]``, zeros included) built on demand
-  for display and tests; nothing on a hot path reads it.  Only this
+  grid of Scalars (``entries[r][c]``, zeros included) built on demand;
+  no program path reads it, and it is kept for the benchmark's tracer,
+  which reads the matrices it sees eliminated through it.  Only this
   module reads or writes rows: other modules read a map's nonzeros as
   ``((r, c), value)`` pairs from ``items()`` and build one from such
   pairs with ``LinMap.from_items``.
@@ -322,10 +323,6 @@ class LinMap:
         z, n, rows = self.field.zero, self.domain.dim, self.rows
         return tuple(_dense(rows.get(r, {}), n, z) for r in range(self.nrows))
 
-    def column(self, c: int) -> tuple[Scalar, ...]:
-        z, rows = self.field.zero, self.rows
-        return tuple(rows[r].get(c, z) if r in rows else z for r in range(self.nrows))
-
     def items(self):
         """Each nonzero as ((r, c), value), row by row."""
         return (((r, c), v) for r, row in self.rows.items() for c, v in row.items())
@@ -379,11 +376,6 @@ class LinMap:
         return LinMap._from_rows(self.field, self.domain, self.codomain,
                                  {r: {c: -a for c, a in row.items()}
                                   for r, row in self.rows.items()})
-
-    def scale(self, s: Scalar) -> "LinMap":
-        return LinMap._from_rows(self.field, self.domain, self.codomain,
-                                 {r: out for r, row in self.rows.items()
-                                  if (out := _accumulate({}, row, s))})
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other: precompose_at with no legs around other."""
@@ -573,12 +565,6 @@ def basis_vector(field: Field, space: SpaceLabel, flat: int) -> LinMap:
     if not 0 <= flat < space.dim:
         raise IndexError(f"flat index {flat} out of range for {space!r}")
     return LinMap._from_rows(field, SpaceLabel.scalar(), space, {flat: {0: field.one}})
-
-
-def vector_coeffs(v: LinMap) -> tuple[Scalar, ...]:
-    if v.domain.dim != 1:
-        raise ShapeError("not a vector")
-    return v.column(0)
 
 
 # -- echelon machinery -------------------------------------------------
@@ -793,11 +779,6 @@ class Subspace:
     def zero(field: Field, ambient: SpaceLabel) -> "Subspace":
         return Subspace(field, ambient, [])
 
-    @staticmethod
-    def full(field: Field, ambient: SpaceLabel) -> "Subspace":
-        o = field.one
-        return Subspace(field, ambient, [{i: o} for i in range(ambient.dim)])
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -819,16 +800,9 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient!r})"
 
-    def contains_vector(self, v) -> bool:
-        return self.first_outside(vector(self.field, self.ambient, v)) is None
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
             raise ShapeError("subspaces live in different ambient spaces")
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return self.first_outside(other.inclusion()) is None
 
     @staticmethod
     def image(f: LinMap) -> "Subspace":
@@ -899,23 +873,3 @@ def try_inverse(M: LinMap):
         return None
     return X.relabel(domain=M.codomain, codomain=M.domain)
 
-
-def map_vectorize(M: LinMap) -> tuple[Scalar, ...]:
-    """Flatten by domain basis element: entry (r, c) at c*nrows + r."""
-    m = M.nrows
-    out = [M.field.zero] * (m * M.ncols)
-    for r, row in M.rows.items():
-        for c, v in row.items():
-            out[c * m + r] = v
-    return tuple(out)
-
-
-def map_from_vector(field: Field, domain: SpaceLabel, codomain: SpaceLabel, vec) -> LinMap:
-    m = codomain.dim
-    rows = {}
-    for k in range(domain.dim * m):
-        v = vec[k]
-        if v:
-            c, r = divmod(k, m)
-            rows.setdefault(r, {})[c] = v
-    return LinMap._from_rows(field, domain, codomain, rows)

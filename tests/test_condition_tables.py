@@ -28,10 +28,11 @@ from strongconn.connection import (
     solve_integral,
 )
 from strongconn.errors import InternalContradiction
-from strongconn.linmaps import Infeasible, LinMap, SpaceLabel, map_vectorize, vector
+from strongconn.linmaps import Infeasible, LinMap, SpaceLabel, vector
 from strongconn.report import check_conditions
 from strongconn.structures import StructureAlgebra, validate_algebra
 
+from dense import column, scaled, vectorize
 from test_systems import CASES, IDS
 
 
@@ -52,11 +53,11 @@ def random_map(field, domain, codomain, seed):
 
 def assert_readers_agree(table, X):
     system, target = linear_system(X.field, X.domain, X.codomain, table)
-    residual = system @ vector(X.field, system.domain, map_vectorize(X)) - target
-    residual = residual.column(0)
+    residual = system @ vector(X.field, system.domain, vectorize(X)) - target
+    residual = column(residual, 0)
     start = 0
     for name, lhs, rhs in evaluate_conditions(table, X):
-        block = map_vectorize(lhs - rhs)
+        block = vectorize(lhs - rhs)
         assert residual[start:start + len(block)] == block, name
         start += len(block)
     assert start == len(residual)
@@ -142,7 +143,7 @@ def test_oracle_rejects_a_system_that_differs_from_its_table(monkeypatch):
         assert name_a == "connection-sections-canonical"
         two = field.scalar(2)
         return real(field, x_domain, x_codomain,
-                    [(name_a, domain, lhs, rhs.scale(two)), *rest])
+                    [(name_a, domain, lhs, scaled(rhs, two)), *rest])
 
     monkeypatch.setattr(connection, "linear_system", doubled_a)
     with pytest.raises(InternalContradiction, match="defining conditions"):

@@ -39,10 +39,11 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
-    map_from_vector,
     map_kron,
 )
 from strongconn.scalars import Field
+
+from dense import column, from_vector
 
 QQ = Field.rationals()
 
@@ -68,7 +69,7 @@ def kronecker_cointegral(hopf):
     n = hopf.dim
     vec = [field.one if (m // n) == (m % n) else field.zero
            for m in range(n * n)]
-    return map_from_vector(field, cc, SpaceLabel.scalar(), vec)
+    return from_vector(field, cc, SpaceLabel.scalar(), vec)
 
 
 # -- cointegrals -----------------------------------------------------------
@@ -176,7 +177,7 @@ def test_solve_section_z2_deterministic_and_valid(z2):
     lcan = lifted_canonical(z2.algebra, z2.coalgebra, z2.coaction.rho)
     assert lcan @ s.sigma == map_kron(z2.algebra.unit, z2.coalgebra.identity())
     # the canonical map is bijective here, so sigma is unique: g -> g (x) g
-    col = s.sigma.column(1)
+    col = column(s.sigma, 1)
     assert col[s.sigma.codomain.flatten((1, 1))] == QQ.one
     assert sum(1 for c in col if c) == 1
     assert s.solution_dim == 0
@@ -184,7 +185,7 @@ def test_solve_section_z2_deterministic_and_valid(z2):
 
 def test_solve_section_graded22_half_x_x(graded22):
     s = solve_section(graded22)
-    col = s.sigma.column(1)
+    col = column(s.sigma, 1)
     assert col[s.sigma.codomain.flatten((1, 1))] == QQ.scalar(Fraction(1, 2))
     assert sum(1 for c in col if c) == 1
 
@@ -192,7 +193,7 @@ def test_solve_section_graded22_half_x_x(graded22):
 def test_solve_section_trivial_has_freedom(trivial2):
     s = solve_section(trivial2)
     # sigma(e) = 1 (x) 1 under the zero-free-variables rule
-    col = s.sigma.column(0)
+    col = column(s.sigma, 0)
     assert col[0] == QQ.one
     assert sum(1 for c in col if c) == 1
     assert s.solution_dim == 2  # dim ker(mul) = 2
@@ -235,9 +236,9 @@ def test_gamma_alpha_values_z2(z2):
     gamma = gamma_map(delta, z2)
     alpha = alpha_map(delta, z2)
     # gamma(g (x) g) = g, alpha(g (x) g) = g
-    gcol = gamma.column(gamma.domain.flatten((1, 1)))
+    gcol = column(gamma, gamma.domain.flatten((1, 1)))
     assert gcol[1] == QQ.one and not gcol[0]
-    acol = alpha.column(alpha.domain.flatten((1, 1)))
+    acol = column(alpha, alpha.domain.flatten((1, 1)))
     assert acol[1] == QQ.one and not acol[0]
 
 
@@ -246,9 +247,9 @@ def test_gamma_alpha_values_graded(graded22):
     gamma = gamma_map(delta, graded22)
     alpha = alpha_map(delta, graded22)
     # gamma(g (x) x) = x and alpha(x (x) g) = x
-    gcol = gamma.column(gamma.domain.flatten((1, 1)))
+    gcol = column(gamma, gamma.domain.flatten((1, 1)))
     assert gcol[1] == QQ.one and not gcol[0]
-    acol = alpha.column(alpha.domain.flatten((1, 1)))
+    acol = column(alpha, alpha.domain.flatten((1, 1)))
     assert acol[1] == QQ.one and not acol[0]
 
 
@@ -267,25 +268,25 @@ def connection_for(ext):
 
 def test_connection_z2_value(z2):
     conn, _, _ = connection_for(z2)
-    col = conn.ell.column(1)
+    col = column(conn.ell, 1)
     assert col[conn.ell.codomain.flatten((1, 1))] == QQ.one
     assert sum(1 for c in col if c) == 1
-    col0 = conn.ell.column(0)
+    col0 = column(conn.ell, 0)
     assert col0[0] == QQ.one and sum(1 for c in col0 if c) == 1
 
 
 def test_connection_graded22_value(graded22):
     conn, _, _ = connection_for(graded22)
-    col = conn.ell.column(1)
+    col = column(conn.ell, 1)
     assert col[conn.ell.codomain.flatten((1, 1))] == QQ.scalar(Fraction(1, 2))
     assert sum(1 for c in col if c) == 1
-    col0 = conn.ell.column(0)
+    col0 = column(conn.ell, 0)
     assert col0[0] == QQ.one and sum(1 for c in col0 if c) == 1
 
 
 def test_connection_trivial_value(trivial2):
     conn, _, _ = connection_for(trivial2)
-    col = conn.ell.column(0)
+    col = column(conn.ell, 0)
     assert col[0] == QQ.one and sum(1 for c in col if c) == 1
 
 
@@ -297,7 +298,7 @@ def test_connection_cyclotomic_graded_values():
     conn, _, _ = connection_for(ext)
     aa = conn.ell.codomain
     for k in (1, 2):
-        col = conn.ell.column(k)
+        col = column(conn.ell, k)
         assert col[aa.flatten(((3 - k) % 3, k))] == field.one
         assert sum(1 for c in col if c) == 1
     assert verify_connection(conn, ext).passed
@@ -350,12 +351,12 @@ def test_splitting_values_and_checks(z2, graded22, trivial2):
     # explicit values: kZ2: s(g) = 1 (x) g; graded: s(x) = 1 (x) x
     conn, _, _ = connection_for(z2)
     s, _ = splitting(conn, z2)
-    col = s.column(1)
+    col = column(s, 1)
     assert col[s.codomain.flatten((0, 1))] == QQ.one
     assert sum(1 for c in col if c) == 1
     conn, _, _ = connection_for(graded22)
     s, _ = splitting(conn, graded22)
-    col = s.column(1)
+    col = column(s, 1)
     assert col[s.codomain.flatten((0, 1))] == QQ.one
     assert sum(1 for c in col if c) == 1
 

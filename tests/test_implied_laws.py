@@ -29,13 +29,13 @@ from strongconn.extensions import (
     Coaction,
     Entwining,
     EntwinedExtension,
-    coaction_from_unit_check,
+    coaction_from_unit_law,
     hopf_entwining,
     key_identity_check,
+    ll_laws,
+    module_laws,
+    rr_laws,
     validate_and_build,
-    validate_entwined_module,
-    validate_entwining_ll,
-    validate_entwining_rr,
 )
 from strongconn.fileformat import parse_instance
 from strongconn.golden import instance_from_extension
@@ -55,7 +55,7 @@ from strongconn.linmaps import (
     try_inverse,
 )
 from strongconn.pipeline import default_stages, run_pipeline
-from strongconn.report import PASS
+from strongconn.report import PASS, check_conditions
 from strongconn.scalars import Field
 from strongconn.structures import (
     ON_GENERATOR,
@@ -368,12 +368,12 @@ def test_an_invertible_psi_failing_an_rr_law_gets_its_ll_rows_evaluated():
     for seed in range(20):
         psi = mutated(ext.entwining.psi, seed)
         inv = try_inverse(psi)
-        if inv is not None and not validate_entwining_rr(psi, alg, coa).passed:
+        if inv is not None and not check_conditions(rr_laws(psi, alg, coa)).passed:
             break
     else:
         pytest.fail("no seeded psi is invertible and breaks an rr law")
     _, rep = validate_and_build(alg, coa, psi, ext.coaction.rho, ext.grouplike)
-    direct = validate_entwining_ll(inv, alg, coa)
+    direct = check_conditions(ll_laws(inv, alg, coa))
     assert not direct.passed
     for check in direct.checks:
         assert rep.named(check.name) == check
@@ -382,12 +382,13 @@ def test_an_invertible_psi_failing_an_rr_law_gets_its_ll_rows_evaluated():
 
 
 def test_the_public_validators_still_evaluate_in_full():
-    assert strongconn.validate_entwining_ll is validate_entwining_ll
+    assert strongconn.ll_laws is ll_laws
+    assert strongconn.check_conditions is check_conditions
     assert strongconn.key_identity_check is key_identity_check
     ext = build_graded_extension(3, 1)
     alg, coa = ext.algebra, ext.coalgebra
     inv = mutated(ext.entwining.psi_inv, 1)
-    ll = validate_entwining_ll(inv, alg, coa)
+    ll = check_conditions(ll_laws(inv, alg, coa))
     assert ll.failures and all(c.witness is not None for c in ll.failures)
     broken = EntwinedExtension(alg, coa, Entwining(ext.entwining.psi, inv),
                                ext.coaction, ext.grouplike, ext.coinvariants)
@@ -399,7 +400,8 @@ def test_the_public_validators_still_evaluate_in_full():
                                ext.grouplike, ext.coinvariants)
     key = key_identity_check(broken).named("key-identity")
     assert key.status == "fail" and key.witness is not None
-    unit = coaction_from_unit_check(alg, ext.entwining, rho).named("coaction-from-unit")
+    unit = check_conditions(coaction_from_unit_law(alg, ext.entwining, rho)) \
+        .named("coaction-from-unit")
     assert unit.status == "fail" and unit.witness is not None
 
 
@@ -412,8 +414,8 @@ def test_the_public_validators_build_dense_rows_in_full(monkeypatch):
     assert alg.generator() is not None
     built = record_builds(monkeypatch)
     assert validate_algebra(alg).passed
-    assert validate_entwining_rr(ext.entwining.psi, alg, ext.coalgebra).passed
-    assert validate_entwined_module(alg, ext.entwining, ext.coaction).passed
+    assert check_conditions(rr_laws(ext.entwining.psi, alg, ext.coalgebra)).passed
+    assert check_conditions(module_laws(alg, ext.entwining, ext.coaction)).passed
     last = dict(built)
     for row in A_ROWS:
         assert last[row] == full_domain(row, inst), row

@@ -1,6 +1,8 @@
 """Every name a strongconn module imports is used in that module,
 importing the package and its command stays cheap, the laws are
-checked by one evaluator, and only linmaps reads or writes a map's rows.
+checked by one evaluator, only linmaps reads or writes a map's rows,
+and every function and method the package defines has a caller in it
+or a listed reason to stay.
 
 __init__.py is left out: it imports names to re-export them.  A
 ``from __future__`` import is a compiler directive, not a name.
@@ -10,6 +12,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,102 @@ def test_only_linmaps_reads_or_writes_rows():
                             and node.attr in ("rows", "_from_rows")
                             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))))
     assert naming == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = "bound by bench/tracer.py"
+INPUTS = "bound by bench/inputs.py"
+ENTRY = "console/-m entry point"
+
+# The functions and methods that no module of the package names, outside
+# their own definition, __init__.py and an ``if __name__ == "__main__"``
+# block, with the reason each stays.  The benchmark in bench/ is not part
+# of the package and must keep running unchanged.
+UNCALLED = {
+    "cli.main": ENTRY,
+    "golden.main": ENTRY,
+    "extensions.key_identity_check": TRACER,
+    "structures.validate_algebra": TRACER,
+    "linmaps.LinMap.entries": TRACER,
+    "linmaps.Subspace.sum": TRACER,
+    "linmaps.Subspace.intersection": TRACER,
+    "scalars.Scalar.coeffs": TRACER,
+    "linmaps.kron_all": INPUTS,
+}
+
+
+def is_main_block(node) -> bool:
+    test = getattr(node, "test", None)
+    return (isinstance(node, ast.If) and isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name) and test.left.id == "__name__")
+
+
+def namings(tree, methods: bool) -> Counter:
+    """How often each name is read in tree: as an attribute, and, unless
+    methods, as a bare name; a __main__ block is skipped."""
+    counts = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if is_main_block(node):
+            continue
+        if isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.Name) and not methods:
+            counts[node.id] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return counts
+
+
+def definitions(path: Path, tree):
+    """(qualified name, node, is a method) of every function and
+    non-dunder method defined in the module at path."""
+    owner = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for n in c.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                not (node.name.startswith("__") and node.name.endswith("__")):
+            cls = owner.get(id(node))
+            qual = node.name if cls is None else f"{cls}.{node.name}"
+            yield f"{path.stem}.{qual}", node, cls is not None
+
+
+def uncalled(paths) -> list[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    naming = [t for p, t in trees.items() if p.name != "__init__.py"]
+    total = {m: sum((namings(t, m) for t in naming), Counter()) for m in (False, True)}
+    return sorted(qual for path, tree in trees.items()
+                  for qual, node, method in definitions(path, tree)
+                  if total[method][node.name] <= namings(node, method)[node.name])
+
+
+def test_every_function_and_method_has_a_caller_or_a_reason():
+    """A name no program path reaches is either deleted or listed in
+    UNCALLED with its reason, so keeping one is a deliberate choice."""
+    assert uncalled(sorted(SRC.glob("*.py"))) == sorted(UNCALLED)
+
+
+def test_each_bench_binding_names_a_bench_file():
+    """Each name kept for the benchmark is written in that file."""
+    for qual, reason in UNCALLED.items():
+        if reason != ENTRY:
+            text = (BENCH / reason.rsplit("/", 1)[1]).read_text(encoding="utf-8")
+            assert qual.rsplit(".", 1)[1] in text, qual
+
+
+def test_an_uncalled_function_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class K:\n"
+        "    def used(self): return 1\n"
+        "    def unused(self): return self.unused()\n"
+        "def f(): return g()\n"
+        "def g(): return K().used()\n"
+        "def h(): return 1\n"
+        "def main(): return h()\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n")
+    (tmp_path / "__init__.py").write_text("from .a import f, g, h\n")
+    assert uncalled(sorted(tmp_path.glob("*.py"))) == ["a.K.unused", "a.f", "a.main"]
 
 
 def loaded_by_import(modules: set[str]) -> list[str]:

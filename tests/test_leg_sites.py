@@ -35,16 +35,16 @@ from strongconn.connection import (
 )
 from strongconn.errors import InternalContradiction
 from strongconn.extensions import (
-    coaction_from_unit_check,
+    coaction_from_unit_law,
     coinvariants,
     hopf_entwining,
     induced_left_coaction,
     key_identity_check,
     lifted_canonical,
+    ll_laws,
+    module_laws,
+    rr_laws,
     validate_and_build,
-    validate_entwined_module,
-    validate_entwining_ll,
-    validate_entwining_rr,
     validate_left_coaction,
     validate_right_coaction,
 )
@@ -404,17 +404,17 @@ def test_validation_ladder_maps_equal_the_composites(name, ext, hopf, recorded):
     assert_recorded(recorded, ref_algebra(alg))
     validate_coalgebra(coa)
     assert_recorded(recorded, ref_coalgebra(coa))
-    validate_entwining_rr(entw.psi, alg, coa)
+    check_conditions(rr_laws(entw.psi, alg, coa))
     assert_recorded(recorded, ref_entwining_rr(entw.psi, alg, coa))
-    validate_entwining_ll(entw.psi_inv, alg, coa)
+    check_conditions(ll_laws(entw.psi_inv, alg, coa))
     assert_recorded(recorded, ref_entwining_ll(entw.psi_inv, alg, coa))
     validate_right_coaction(rho, coa, alg.space)
     assert_recorded(recorded, ref_right_coaction(rho, coa, alg.space))
     validate_left_coaction(lam, coa, alg.space)
     assert_recorded(recorded, ref_left_coaction(lam, coa, alg.space))
-    validate_entwined_module(alg, entw, ext.coaction)
+    check_conditions(module_laws(alg, entw, ext.coaction))
     assert_recorded(recorded, ref_entwined_module(alg, coa, entw, rho, lam))
-    coaction_from_unit_check(alg, entw, rho)
+    check_conditions(coaction_from_unit_law(alg, entw, rho))
     assert_recorded(recorded, ref_coaction_from_unit(alg, coa, entw, rho))
     key_identity_check(ext)
     assert_recorded(recorded, ref_key_identity(ext))
@@ -454,18 +454,18 @@ def test_failing_identities_record_the_same_maps(name, ext, hopf, recorded):
         psi, psi_inv = doctored(ext.entwining.psi, seed), doctored(ext.entwining.psi_inv, seed)
         rho, lam = doctored(ext.coaction.rho, seed), doctored(ext.coaction.rho_left, seed)
         entw = ext.entwining._replace(psi=psi, psi_inv=psi_inv)
-        assert not validate_entwining_rr(psi, alg, coa).passed
+        assert not check_conditions(rr_laws(psi, alg, coa)).passed
         assert_recorded(recorded, ref_entwining_rr(psi, alg, coa))
-        validate_entwining_ll(psi_inv, alg, coa)
+        check_conditions(ll_laws(psi_inv, alg, coa))
         assert_recorded(recorded, ref_entwining_ll(psi_inv, alg, coa))
         assert not validate_right_coaction(rho, coa, alg.space).passed
         assert_recorded(recorded, ref_right_coaction(rho, coa, alg.space))
         validate_left_coaction(lam, coa, alg.space)
         assert_recorded(recorded, ref_left_coaction(lam, coa, alg.space))
         coact = ext.coaction._replace(rho=rho, rho_left=lam)
-        validate_entwined_module(alg, entw, coact)
+        check_conditions(module_laws(alg, entw, coact))
         assert_recorded(recorded, ref_entwined_module(alg, coa, entw, rho, lam))
-        coaction_from_unit_check(alg, entw, rho)
+        check_conditions(coaction_from_unit_law(alg, entw, rho))
         assert_recorded(recorded, ref_coaction_from_unit(alg, coa, entw, rho))
         assert induced_left_coaction(alg, entw, rho) == \
             ref_induced_left_coaction(alg, entw, rho)

@@ -15,6 +15,8 @@ from strongconn.linmaps import (
 )
 from strongconn.scalars import Field, parse_scalar
 
+from dense import contains
+
 QQ = Field.rationals()
 CYC = Field.number_field([1, 1, 1])
 
@@ -123,8 +125,8 @@ def test_subspace_dimension_formula(data):
     s = U.sum(V)
     i = U.intersection(V)
     assert s.dim + i.dim == U.dim + V.dim
-    assert s.contains(U) and s.contains(V)
-    assert U.contains(i) and V.contains(i)
+    assert contains(s, U) and contains(s, V)
+    assert contains(U, i) and contains(V, i)
 
 
 def test_rank_nullity_on_instance_library_maps():

@@ -29,8 +29,10 @@ from strongconn.connection import (
 from strongconn.homogeneous import extension_from_homogeneous
 from strongconn.instances import build_homogeneous_z4_z2, build_trivial, \
     truncated_polynomial_algebra
-from strongconn.linmaps import LinMap, Subspace, map_from_vector, map_vectorize
+from strongconn.linmaps import LinMap, Subspace
 from strongconn.scalars import Field
+
+from dense import from_vector, vectorize
 
 DEFINING = ("connection-sections-canonical", "connection-right-colinear",
             "connection-left-colinear")
@@ -72,7 +74,7 @@ def test_every_oracle_direction_is_a_fixed_point(name, ext, kernel_dim):
     ell0 = oracle.particular
     assert oracle.kernel.dim == kernel_dim
     for k in oracle.kernel.basis:
-        ell = ell0 + map_from_vector(ext.field, ell0.domain, ell0.codomain, k)
+        ell = ell0 + from_vector(ext.field, ell0.domain, ell0.codomain, k)
         assert build_connection(SectionMap(ell), delta, ext).ell == ell
 
 
@@ -107,7 +109,7 @@ def test_image_of_the_section_directions_is_the_oracle_kernel(name, ext, kernel_
     for j in range(c_space.dim * K.ncols):
         e = [field.zero] * (c_space.dim * K.ncols)
         e[j] = field.one
-        E = map_from_vector(field, c_space, K.domain, e)
+        E = from_vector(field, c_space, K.domain, e)
         ell = build_connection(SectionMap(sigma0 + K @ E), delta, ext).ell
-        directions.append(map_vectorize(ell - ell0))
+        directions.append(vectorize(ell - ell0))
     assert Subspace.from_vectors(field, oracle.kernel.ambient, directions) == oracle.kernel

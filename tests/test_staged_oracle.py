@@ -16,6 +16,7 @@ eliminated, and a wrong cached canonical solution is rejected.
 """
 
 import pytest
+from dense import column, from_vector, scaled
 from test_systems import CASES
 
 from strongconn import connection
@@ -43,7 +44,6 @@ from strongconn.linmaps import (
     SpaceLabel,
     Subspace,
     basis_vector,
-    map_from_vector,
     rref_solve,
 )
 from strongconn.pipeline import run_pipeline
@@ -70,7 +70,7 @@ def stacked_reference(ext):
             detail="no map satisfies the stacked conditions; "
                    f"first obstruction lies in {which}"), sol.kernel
     aa = alg.space.tensor(alg.space)
-    return (map_from_vector(ext.field, coa.space, aa, sol.particular.column(0)),
+    return (from_vector(ext.field, coa.space, aa, column(sol.particular, 0)),
             sol.kernel)
 
 
@@ -94,7 +94,7 @@ def doubled_rho_left(ext):
     two = ext.field.scalar(2)
     return EntwinedExtension(
         ext.algebra, ext.coalgebra, ext.entwining,
-        Coaction(ext.coaction.rho, ext.coaction.rho_left.scale(two)),
+        Coaction(ext.coaction.rho, scaled(ext.coaction.rho_left, two)),
         ext.grouplike, ext.coinvariants)
 
 
@@ -238,7 +238,7 @@ def with_canonical_solution(ext, **changes):
 def test_post_check_rejects_wrong_zero_kernel_particular():
     ext = build_graded_extension(2, 2)
     good = ext.canonical_solution.particular
-    with_canonical_solution(ext, particular=good.scale(ext.field.scalar(2)))
+    with_canonical_solution(ext, particular=scaled(good, ext.field.scalar(2)))
     with pytest.raises(InternalContradiction):
         brute_force_connections(ext)
 

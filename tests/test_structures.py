@@ -19,6 +19,8 @@ from strongconn.structures import (
     validate_hopf,
 )
 
+from dense import scaled
+
 QQ = Field.rationals()
 
 
@@ -36,7 +38,7 @@ def test_quadratic_algebra_validates():
     assert rep.passed
     x = basis_vector(QQ, alg.space, 1)
     sq = alg.mul @ map_kron(x, x)
-    assert sq == alg.unit.scale(QQ.scalar(2))
+    assert sq == scaled(alg.unit, QQ.scalar(2))
 
 
 def test_broken_unit_law_has_witness():

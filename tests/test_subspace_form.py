@@ -27,6 +27,8 @@ from strongconn.linmaps import (
 )
 from strongconn.scalars import Field, Scalar
 
+from dense import column, contains, full
+
 FIELDS = {"Q": Field.rationals(), "Q(zeta3)": Field.number_field([1, 1, 1])}
 A5 = SpaceLabel.base("A", 5)
 SEEDS = range(8)
@@ -48,7 +50,7 @@ def seeded_subspace(field, seed):
     """The span of 0 to 5 seeded vectors of A5."""
     k = random.Random(seed).randint(0, 5)
     f = seeded_map(field, SpaceLabel.base("K", max(k, 1)), A5, seed + 500)
-    return Subspace.from_vectors(field, A5, [f.column(c) for c in range(k)])
+    return Subspace.from_vectors(field, A5, [column(f, c) for c in range(k)])
 
 
 def pivots_at_the_right(sub) -> list:
@@ -99,7 +101,7 @@ def test_quotient_by_zero_and_by_everything(name):
     pi, section = Subspace.zero(field, A5).quotient("Q")
     assert pi == LinMap.identity(field, A5).relabel(codomain=q5)
     assert section == LinMap.identity(field, A5).relabel(domain=q5)
-    pi, section = Subspace.full(field, A5).quotient()
+    pi, section = full(field, A5).quotient()
     assert (pi.nrows, section.ncols) == (1, 1)
     assert pi.is_zero() and section.is_zero()
 
@@ -110,7 +112,7 @@ def first_outside_by_rank(K, f):
     rank = K.rank()
     dom = SpaceLabel.base("K", K.ncols + 1)
     for c in range(f.ncols):
-        col = f.column(c)
+        col = column(f, c)
         joined = LinMap(K.field, dom, K.codomain,
                         [row + (x,) for row, x in zip(K.entries, col)])
         if joined.rank() > rank:
@@ -179,7 +181,7 @@ def test_intersection_is_inside_both_and_has_the_counted_dimension(name, seed):
     u, v = seeded_subspace(field, seed), seeded_subspace(field, seed + 40)
     w = u.intersection(v)
     pivots_at_the_right(w)
-    assert u.contains(w) and v.contains(w)
+    assert contains(u, w) and contains(v, w)
     assert w.dim == u.dim + v.dim - u.sum(v).dim
     assert w == v.intersection(u)
 

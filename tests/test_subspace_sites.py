@@ -36,15 +36,14 @@ from strongconn.linmaps import (
     Subspace,
     basis_vector,
     map_kron,
-    map_vectorize,
     precompose_at,
     vector,
-    vector_coeffs,
 )
 from strongconn.pipeline import run_pipeline
 from strongconn.scalars import Field
 
 from basis_change import conjugate
+from dense import column, contains_vector, full, vectorize
 from test_subspace_form import first_outside_by_rank
 from test_systems import CASES, extension_of
 
@@ -80,7 +79,7 @@ def looped_relation_subspace(alg, coinv):
         m = map_kron(precompose_at(alg.mul, bv, 1), ia) - \
             map_kron(ia, precompose_at(alg.mul, bv, 0))
         for c in range(m.ncols):
-            col = m.column(c)
+            col = column(m, c)
             if any(col):
                 vecs.append(col)
     return Subspace.from_vectors(field, ambient, vecs)
@@ -92,7 +91,7 @@ def looped_closed(alg, sub):
         for v in sub.basis:
             prod = alg.mul @ map_kron(vector(field, a_space, u),
                                       vector(field, a_space, v))
-            if not sub.contains_vector(vector_coeffs(prod)):
+            if not contains_vector(sub, column(prod, 0)):
                 return False
     return True
 
@@ -112,12 +111,12 @@ def looped_splitting_witnesses(s, ext):
     ia = alg.identity()
     b_tensor_a = Subspace.from_vectors(
         field, alg.space.tensor(alg.space),
-        [map_vectorize(map_kron(vector(field, alg.space, b),
-                                basis_vector(field, alg.space, i)))
+        [vectorize(map_kron(vector(field, alg.space, b),
+                            basis_vector(field, alg.space, i)))
          for b in ext.coinvariants.basis
          for i in range(alg.dim)])
     image = next(({"basis": [j]} for j in range(alg.dim)
-                  if not b_tensor_a.contains_vector(s.column(j))), None)
+                  if not contains_vector(b_tensor_a, column(s, j))), None)
     linear = None
     for bi, b in enumerate(ext.coinvariants.basis):
         lm = precompose_at(alg.mul, vector(field, alg.space, b), 0)
@@ -142,10 +141,10 @@ def doctored_subspaces(ext, seed=0):
     rng = random.Random(seed)
     alg, field = ext.algebra, ext.field
     coinv = ext.coinvariants
-    out = [coinv, Subspace.full(field, alg.space)]
+    out = [coinv, full(field, alg.space)]
     for j in range(min(alg.dim, 3)):
         out.append(coinv.sum(Subspace.from_vectors(
-            field, alg.space, [vector_coeffs(basis_vector(field, alg.space, j))])))
+            field, alg.space, [column(basis_vector(field, alg.space, j), 0)])))
     out.append(coinv.sum(Subspace.from_vectors(
         field, alg.space, [seeded_vector(field, alg.dim, rng)])))
     return out
@@ -325,7 +324,7 @@ def seeded_b(hopf, seed):
     vectors = [[field.scalar(rng.choice((-1, 0, 1))) for _ in range(dim)]
                for _ in range(rng.randint(1, 3))]
     if seed % 2 == 0:
-        vectors[0] = vector_coeffs(hopf.algebra.unit)
+        vectors[0] = column(hopf.algebra.unit, 0)
     return Subspace.from_vectors(field, hopf.space, vectors)
 
 

@@ -25,21 +25,20 @@ from strongconn.linmaps import (
     Infeasible,
     LinMap,
     SpaceLabel,
-    map_from_vector,
     map_kron,
-    map_vectorize,
     rref_solve,
     vector,
 )
 from strongconn.structures import HopfAlgebra, StructureAlgebra, StructureCoalgebra
 
 from basis_change import conjugate
+from dense import from_vector, vectorize
 
 
 def probed_system(field, dom, cod, conditions, rhs):
     """Column k of the system is the conditions evaluated on unit map k."""
     n = dom.dim * cod.dim
-    columns = [conditions(map_from_vector(
+    columns = [conditions(from_vector(
         field, dom, cod, [field.one if i == k else field.zero for i in range(n)]))
         for k in range(n)]
     rows_label = SpaceLabel.base("constraints", len(rhs))
@@ -57,10 +56,10 @@ def probed_oracle(ext):
     def conditions(ell):
         cond_b = map_kron(ell, ic) @ coa.comul - map_kron(ia, rho) @ ell
         cond_c = map_kron(ic, ell) @ coa.comul - map_kron(lam, ia) @ ell
-        return (map_vectorize(lcan @ ell) + map_vectorize(cond_b)
-                + map_vectorize(cond_c))
+        return (vectorize(lcan @ ell) + vectorize(cond_b)
+                + vectorize(cond_c))
 
-    rhs = list(map_vectorize(map_kron(alg.unit, ic)))
+    rhs = list(vectorize(map_kron(alg.unit, ic)))
     rhs += [field.zero] * (2 * coa.dim ** 2 * alg.dim ** 2)
     return probed_system(field, coa.space, alg.space.tensor(alg.space),
                          conditions, rhs)
@@ -72,9 +71,9 @@ def probed_cointegral(coa):
     def conditions(delta):
         central = map_kron(ic, delta) @ map_kron(coa.comul, ic) - \
             map_kron(delta, ic) @ map_kron(ic, coa.comul)
-        return map_vectorize(delta @ coa.comul) + map_vectorize(central)
+        return vectorize(delta @ coa.comul) + vectorize(central)
 
-    rhs = list(map_vectorize(coa.counit)) + [field.zero] * coa.dim ** 3
+    rhs = list(vectorize(coa.counit)) + [field.zero] * coa.dim ** 3
     return probed_system(field, coa.space.tensor(coa.space), SpaceLabel.scalar(),
                          conditions, rhs)
 
@@ -85,7 +84,7 @@ def probed_integral(hopf):
 
     def conditions(lam):
         invariance = map_kron(ic, lam) @ hopf.coalgebra.comul - unit @ lam
-        return map_vectorize(invariance) + map_vectorize(lam @ unit)
+        return vectorize(invariance) + vectorize(lam @ unit)
 
     rhs = [field.zero] * hopf.dim ** 2 + [field.one]
     return probed_system(field, hopf.space, SpaceLabel.scalar(), conditions, rhs)

@@ -8,6 +8,11 @@ right-right law by psi_inv gives its left-left mirror: validate_and_build
 takes their status from that lemma (IMPLIED_LAWS).  The third is printed
 ambiguously in the literature this follows; the conjugation yields the
 reading implemented here, whose report entry stays "(reconstructed)".
+For a comodule algebra over Hopf data on C, psi(c (x) a) = a_0 (x) c a_1
+(hopf_entwining), and the right-right laws reduce to laws of rho and of
+C: validate_and_build checks rho(a a') = rho(a) rho(a') on A (x) A
+first and derives entwining-rr-multiplicativity, the one law built on
+C (x) A (x) A, from it.
 
 An entwined extension bundles an algebra A, a coalgebra C, a bijective
 entwining, a right coaction rho satisfying the entwined-module law
@@ -43,6 +48,7 @@ from .linmaps import (
 )
 from .report import PASS, VerificationReport, check_conditions, check_laws
 from .structures import (
+    HOPF_ENTWINING,
     ON_GENERATOR,
     HopfAlgebra,
     StructureAlgebra,
@@ -168,13 +174,18 @@ def induced_left_coaction(alg: StructureAlgebra, entw: Entwining, rho: LinMap) -
     return compose_legs(alg.space, (entw.psi_inv, 0), (alg.mul, 0), (unit_image, 1))
 
 
+def _module_right_law(alg: StructureAlgebra, psi: LinMap, rho: LinMap) -> tuple:
+    mul = alg.mul
+    return (("entwined-module-right", mul.domain,
+             ((rho, 0), (mul, 0)), ((mul, 0), (psi, 1), (rho, 0))),)
+
+
 def module_laws(alg: StructureAlgebra, entw: Entwining, coact: Coaction) -> tuple:
     """rho(a a') = a_0 psi(a_1 (x) a') and its left mirror, over all pairs."""
-    mul, rho, lam = alg.mul, coact.rho, coact.rho_left
-    return (("entwined-module-right", mul.domain,
-             ((rho, 0), (mul, 0)), ((mul, 0), (entw.psi, 1), (rho, 0))),
-            ("entwined-module-left", mul.domain,
-             ((lam, 0), (mul, 0)), ((mul, 1), (entw.psi_inv, 0), (lam, 1))))
+    mul, lam = alg.mul, coact.rho_left
+    return _module_right_law(alg, entw.psi, coact.rho) + (
+        ("entwined-module-left", mul.domain,
+         ((lam, 0), (mul, 0)), ((mul, 1), (entw.psi_inv, 0), (lam, 1))),)
 
 
 def coaction_from_unit_law(alg: StructureAlgebra, entw: Entwining, rho: LinMap) -> tuple:
@@ -271,26 +282,24 @@ def key_identity_check(ext: EntwinedExtension) -> VerificationReport:
     return check_conditions(key_identity_law(ext))
 
 
-# psi(c (x) a) = a_0 (x) c a_1 under C's designated Hopf data, as one
-# exact compare of psi with hopf_entwining(C, A, rho)
-HOPF_ENTWINING = "psi-is-hopf-entwining"
-
 # row -> the premises that imply it (lemmas in validate_and_build): rows
 # of the same report, C's Hopf rows as "C:" + their name, and
-# HOPF_ENTWINING.  The two Hopf lemmas: entwining-rr-comultiplicativity,
-# as Delta(c a_1) = c_1 a_11 (x) c_2 a_12 (C's
-# hopf-comul-multiplicative) and a_0 (x) a_11 (x) a_12 =
+# HOPF_ENTWINING (structures).  The two Hopf lemmas:
+# entwining-rr-comultiplicativity, as Delta(c a_1) = c_1 a_11 (x) c_2 a_12
+# (C's hopf-comul-multiplicative) and a_0 (x) a_11 (x) a_12 =
 # a_00 (x) a_01 (x) a_1 (coaction-right-coassociativity) turn
 # a_0 (x) Delta(c a_1) into a_00 (x) c_1 a_01 (x) c_2 a_1; and
-# entwined-module-right, which is entwining-rr-multiplicativity at
-# c = 1_C once C's algebra-left-unit gives 1_C x = x: both sides then
-# read rho(a a') = a_0 a'_0 (x) a_1 a'_1.
+# entwining-rr-multiplicativity, as entwined-module-right reads
+# rho(a a') = a_0 a'_0 (x) a_1 a'_1 and C's algebra-associativity then
+# gives psi(c (x) a a') = a_0 a'_0 (x) (c a_1) a'_1 = a_0 psi(c a_1 (x) a').
+# No row is a premise of its own premises (structures.ON_GENERATOR
+# included), so report.check_laws reaches each premise once.
 _LL_MUL = ("entwining-bijective", "entwining-rr-multiplicativity")
 IMPLIED_LAWS = {
+    "entwining-rr-multiplicativity": (HOPF_ENTWINING, "entwined-module-right",
+                                      "C:algebra-associativity"),
     "entwining-rr-comultiplicativity": (HOPF_ENTWINING, "coaction-right-coassociativity",
                                         "C:hopf-comul-multiplicative"),
-    "entwined-module-right": (HOPF_ENTWINING, "entwining-rr-multiplicativity",
-                              "C:algebra-left-unit"),
     "entwining-ll-multiplicativity": _LL_MUL,
     "entwining-ll-unitality": ("entwining-bijective", "entwining-rr-unitality"),
     "entwining-ll-comultiplicativity (reconstructed)":
@@ -319,23 +328,25 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     A row of IMPLIED_LAWS passes unbuilt when its premises passed, and
     is evaluated otherwise.  The Hopf lemmas hold for a comodule algebra
     (HOPF_ENTWINING: psi equals hopf_entwining(hopf, alg, rho)):
+    - entwining-rr-multiplicativity from HOPF_ENTWINING,
+      entwined-module-right and C's algebra-associativity.  The module
+      row reads rho(a a') = a_0 psi(a_1 (x) a') = a_0 a'_0 (x) a_1 a'_1,
+      so the rr row's left side is psi(c (x) a a') =
+      a_0 a'_0 (x) c (a_1 a'_1) = a_0 a'_0 (x) (c a_1) a'_1 =
+      a_0 psi(c a_1 (x) a'), its right side.
     - entwining-rr-comultiplicativity from HOPF_ENTWINING,
       coaction-right-coassociativity and C's hopf-comul-multiplicative.
       Its left side is a_0 (x) Delta(c a_1) = a_0 (x) c_1 a_11 (x)
       c_2 a_12, by the comultiplicativity, and its right side
       (psi (x) C)(c_1 (x) a_0 (x) c_2 a_1) = a_00 (x) c_1 a_01 (x)
       c_2 a_1, the same by the coassociativity of rho.
-    - entwined-module-right from HOPF_ENTWINING,
-      entwining-rr-multiplicativity and C's algebra-left-unit.  At
-      c = 1_C the rr row reads psi(1_C (x) a a') = (a a')_0 (x)
-      (a a')_1 = rho(a a') on the left and a_0 psi(a_1 (x) a') on the
-      right, as 1_C x = x; that is this row.
-    The right coaction's rows are evaluated before the rr rows for the
-    first lemma, and reported in their place.  With no hopf, a psi that
-    differs from hopf_entwining, or a failed premise, both rows are
-    built as before.  The other lemmas: entwining-ll-X
-    follows from entwining-rr-X and entwining-bijective, multiplying the
-    rr law by psi_inv on both sides; entwined-module-left from those of
+    The right coaction's rows and entwined-module-right are evaluated
+    before the rr rows are done, for these lemmas, and reported in their
+    places.  With no hopf, a psi that differs from hopf_entwining, or a
+    failed premise, these rr rows and entwined-module-right are built as
+    in a run with no lemmas.  The other lemmas: entwining-ll-X follows
+    from entwining-rr-X and entwining-bijective, multiplying the rr law
+    by psi_inv on both sides; entwined-module-left from those of
     ll-multiplicativity and algebra-associativity, as lam(a) =
     psi_inv(a rho(1)) gives lam(a a') = psi_inv(a (a' 1_0) (x) 1_1) =
     (C (x) mu)(psi_inv (x) A)(a (x) lam(a')); coaction-from-unit is
@@ -359,11 +370,15 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
       psi(c (x) (a p) s) = (a p)_psi psi(c^psi (x) s) =
       a_psi p_Psi psi(c^(psi Psi) (x) s) = a_psi psi(c^psi (x) p s).
     - entwined-module-right, rho(a a') = a_0 psi(a_1 (x) a'), from its
-      cut row, those three and entwining-rr-multiplicativity.  At
-      a' = 1 both sides are rho(a).  If it holds at p, then
-      rho(a (p s)) = (a p)_0 psi((a p)_1 (x) s) =
-      a_0 p_psi psi(a_1^psi (x) s) = a_0 psi(a_1 (x) p s), the last by
-      rr-multiplicativity.
+      cut row, algebra-right-unit, algebra-associativity,
+      entwining-rr-unitality, HOPF_ENTWINING and C's
+      algebra-associativity.  At a' = 1 both sides are rho(a), as
+      psi(a_1 (x) 1) = 1 (x) a_1.  Under HOPF_ENTWINING the row reads
+      rho(a a') = rho(a) rho(a'), in A (x) C, which multiplies
+      componentwise and so is associative.  If it holds at p, then
+      rho(a (p s)) = rho((a p) s) = rho(a p) rho(s) =
+      rho(a) rho(p) rho(s) = rho(a) rho(p s), the last by the cut row
+      at a = p.
     """
     gen = alg.generator()
     rep = VerificationReport()
@@ -386,7 +401,10 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
         given.update("C:" + c.name for c in laws if c.status == PASS)
         if hopf_entwining(hopf, alg, rho) == psi:
             given.add(HOPF_ENTWINING)
-    check(rr)
+    # a premise of rr-multiplicativity's Hopf lemma, evaluated with the
+    # rr rows and reported after the left coaction's
+    check(rr + _module_right_law(alg, psi, rho))
+    module_right = rep.checks.pop()
     inv = try_inverse(psi)
     if inv is None:
         rep.add("entwining-bijective", False, {"reason": "psi matrix is singular"})
@@ -398,7 +416,8 @@ def validate_and_build(alg: StructureAlgebra, coa: StructureCoalgebra,
     rho_left = induced_left_coaction(alg, entw, rho)
     rep.extend(validate_left_coaction(rho_left, coa, alg.space))
     coact = Coaction(rho, rho_left)
-    check(module_laws(alg, entw, coact) + coaction_from_unit_law(alg, entw, rho))
+    rep.checks.append(module_right)
+    check(module_laws(alg, entw, coact)[1:] + coaction_from_unit_law(alg, entw, rho))
     if grouplike is not None:
         rep.add("grouplike-designated", check_grouplike(grouplike, coa))
         rep.extend(check_conditions((

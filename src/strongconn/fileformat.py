@@ -309,8 +309,12 @@ def instance_to_dict(inst: InstanceFile) -> dict:
         for (r, _), v in g.items():
             texts[r] = str(v)
     if inst.b_subspace is not None:
-        doc["coinvariant_subalgebra"] = [[str(c) for c in v]
-                                         for v in inst.b_subspace.basis]
+        b = inst.b_subspace
+        zero = str(b.field.zero)
+        vectors = doc["coinvariant_subalgebra"] = [[zero] * b.ambient.dim
+                                                   for _ in range(b.dim)]
+        for (r, c), v in b.inclusion().items():
+            vectors[c][r] = str(v)
     return doc
 
 

@@ -181,15 +181,24 @@ def single_generator(alg: StructureAlgebra) -> int | None:
     return None
 
 
+# psi(c (x) a) = a_0 (x) c a_1 under C's designated Hopf data, as one
+# exact compare of psi with extensions.hopf_entwining(C, A, rho)
+HOPF_ENTWINING = "psi-is-hopf-entwining"
+
 # row -> the rows under which it holds on all of A once it holds with
 # its last algebra leg on a single generator (validate_hopf and
-# extensions.validate_and_build give the inductions)
+# extensions.validate_and_build give the inductions), C's rows named
+# "C:" + their name.  entwined-module-right's premises are those of the
+# Hopf entwining, where it reads rho(a a') = rho(a) rho(a') in the
+# associative A (x) C: its cut does not wait on
+# entwining-rr-multiplicativity, which is derived from it
 ON_GENERATOR = {
     "algebra-associativity": ("algebra-right-unit",),
     "entwining-rr-multiplicativity": ("algebra-right-unit", "algebra-associativity",
                                       "entwining-rr-unitality"),
     "entwined-module-right": ("algebra-right-unit", "algebra-associativity",
-                              "entwining-rr-unitality", "entwining-rr-multiplicativity"),
+                              "entwining-rr-unitality", HOPF_ENTWINING,
+                              "C:algebra-associativity"),
     "hopf-comul-multiplicative": ("algebra-associativity", "algebra-right-unit",
                                   "hopf-comul-unital"),
 }

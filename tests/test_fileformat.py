@@ -17,6 +17,7 @@ from strongconn.fileformat import (
     parse_instance_dict,
     parse_tensor,
     serialize_linmap,
+    write_instance,
 )
 from strongconn.golden import GOLDEN_BUILDERS, build_golden
 from strongconn.linmaps import SpaceLabel
@@ -333,3 +334,12 @@ def test_dumps_on_the_benchmark_instances(monkeypatch):
             inst = inputs.standard_instance(w, size)
             assert_like_json(instance_to_dict(inst))
             assert_like_json(instance_to_dict(inputs.conjugate(inst, w.basis, 1)))
+
+
+def test_rewriting_the_homogeneous_golden_file_keeps_its_bytes(tmp_path):
+    """The coinvariant basis, written from its nonzeros, reads as before."""
+    path = ROOT / "golden" / "homogeneous_z4_z2.json"
+    inst = parse_instance(str(path))
+    assert inst.b_subspace is not None
+    write_instance(inst, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

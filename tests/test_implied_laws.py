@@ -5,15 +5,17 @@ them in the same report (extensions.IMPLIED_LAWS); it records them as
 passing without building them when every premise passed, and evaluates
 them otherwise.  Two more follow, given Hopf data on C, when psi is the
 Hopf entwining of rho (extensions.HOPF_ENTWINING), from rows of C's
-Hopf table and of the right coaction.  Four multiplicative rows (structures.ON_GENERATOR)
-hold on all of A once they hold on a single generator; where the
+Hopf table, of the right coaction and entwined-module-right.  Four
+multiplicative rows (structures.ON_GENERATOR) hold on all of A once
+they hold on a single generator; where the
 product is not monomial and a basis vector generates, validate_and_build
 and validate_hopf check them on that generator's line first.  These
 tests hold the reports, sparse and dense, to those of a run that
 evaluates every row in full, and to those of a run that hands
 validate_and_build no Hopf data on C; pin the premises, show that each
-premise of the Hopf lemmas is needed, and keep the public validators of
-those rows evaluating in full.
+premise of the Hopf lemmas is needed and that no row is its own
+premise, and keep the public validators of those rows evaluating in
+full.
 """
 
 import random
@@ -67,7 +69,7 @@ from strongconn.structures import (
 )
 
 from basis_change import conjugate
-from test_derive_once import GOLDEN, GOLDEN_DIR
+from test_derive_once import BENCH_WORKLOADS, GOLDEN, GOLDEN_DIR, load_bench_inputs
 from test_systems import c_hopf_of, extension_of
 
 ZETA3 = Field.number_field([1, 1, 1])
@@ -115,10 +117,10 @@ MUTATED = ("psi", "rho", "mul", "comul")
 # the rows of the Hopf lemmas with their premises, and the tensors whose
 # mutations they are held to
 HOPF_PREMISES = {
+    "entwining-rr-multiplicativity": (HOPF_ENTWINING, "entwined-module-right",
+                                      "C:algebra-associativity"),
     "entwining-rr-comultiplicativity": (HOPF_ENTWINING, "coaction-right-coassociativity",
                                         "C:hopf-comul-multiplicative"),
-    "entwined-module-right": (HOPF_ENTWINING, "entwining-rr-multiplicativity",
-                              "C:algebra-left-unit"),
 }
 HOPF_LEMMAS = tuple(HOPF_PREMISES)
 HOPF_MUTATED = ("psi", "rho", "comul", "c_mul")
@@ -160,13 +162,14 @@ def record_builds(monkeypatch) -> list:
     return built
 
 
-def validate(inst, mul=None):
+def validate(inst, mul=None, hopf=None):
     """validate_and_build on inst's designated maps, with mul for A's
-    product when given; returns A and the report."""
+    product and hopf for C's Hopf data when given; returns A and the
+    report."""
     alg = StructureAlgebra(mul or inst.designated("mul"), inst.designated("unit"))
     coa = StructureCoalgebra(inst.designated("comul"), inst.designated("counit"))
     _, rep = validate_and_build(alg, coa, inst.designated("psi"),
-                                inst.designated("rho"), inst.grouplike)
+                                inst.designated("rho"), inst.grouplike, hopf)
     return alg, rep
 
 
@@ -204,21 +207,34 @@ def test_dense_reports_match_a_run_that_evaluates_every_row(name, inst, monkeypa
 
 @pytest.mark.parametrize("name,inst", GENERATED, ids=[n for n, _ in GENERATED])
 def test_dense_multiplicative_rows_run_on_one_generator(name, inst, monkeypatch):
-    """Each of A's rows of ON_GENERATOR is built once, with its last leg
-    cut to k, and so is C's hopf-comul-multiplicative."""
+    """Each of A's rows of ON_GENERATOR whose premises hold is built
+    once, with its last leg cut to k, and so is C's
+    hopf-comul-multiplicative.  entwined-module-right's premises are
+    those of the Hopf entwining: with no Hopf data on C it is built in
+    full, and with them entwining-rr-multiplicativity is derived."""
     built = record_builds(monkeypatch)
     alg, rep = validate(inst)
     assert rep.passed
     s = single_generator(alg)
     assert s is not None
     assert alg.generator() == basis_vector(alg.field, alg.space, s)
+
+    def cut(row):
+        return [SpaceLabel(full_domain(row, inst).factors[:-1])]
+
     for row in A_ROWS:
-        cut = SpaceLabel(full_domain(row, inst).factors[:-1])
-        assert [d for n, d in built if n == row] == [cut], row
+        want = [full_domain(row, inst)] if row == "entwined-module-right" else cut(row)
+        assert [d for n, d in built if n == row] == want, row
     hopf_c = c_hopf_of(inst)
     built.clear()
     assert validate_hopf(hopf_c).passed
     assert [d for n, d in built if n == "hopf-comul-multiplicative"] == [hopf_c.space]
+    built.clear()
+    _, rep = validate(inst, hopf=hopf_c)
+    assert rep.passed
+    for row in A_ROWS:
+        want = [] if row == "entwining-rr-multiplicativity" else cut(row)
+        assert [d for n, d in built if n == row] == want, row
 
 
 def test_a_dense_sweedler_algebra_restricts_no_row(monkeypatch):
@@ -279,6 +295,48 @@ def test_mul_mutations_breaking_associativity_are_evaluated_in_full(
     assert ways == {True, False}, ways
 
 
+def premise_cycle(*tables) -> list | None:
+    """A chain of rows, each a premise of the one before, that returns
+    to its first row, in the union of tables (row -> premises); None
+    when there is none."""
+    graph = {}
+    for table in tables:
+        for row, premises in table.items():
+            graph.setdefault(row, set()).update(premises)
+    state = {}  # row -> "open" while its premises are searched, then "done"
+
+    def visit(row, path):
+        if state.get(row) == "open":
+            return path[path.index(row):] + [row]
+        if state.get(row) == "done":
+            return None
+        state[row] = "open"
+        for p in sorted(graph.get(row, ())):
+            found = visit(p, path + [row])
+            if found:
+                return found
+        state[row] = "done"
+        return None
+
+    for row in sorted(graph):
+        found = visit(row, [])
+        if found:
+            return found
+    return None
+
+
+def test_no_row_is_a_premise_of_its_own_premises():
+    """report.check_laws evaluates a premise that sits in its table
+    before the row that needs it: a cycle through IMPLIED_LAWS and
+    ON_GENERATOR would recurse without end."""
+    assert premise_cycle(IMPLIED_LAWS, ON_GENERATOR) is None
+    # the module row's lemma the other way round closes one
+    reverse = {"entwined-module-right": (HOPF_ENTWINING, "entwining-rr-multiplicativity",
+                                         "C:algebra-left-unit")}
+    assert premise_cycle(IMPLIED_LAWS, ON_GENERATOR, reverse) == [
+        "entwined-module-right", "entwining-rr-multiplicativity", "entwined-module-right"]
+
+
 def test_premises_are_pinned():
     rr_and_bijective = {
         f"entwining-ll-{law}": ("entwining-bijective", f"entwining-rr-{law}")
@@ -302,7 +360,7 @@ def test_premises_are_pinned():
         "entwining-rr-multiplicativity": (*unit_and_associativity,
                                           "entwining-rr-unitality"),
         "entwined-module-right": (*unit_and_associativity, "entwining-rr-unitality",
-                                  "entwining-rr-multiplicativity"),
+                                  HOPF_ENTWINING, "C:algebra-associativity"),
         "hopf-comul-multiplicative": ("algebra-associativity", "algebra-right-unit",
                                       "hopf-comul-unital"),
     }
@@ -311,8 +369,9 @@ def test_premises_are_pinned():
 @pytest.mark.parametrize("name,ext,hopf", CASES, ids=IDS)
 def test_every_premise_precedes_its_row(name, ext, hopf, monkeypatch):
     """A premise that is a row of the report comes before its row, but
-    for the right coaction's, which validate_and_build evaluates before
-    the rr rows (it builds them first) and reports after them."""
+    for the right coaction's and entwined-module-right, which
+    validate_and_build builds before the rr rows are done and reports
+    after them."""
     built = record_builds(monkeypatch)
     out, rep = validate_and_build(ext.algebra, ext.coalgebra, ext.entwining.psi,
                                   ext.coaction.rho, ext.grouplike, hopf)
@@ -323,8 +382,9 @@ def test_every_premise_precedes_its_row(name, ext, hopf, monkeypatch):
         for p in premises:
             if p == HOPF_ENTWINING or p.startswith("C:"):
                 assert p not in order, p
-            elif p == "coaction-right-coassociativity" and row in HOPF_LEMMAS:
-                assert first.index(p) < first.index("entwining-rr-multiplicativity")
+            elif p in ("coaction-right-coassociativity", "entwined-module-right") \
+                    and row in HOPF_LEMMAS:
+                assert first.index(p) < first.index("entwining-rr-counitality"), p
             else:
                 assert order.index(p) < order.index(row), (row, p)
 
@@ -486,8 +546,8 @@ def test_reports_match_a_run_without_the_hopf_lemmas(name, inst, monkeypatch):
 
 def lemma_domains(inst) -> dict:
     a, c = (SpaceLabel.base(n, inst.spaces[n]) for n in "AC")
-    return {"entwining-rr-comultiplicativity": c.tensor(a),
-            "entwined-module-right": a.tensor(a)}
+    return {"entwining-rr-multiplicativity": c.tensor(a).tensor(a),
+            "entwining-rr-comultiplicativity": c.tensor(a)}
 
 
 def validate_with_hopf(inst):
@@ -502,7 +562,7 @@ def validate_with_hopf(inst):
 def test_off_the_hopf_lemmas_both_rows_are_built_in_full(name, ext, hopf, monkeypatch):
     """A psi one entry off the Hopf entwining, and a C whose
     hopf-comul-multiplicative fails, get both rows built on their full
-    domains (psi stays invertible, so entwined-module-right is reached)."""
+    domains (psi stays invertible)."""
     inst = instance_from_extension(name, ext, c_hopf=hopf)
     full = lemma_domains(inst)
     found = set()
@@ -524,27 +584,90 @@ def test_off_the_hopf_lemmas_both_rows_are_built_in_full(name, ext, hopf, monkey
     assert found == {"psi", "c_mul"}
 
 
+def record_validate_maps(monkeypatch) -> list:
+    """The domain of every map that the pipeline's validate_and_build
+    makes, with its own rows' checks."""
+    domains, inside = [], []
+    make = LinMap._from_rows.__func__
+    validating = pipeline.validate_and_build
+
+    def from_rows(cls, field, domain, codomain, rows):
+        if inside:
+            domains.append(domain)
+        return make(cls, field, domain, codomain, rows)
+
+    def recording(*args):
+        inside.append(True)
+        try:
+            return validating(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LinMap, "_from_rows", classmethod(from_rows))
+    monkeypatch.setattr(pipeline, "validate_and_build", recording)
+    return domains
+
+
+def bench_input(workload: str):
+    """The seed-1 input of a generated benchmark workload."""
+    inputs = load_bench_inputs()
+    w = inputs.WORKLOADS[workload]
+    return inputs.conjugate(inputs.standard_instance(w, "full"), w.basis, 1)
+
+
+HOPF_GOLDEN = [name for name in GOLDEN if parse_instance(
+    str(GOLDEN_DIR / f"{name}.json")).designated("c_antipode") is not None]
+
+
+@pytest.mark.parametrize("name", HOPF_GOLDEN + list(BENCH_WORKLOADS))
+def test_with_hopf_data_validate_builds_no_map_out_of_c_a_a(name, monkeypatch):
+    """entwining-rr-multiplicativity, the one row on C (x) A (x) A, comes
+    from its lemma; entwined-module-right, its premise, is built on
+    A (x) A, or on A (x) k, its generator cut, where A has a generator
+    (the dense workload)."""
+    inst = bench_input(name) if name in BENCH_WORKLOADS else \
+        parse_instance(str(GOLDEN_DIR / f"{name}.json"))
+    a, c = (SpaceLabel.base(n, inst.spaces[n]) for n in "AC")
+    domains = record_validate_maps(monkeypatch)
+    built = record_builds(monkeypatch)
+    rep = run_pipeline(inst, ["validate"])
+    assert all(c.status == PASS for _, c in rep.checks)
+    assert a.tensor(a) in domains
+    assert c.tensor(a).tensor(a) not in domains
+    assert "entwining-rr-multiplicativity" not in [n for n, _ in built]
+    generator = StructureAlgebra(inst.designated("mul"), inst.designated("unit")).generator()
+    assert (generator is not None) == (name == "dense-cyclotomic")
+    module = a if generator is not None else a.tensor(a)
+    assert [d for n, d in built if n == "entwined-module-right"] == [module]
+
+
 def group_z4():
     return instance_from_extension("group_self_z4", build_group_self_extension(4),
                                    c_hopf=cyclic_group_hopf(4))
 
 
+def graded_n3_t0():
+    """k[x]/(x^3) graded over kZ_3, x^k in degree k: x^i x^j = 0 for
+    i + j >= 3, so entwined-module-right leaves psi on g^i (x) x^j free
+    where x^i annihilates its values, and C's products g^i g^j with
+    i + j >= 3."""
+    return instance_from_extension("graded_n3_t0", build_graded_extension(3, 0),
+                                   c_hopf=cyclic_group_hopf(3))
+
+
 def one_premise_off(row: str, premise: str):
-    """Instances of kZ_4 over itself on which premise fails among the
-    premises of row's Hopf lemma, seeded where a mutation does it."""
-    inst = group_z4()
-    a, c = (SpaceLabel.base(n, inst.spaces[n]) for n in "AC")
-    if premise == HOPF_ENTWINING and row == "entwined-module-right":
-        # the flip is an entwining of every A and C, but not of this rho
-        return [with_tensor(inst, "psi", flip_map(inst.field, c, a))]
-    if premise == "C:algebra-left-unit":
-        # x .' y = x S(y): multiplicative over rho, as kZ_4 is commutative,
-        # yet 1 .' g = g^-1
-        c_mul = precompose_at(inst.tensors["c_mul"], inst.tensors["c_antipode"], 1)
-        return [with_tensor(inst, "c_mul", c_mul, True)]
+    """Seeded one-entry mutants of the tensor that premise reads, psi
+    rebuilt as the Hopf entwining of the result but for HOPF_ENTWINING's,
+    among which premise may fail alone among the premises of row's Hopf
+    lemma.  rr-comultiplicativity's are of kZ_4 over itself.
+    rr-multiplicativity's are of graded_n3_t0: on kZ_4 rho's C legs span
+    C and no product of A is zero, so there entwined-module-right
+    (rho(g h) = g psi(g (x) h)) makes psi the Hopf entwining, and with
+    it (g h (x) g h = g h (x) g .' h) fixes C's product."""
+    inst = group_z4() if row == "entwining-rr-comultiplicativity" else graded_n3_t0()
     tensor = {HOPF_ENTWINING: "psi", "coaction-right-coassociativity": "rho",
-              "C:hopf-comul-multiplicative": "c_mul",
-              "entwining-rr-multiplicativity": "rho"}[premise]
+              "C:hopf-comul-multiplicative": "c_mul", "entwined-module-right": "rho",
+              "C:algebra-associativity": "c_mul"}[premise]
     return [with_tensor(inst, tensor, mutated(inst.tensors[tensor], seed), tensor != "psi")
             for seed in range(16)]
 
@@ -562,12 +685,10 @@ def premises_on(inst, report_checks) -> tuple[dict, dict]:
     return held, statuses
 
 
-@pytest.mark.parametrize("row,premise", [(row, p) for row, premises in HOPF_PREMISES.items()
-                                         for p in premises])
-def test_each_premise_of_the_hopf_lemmas_is_needed(row, premise, monkeypatch):
-    """On an instance where premise alone fails and row fails too, the
-    report is that of a run without the lemmas; with premise dropped from
-    the lemma, row would read pass."""
+def alone_off(row: str, premise: str, monkeypatch):
+    """The first instance of one_premise_off on which premise alone fails
+    among row's premises and row fails, with its report from a run
+    without the Hopf lemmas."""
     for inst in one_premise_off(row, premise):
         with monkeypatch.context() as m:
             without_hopf(m)
@@ -575,9 +696,17 @@ def test_each_premise_of_the_hopf_lemmas_is_needed(row, premise, monkeypatch):
         held, statuses = premises_on(inst, rep.checks)
         if statuses.get(row) == "fail" and \
                 [p for p in HOPF_PREMISES[row] if not held[p]] == [premise]:
-            break
-    else:
-        pytest.fail("no instance fails this premise alone")
+            return inst, rep
+    pytest.fail("no instance fails this premise alone")
+
+
+@pytest.mark.parametrize("row,premise", [(row, p) for row, premises in HOPF_PREMISES.items()
+                                         for p in premises])
+def test_each_premise_of_the_hopf_lemmas_is_needed(row, premise, monkeypatch):
+    """On an instance where premise alone fails and row fails too, the
+    report is that of a run without the lemmas; with premise dropped from
+    the lemma, row would read pass."""
+    inst, rep = alone_off(row, premise, monkeypatch)
     assert run_pipeline(inst).to_json() == rep.to_json()
     with monkeypatch.context() as m:
         m.setitem(extensions.IMPLIED_LAWS, row,
@@ -586,13 +715,15 @@ def test_each_premise_of_the_hopf_lemmas_is_needed(row, premise, monkeypatch):
     assert ("validate", row, PASS) in [(s, c.name, c.status) for s, c in dropped.checks]
 
 
-def test_c_and_a_rows_of_one_name_stay_apart():
-    """A's algebra-left-unit passes where C's fails: the lemma reads C's."""
-    [inst] = one_premise_off("entwined-module-right", "C:algebra-left-unit")
+def test_c_and_a_rows_of_one_name_stay_apart(monkeypatch):
+    """A's algebra-associativity passes where C's fails: the lemma reads C's."""
+    inst, _ = alone_off("entwining-rr-multiplicativity", "C:algebra-associativity",
+                        monkeypatch)
     rep = validate_with_hopf(inst)
-    assert c_hopf_of(inst).laws.named("algebra-left-unit").status == "fail"
-    assert rep.named("algebra-left-unit").status == PASS
-    assert rep.named("entwined-module-right").status == "fail"
+    assert c_hopf_of(inst).laws.named("algebra-associativity").status == "fail"
+    assert rep.named("algebra-associativity").status == PASS
+    assert rep.named("entwined-module-right").status == PASS
+    assert rep.named("entwining-rr-multiplicativity").status == "fail"
 
 
 STAGE_SETS = (None, ("validate",), ("validate", "integral"))

@@ -96,6 +96,8 @@ UNCALLED = {
     "extensions.key_identity_check": TRACER,
     "structures.validate_algebra": TRACER,
     "linmaps.LinMap.entries": TRACER,
+    "linmaps.LinMap.rank": TRACER,
+    "linmaps.Subspace.basis": TRACER,
     "linmaps.Subspace.sum": TRACER,
     "linmaps.Subspace.intersection": TRACER,
     "scalars.Scalar.coeffs": TRACER,
@@ -109,26 +111,53 @@ def is_main_block(node) -> bool:
             and isinstance(test.left, ast.Name) and test.left.id == "__name__")
 
 
-def namings(tree, methods: bool) -> Counter:
-    """How often each name is read in tree: as an attribute, and, unless
-    methods, as a bare name; a __main__ block is skipped."""
+# how a definition is named: a function by a bare name or an attribute,
+# a method only by an attribute, and a property by any attribute read,
+# as it is read without a call
+FUNCTION, METHOD, PROPERTY = "function", "method", "property"
+
+
+def namings(tree, kind: str, fields=frozenset()) -> Counter:
+    """How often each name is read in tree as a name of kind; a __main__
+    block is skipped.  Unless kind is PROPERTY, an attribute read of a
+    NamedTuple field (a name in fields) counts only when it is called:
+    ``sol.rank`` reads a field, ``m.rank()`` calls a method."""
     counts = Counter()
+    called = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if is_main_block(node):
             continue
+        if isinstance(node, ast.Call):
+            called.add(id(node.func))  # popped before its func
         if isinstance(node, ast.Attribute):
-            counts[node.attr] += 1
-        elif isinstance(node, ast.Name) and not methods:
+            if kind == PROPERTY or node.attr not in fields or id(node) in called:
+                counts[node.attr] += 1
+        elif isinstance(node, ast.Name) and kind == FUNCTION:
             counts[node.id] += 1
         stack.extend(ast.iter_child_nodes(node))
     return counts
 
 
+def namedtuple_fields(trees) -> frozenset:
+    """The field names of every NamedTuple class defined in trees."""
+    return frozenset(
+        item.target.id for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+
+
+def is_property(node) -> bool:
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in ("property", "cached_property") for d in node.decorator_list)
+
+
 def definitions(path: Path, tree):
-    """(qualified name, node, is a method) of every function and
-    non-dunder method defined in the module at path."""
+    """(qualified name, node, kind) of every function and non-dunder
+    method defined in the module at path."""
     owner = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
              for n in c.body}
     for node in ast.walk(tree):
@@ -136,16 +165,19 @@ def definitions(path: Path, tree):
                 not (node.name.startswith("__") and node.name.endswith("__")):
             cls = owner.get(id(node))
             qual = node.name if cls is None else f"{cls}.{node.name}"
-            yield f"{path.stem}.{qual}", node, cls is not None
+            kind = FUNCTION if cls is None else PROPERTY if is_property(node) else METHOD
+            yield f"{path.stem}.{qual}", node, kind
 
 
 def uncalled(paths) -> list[str]:
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
     naming = [t for p, t in trees.items() if p.name != "__init__.py"]
-    total = {m: sum((namings(t, m) for t in naming), Counter()) for m in (False, True)}
+    fields = namedtuple_fields(trees.values())
+    total = {k: sum((namings(t, k, fields) for t in naming), Counter())
+             for k in (FUNCTION, METHOD, PROPERTY)}
     return sorted(qual for path, tree in trees.items()
-                  for qual, node, method in definitions(path, tree)
-                  if total[method][node.name] <= namings(node, method)[node.name])
+                  for qual, node, kind in definitions(path, tree)
+                  if total[kind][node.name] <= namings(node, kind, fields)[node.name])
 
 
 def test_every_function_and_method_has_a_caller_or_a_reason():
@@ -175,6 +207,25 @@ def test_an_uncalled_function_is_found(tmp_path):
         "    main()\n")
     (tmp_path / "__init__.py").write_text("from .a import f, g, h\n")
     assert uncalled(sorted(tmp_path.glob("*.py"))) == ["a.K.unused", "a.f", "a.main"]
+
+
+def test_a_namedtuple_field_read_names_no_method(tmp_path):
+    """sol.rank reads Solution's field: it names no method rank, while
+    a property is named by a read, and a method by a call."""
+    (tmp_path / "a.py").write_text(
+        "from typing import NamedTuple\n"
+        "class Solution(NamedTuple):\n"
+        "    rank: int\n"
+        "    dim: int\n"
+        "    size: int\n"
+        "class M:\n"
+        "    def rank(self): return 0\n"
+        "    @property\n"
+        "    def dim(self): return 0\n"
+        "    def size(self): return 0\n"
+        "def f(sol, m): return sol.rank + sol.dim + m.dim + m.size()\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    assert uncalled(sorted(tmp_path.glob("*.py"))) == ["a.M.rank", "a.f"]
 
 
 def loaded_by_import(modules: set[str]) -> list[str]:
